@@ -158,24 +158,35 @@ def _jsonify(value):
     return value
 
 
-def _parse_complex(text: str) -> complex:
+def _parse_complex(text: str, field: str) -> complex:
     """Parse 'a+bi' (or plain numbers) into a complex value."""
-    cleaned = text.strip().replace(" ", "").replace("i", "j")
-    return complex(cleaned)
+    try:
+        return complex(text.strip().replace(" ", "").replace("i", "j"))
+    except ValueError:
+        raise ConfigError(field, f"cannot read complex entry {text!r}") from None
+
+
+def _finite(values: np.ndarray, field: str) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(field, "entries must be finite")
+    return values
 
 
 def _as_complex_list(values, field: str) -> np.ndarray:
+    if not isinstance(values, list):
+        raise ConfigError(field, "must be a list of complex entries")
     out = []
     for v in values:
         if isinstance(v, str):
-            out.append(_parse_complex(v))
-        elif isinstance(v, (list, tuple)) and len(v) == 2:
+            out.append(_parse_complex(v, field))
+        elif (isinstance(v, list) and len(v) == 2
+              and all(isinstance(x, (int, float)) for x in v)):
             out.append(complex(v[0], v[1]))
         elif isinstance(v, (int, float)):
             out.append(complex(v))
         else:
             raise ConfigError(field, f"cannot read complex entry {v!r}")
-    return np.asarray(out, dtype=complex)
+    return _finite(np.asarray(out, dtype=complex), field)
 
 
 # -- config ------------------------------------------------------------------------
@@ -220,56 +231,70 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if seed is None and any(s in RANDOMIZED_SUITES for s in suites):
         raise ConfigError("seed", "required when a randomized suite is selected")
 
-    omega = section("omega")
-    discrete = omega.get("family") == "discrete"
+    # The quartet and sweep suites build their own spaces and maps.
     quartet_only = set(suites) <= {"quartet", "sweep"}
-    space = raw.get("space")
-    model_cfg = raw.get("model")
-    if space is None and not (discrete or quartet_only):
-        raise ConfigError("space", "missing required section")
-    if model_cfg is None and not (discrete or quartet_only):
-        raise ConfigError("model", "missing required section")
+    omega = section("omega", {} if quartet_only else None)
+    implied = quartet_only or omega.get("family") == "discrete"
+    space = section("space", {} if implied else None)
+    model_cfg = section("model", {} if implied else None)
 
-    tolerance = float(raw.get("tolerance", 1e-10))
-    if tolerance <= 0:
+    tolerance = _need(raw, "tolerance", "", float, 1e-10)
+    if not tolerance > 0:
         raise ConfigError("tolerance", "must be positive")
 
     return ExperimentConfig(
-        space=space or {},
-        model=model_cfg or {},
+        space=space,
+        model=model_cfg,
         omega=omega,
-        theta=raw.get("theta", {"family": "same"}),
-        symbol=raw.get("symbol", {"family": "constant", "value": 1.0}),
+        theta=section("theta", {"family": "same"}),
+        symbol=section("symbol", {"family": "constant", "value": 1.0}),
         suites=suites,
         tolerance=tolerance,
         seed=seed,
         output_dir=str(raw.get("output_dir", "reports")),
-        sweep=raw.get("sweep", {}),
-        quartet=raw.get("quartet", {}),
-        orthogonality=raw.get("orthogonality", {}),
+        sweep=section("sweep", {}),
+        quartet=section("quartet", {}),
+        orthogonality=section("orthogonality", {}),
         raw=raw,
     )
 
 
-def _need(cfg: dict, field: str, path: str):
+_REQUIRED = object()
+
+
+def _need(cfg: dict, field: str, path: str, kind=None, default=_REQUIRED):
+    """Read a parameter converted by ``kind``; bad input is a ConfigError."""
+    name = f"{path}.{field}" if path else field
     if field not in cfg:
-        raise ConfigError(f"{path}.{field}", "missing required parameter")
-    return cfg[field]
+        if default is _REQUIRED:
+            raise ConfigError(name, "missing required parameter")
+        return default
+    value = cfg[field]
+    if kind is None:
+        return value
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(name, f"invalid value {value!r}") from None
 
 
 def build_space(cfg: dict, path: str = "space") -> measure.SampledMeasureSpace:
     family = _need(cfg, "family", path)
+    if family not in CATALOG["spaces"]:
+        raise ConfigError(f"{path}.family", f"unknown space family {family!r}")
+    n = _need(cfg, "n", path, int)
+    if n < (2 if family == "symmetric_grid" else 1):
+        raise ConfigError(f"{path}.n", f"too few points: {n}")
     if family == "counting":
-        return measure.counting(int(_need(cfg, "n", path)))
+        return measure.counting(n)
     if family == "periodic_unit_grid":
-        return measure.periodic_unit_grid(int(_need(cfg, "n", path)))
+        return measure.periodic_unit_grid(n)
     if family == "fourier_grid":
-        return measure.fourier_grid(int(_need(cfg, "n", path)))
-    if family == "symmetric_grid":
-        return measure.symmetric_grid(
-            int(_need(cfg, "n", path)), float(_need(cfg, "half_width", path))
-        )
-    raise ConfigError(f"{path}.family", f"unknown space family {family!r}")
+        return measure.fourier_grid(n)
+    half_width = _need(cfg, "half_width", path, float)
+    if not half_width > 0:
+        raise ConfigError(f"{path}.half_width", "must be positive")
+    return measure.symmetric_grid(n, half_width)
 
 
 def build_model(cfg: dict, space: measure.SampledMeasureSpace,
@@ -279,12 +304,12 @@ def build_model(cfg: dict, space: measure.SampledMeasureSpace,
         return model.make_model(space, model.RawSamples())
     if family == "trigonometric":
         return model.make_model(
-            space, model.Trigonometric(int(_need(cfg, "max_degree", path)))
+            space, model.Trigonometric(_need(cfg, "max_degree", path, int))
         )
     if family == "gaussian_bumps":
-        centers = tuple(float(c) for c in _need(cfg, "centers", path))
+        centers = _need(cfg, "centers", path, lambda v: tuple(float(c) for c in v))
         return model.make_model(
-            space, model.GaussianBumps(centers, float(_need(cfg, "width", path)))
+            space, model.GaussianBumps(centers, _need(cfg, "width", path, float))
         )
     raise ConfigError(f"{path}.family", f"unknown model family {family!r}")
 
@@ -297,16 +322,32 @@ def _load_table_csv(path_str: str, field: str) -> np.ndarray:
     with path.open(newline="") as handle:
         for row in csv.reader(handle):
             if row:
-                rows.append([_parse_complex(cell) for cell in row])
+                rows.append([_parse_complex(cell, field) for cell in row])
     if not rows:
         raise ConfigError(field, "CSV table is empty")
-    return np.asarray(rows, dtype=complex)
+    if len({len(row) for row in rows}) != 1:
+        raise ConfigError(field, "CSV rows differ in length")
+    return _finite(np.asarray(rows, dtype=complex), field)
 
 
-def _gaussian_window(space, cfg) -> np.ndarray:
-    width = float(cfg.get("width", space.extent / 8.0))
-    center = float(cfg.get("center", space.points[0]))
-    cut = float(cfg.get("cutoff", 1e-3))
+def _discrete_table(cfg: dict, path: str) -> np.ndarray:
+    """J x K table of a discrete family: inline rows or a CSV file."""
+    vectors = _need(cfg, "vectors", path)
+    field = f"{path}.vectors"
+    if isinstance(vectors, str):
+        return _load_table_csv(vectors, field)
+    if not isinstance(vectors, list) or not vectors:
+        raise ConfigError(field, "must be a CSV path or a nonempty list of vectors")
+    rows = [_as_complex_list(v, field) for v in vectors]
+    if len({len(row) for row in rows}) != 1:
+        raise ConfigError(field, "vectors differ in length")
+    return np.asarray(rows)
+
+
+def _gaussian_window(space, cfg, path: str) -> np.ndarray:
+    width = _need(cfg, "width", path, float, space.extent / 8.0)
+    center = _need(cfg, "center", path, float, float(space.points[0]))
+    cut = _need(cfg, "cutoff", path, float, 1e-3)
     values = np.exp(-((space.points - center) ** 2) / (2 * width ** 2))
     values[values < cut] = 0.0  # truncate so the support is proper
     return values
@@ -338,19 +379,12 @@ def build_frame(cfg: dict, mdl: model.ModelSpace,
     if family == "translated_window":
         window = _need(cfg, "window", path)
         if isinstance(window, dict):
-            values = _gaussian_window(space, window)
+            values = _gaussian_window(space, window, f"{path}.window")
         else:
             values = _as_complex_list(window, f"{path}.window")
         return maps.translated_window_frame(mdl, space, values)
     if family == "discrete":
-        vectors = _need(cfg, "vectors", path)
-        if isinstance(vectors, str):
-            table = _load_table_csv(vectors, f"{path}.vectors")
-        else:
-            table = np.asarray(
-                [_as_complex_list(v, f"{path}.vectors") for v in vectors]
-            )
-        return maps.discrete_sequence_map(mdl, table, space)
+        return maps.discrete_sequence_map(mdl, _discrete_table(cfg, path), space)
     if family == "custom":
         table = _load_table_csv(_need(cfg, "csv", path), f"{path}.csv")
         if table.shape != (len(space), mdl.dim):
@@ -366,48 +400,48 @@ def build_frame(cfg: dict, mdl: model.ModelSpace,
 def build_symbol(cfg: dict, space: measure.SampledMeasureSpace,
                  path: str = "symbol") -> multiplier.Symbol:
     family = _need(cfg, "family", path)
+    n = len(space)
     if family == "constant":
-        value = cfg.get("value", 1.0)
-        value = complex(value[0], value[1]) if isinstance(value, list) else complex(value)
-        return multiplier.make_symbol(space, np.full(len(space), value))
-    if family == "coordinate":
-        return multiplier.make_symbol(space, space.points.astype(complex))
-    if family == "step":
-        low = complex(cfg.get("low", 0.0))
-        high = complex(cfg.get("high", 1.0))
-        at = float(cfg.get("at", float(np.median(space.points))))
-        return multiplier.make_symbol(
-            space, np.where(space.points < at, low, high)
-        )
-    if family == "random_phase":
-        rng = np.random.default_rng(int(_need(cfg, "seed", path)))
-        return multiplier.make_symbol(
-            space, np.exp(2j * np.pi * rng.random(len(space)))
-        )
-    if family == "reciprocal_safe":
-        floor = float(cfg.get("floor", 1.0))
-        ceil = float(cfg.get("ceil", 2.0))
-        if floor <= 0:
+        value = _as_complex_list([cfg.get("value", 1.0)], f"{path}.value")[0]
+        values = np.full(n, value)
+    elif family == "coordinate":
+        values = space.points
+    elif family == "step":
+        low = _need(cfg, "low", path, complex, 0.0)
+        high = _need(cfg, "high", path, complex, 1.0)
+        at = _need(cfg, "at", path, float, float(np.median(space.points)))
+        values = np.where(space.points < at, low, high)
+    elif family == "random_phase":
+        rng = np.random.default_rng(_need(cfg, "seed", path, int))
+        values = np.exp(2j * np.pi * rng.random(n))
+    elif family == "reciprocal_safe":
+        floor = _need(cfg, "floor", path, float, 1.0)
+        ceil = _need(cfg, "ceil", path, float, 2.0)
+        if not floor > 0:
             raise ConfigError(f"{path}.floor", "must be positive")
-        rng = np.random.default_rng(int(_need(cfg, "seed", path)))
-        modulus = rng.uniform(floor, ceil, len(space))
-        phase = np.exp(2j * np.pi * rng.random(len(space)))
-        return multiplier.make_symbol(space, modulus * phase)
-    if family == "csv":
-        path_str = _need(cfg, "path", path)
-        file_path = Path(path_str)
+        rng = np.random.default_rng(_need(cfg, "seed", path, int))
+        modulus = rng.uniform(floor, ceil, n)
+        values = modulus * np.exp(2j * np.pi * rng.random(n))
+    elif family == "csv":
+        file_path = Path(_need(cfg, "path", path))
         if not file_path.exists():
             raise ConfigError(f"{path}.path", f"file does not exist: {file_path}")
         points, values = [], []
         with file_path.open(newline="") as handle:
-            for row in csv.reader(handle):
-                if row:
-                    points.append(float(row[0]))
-                    values.append(complex(float(row[1]), float(row[2])))
-        if not np.allclose(points, space.points, atol=1e-12):
+            try:
+                for row in csv.reader(handle):
+                    if row:
+                        points.append(float(row[0]))
+                        values.append(complex(float(row[1]), float(row[2])))
+            except (IndexError, ValueError):
+                raise ConfigError(f"{path}.path",
+                                  "rows must be point,re,im numbers") from None
+        if len(points) != n or not np.allclose(points, space.points, atol=1e-12):
             raise ConfigError(f"{path}.path", "CSV points do not match the space")
-        return multiplier.make_symbol(space, np.asarray(values))
-    raise ConfigError(f"{path}.family", f"unknown symbol family {family!r}")
+    else:
+        raise ConfigError(f"{path}.family", f"unknown symbol family {family!r}")
+    values = _finite(np.asarray(values, dtype=complex), path)
+    return multiplier.make_symbol(space, values)
 
 
 # -- experiment context --------------------------------------------------------------
@@ -427,19 +461,15 @@ class Context:
 
 def build_context(config: ExperimentConfig) -> Context:
     if config.omega.get("family") == "discrete":
-        vectors = _need(config.omega, "vectors", "omega")
-        if isinstance(vectors, str):
-            table = _load_table_csv(vectors, "omega.vectors")
-        else:
-            table = np.asarray(
-                [_as_complex_list(v, "omega.vectors") for v in vectors]
-            )
+        # The table fixes the space and the model, so it is read only once.
+        table = _discrete_table(config.omega, "omega")
         space = measure.counting(len(table))
         mdl = model.make_model(measure.counting(table.shape[1]), model.RawSamples())
+        omega = maps.discrete_sequence_map(mdl, table, space)
     else:
         space = build_space(config.space)
         mdl = build_model(config.model, space)
-    omega = build_frame(config.omega, mdl, space, "omega")
+        omega = build_frame(config.omega, mdl, space, "omega")
     theta = build_frame(config.theta, mdl, space, "theta", analysis=omega)
     symbol = build_symbol(config.symbol, space)
     return Context(
@@ -748,6 +778,10 @@ def run(config_path, out_dir=None, tol=None, seed=None,
     except json.JSONDecodeError as exc:
         print(f"error: config parse failed at line {exc.lineno}, column "
               f"{exc.colno}: {exc.msg}", file=sys.stderr)
+        return EXIT_PARSE
+    if not isinstance(raw, dict):
+        print(f"error: config must be a JSON object, got {type(raw).__name__}",
+              file=sys.stderr)
         return EXIT_PARSE
 
     if tol is not None:

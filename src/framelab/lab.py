@@ -10,7 +10,6 @@ Oracles deliberately trade speed for independence.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,7 +33,13 @@ from .measure import (
     symmetric_grid_family,
 )
 from .model import RawSamples, from_samples, make_model, to_samples
-from .multiplier import MultiplierOperator, build, make_symbol, operator_norm
+from .multiplier import (
+    MultiplierOperator,
+    _growth_exponent,
+    build,
+    make_symbol,
+    operator_norm,
+)
 
 GROWTH_THRESHOLD = 0.25
 
@@ -302,19 +307,6 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _fit_growth(schedule, norms) -> float:
-    ls = [L for _, L in schedule]
-    abscissae = ls if len(set(ls)) > 1 else [n for n, _ in schedule]
-    xs, ys = [], []
-    for x, y in zip(abscissae, norms):
-        if y > 1e-300:
-            xs.append(math.log(x))
-            ys.append(math.log(y))
-    if len(xs) < 2:
-        return 0.0
-    return float(np.polyfit(xs, ys, 1)[0])
-
-
 def unboundedness_sweep(family: RefinementFamily,
                         builder: Callable[[SampledMeasureSpace], MultiplierOperator],
                         threshold: float = GROWTH_THRESHOLD) -> SweepResult:
@@ -325,7 +317,7 @@ def unboundedness_sweep(family: RefinementFamily,
     for step in range(len(family)):
         space = refine(family, step)
         norms.append(operator_norm(builder(space)))
-    growth = _fit_growth(family.schedule, norms)
+    growth = _growth_exponent(family.schedule, norms)
     verdict = (GrowthVerdict.UNBOUNDED if growth > threshold
                else GrowthVerdict.BOUNDED)
     return SweepResult(

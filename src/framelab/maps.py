@@ -10,6 +10,7 @@ diagnostics reduce to spectral data of the weighted table.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,14 +24,8 @@ from .errors import (
     ShapeMismatchError,
     UnsupportedSpaceError,
 )
-from .measure import SampledMeasureSpace, counting, same_grid
-from .model import (
-    DualElement,
-    ModelSpace,
-    TestFunction,
-    from_samples,
-    transform_matrix,
-)
+from .measure import SampledMeasureSpace, _frozen_array, counting, same_grid
+from .model import DualElement, ModelSpace, TestFunction, transform_matrix
 
 EIG_TOL = 1e-8
 RANK_RTOL = 1e-10
@@ -67,7 +62,10 @@ FRAME_CLASSES = frozenset(
 
 @dataclass(frozen=True, eq=False)
 class DistributionMap:
-    """Evaluation table of a map from the point set into the dual of D."""
+    """Evaluation table of a map from the point set into the dual of D.
+
+    The table is read-only, so the cached :attr:`spectrum` cannot go stale.
+    """
 
     table: np.ndarray
     space: SampledMeasureSpace
@@ -75,7 +73,7 @@ class DistributionMap:
     note: str = ""
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=complex)
+        table = _frozen_array(self.table, complex)
         object.__setattr__(self, "table", table)
         if table.shape != (len(self.space), self.model.dim):
             raise ShapeMismatchError(
@@ -113,6 +111,17 @@ class DistributionMap:
         """K x K frame operator on D coefficients."""
         return self.table.conj().T @ (self.space.weights[:, None] * self.table)
 
+    @functools.cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Singular values of sqrt(w) * table and eigenvalues of the frame matrix.
+
+        The bounds come from the eigenvalues, not the squared singular
+        values, so that they match the classical discrete path to a few ulps.
+        """
+        weighted = np.sqrt(self.space.weights)[:, None] * self.table
+        return (np.linalg.svd(weighted, compute_uv=False),
+                np.linalg.eigvalsh(self.frame_matrix()))
+
 
 # -- builtin families ---------------------------------------------------------
 
@@ -124,7 +133,7 @@ def _check_same_grid(model: ModelSpace, space: SampledMeasureSpace):
 def delta_frame(model: ModelSpace, space: SampledMeasureSpace) -> DistributionMap:
     """Point evaluations: analysis of f returns its sample values f(x_j)."""
     _check_same_grid(model, space)
-    return DistributionMap(table=model.on_basis.copy(), space=space, model=model)
+    return DistributionMap(table=model.on_basis, space=space, model=model)
 
 
 def exponential_frame(model: ModelSpace, space: SampledMeasureSpace) -> DistributionMap:
@@ -260,15 +269,15 @@ def diagnose(omega: DistributionMap, tol: float = EIG_TOL,
     totality, its row rank decides mu-independence (the weighted synthesis
     has trivial kernel iff the table has full row rank, which already fails
     whenever J > K: an overcomplete sampled family is never mu-independent).
+
+    The spectrum is computed once per map and cached on it; the tolerances
+    apply per call.
     """
-    weighted = np.sqrt(omega.space.weights)[:, None] * omega.table
-    j, k = weighted.shape
-    sigma = np.linalg.svd(weighted, compute_uv=False)
+    j, k = omega.table.shape
+    sigma, eigs = omega.spectrum
     sigma_max = float(sigma[0]) if len(sigma) else 0.0
     sigma_min = float(sigma[-1]) if len(sigma) else 0.0
 
-    gram = omega.frame_matrix()
-    eigs = np.linalg.eigvalsh(gram)
     upper = float(max(eigs[-1], 0.0))
     lower = float(max(eigs[0], 0.0)) if j >= k else 0.0
 
@@ -440,12 +449,6 @@ def _family_total(model: ModelSpace, family: Sequence[TestFunction],
     return rank == model.dim
 
 
-def analysis_support(omega: DistributionMap, f: TestFunction,
-                     support_tol: float) -> np.ndarray:
-    """Indices where the analysis of f exceeds the support tolerance."""
-    return np.flatnonzero(np.abs(omega.analyze(f)) > support_tol)
-
-
 def _support_record(omega: DistributionMap, f: TestFunction, index: int,
                     support_tol: float, alpha: np.ndarray | None,
                     bound_slack: float,
@@ -550,6 +553,12 @@ def check_hyper_orthogonal(omega: DistributionMap, alpha,
 
 # -- builtin witness families --------------------------------------------------
 
+def _project_columns(model: ModelSpace, values: np.ndarray) -> list[TestFunction]:
+    """H-orthogonal projections onto D of each column of an N x L sample block."""
+    coeffs = model.on_basis.conj().T @ (model.space.weights[:, None] * values)
+    return [TestFunction(c) for c in coeffs.T]
+
+
 def bump_family(model: ModelSpace, heights=None,
                 half_width: int = 0) -> list[TestFunction]:
     """Indicator bumps around every grid point, optionally scaled per center.
@@ -563,13 +572,10 @@ def bump_family(model: ModelSpace, heights=None,
     if heights is None:
         heights = np.ones(n)
     heights = np.asarray(heights, dtype=float)
-    family = []
+    values = np.zeros((n, n), dtype=complex)
     for c in range(n):
-        lo, hi = max(0, c - half_width), min(n, c + half_width + 1)
-        values = np.zeros(n, dtype=complex)
-        values[lo:hi] = heights[c]
-        family.append(from_samples(model, values))
-    return family
+        values[max(0, c - half_width):min(n, c + half_width + 1), c] = heights[c]
+    return _project_columns(model, values)
 
 
 def scaled_bump_family(model: ModelSpace, alpha_values,
@@ -593,11 +599,9 @@ def band_limited_family(model: ModelSpace, space: SampledMeasureSpace,
     to its value at the matching point.
     """
     inverse = transform_matrix(space, inverse=True)
-    n = len(space)
-    scale = np.ones(n) if alpha_values is None else np.asarray(alpha_values, float)
-    return [
-        from_samples(model, inverse[:, u] * scale[u]) for u in range(n)
-    ]
+    if alpha_values is not None:
+        inverse = inverse * np.asarray(alpha_values, float)[None, :]
+    return _project_columns(model, inverse)
 
 
 __all__ = [
@@ -616,7 +620,6 @@ __all__ = [
     "diagnose",
     "canonical_dual",
     "riesz_transition",
-    "analysis_support",
     "check_pseudo_orthogonal",
     "check_hyper_orthogonal",
     "bump_family",

@@ -30,7 +30,7 @@ class SpaceKind(enum.Enum):
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype).copy()
+    arr = np.array(values, dtype=dtype)  # a copy in the input's memory order
     arr.flags.writeable = False
     return arr
 
@@ -224,11 +224,6 @@ def ess_sup(space: SampledMeasureSpace, xi) -> float:
     if len(values) == 0:
         raise EmptySpaceError("essential supremum of an empty space")
     return float(np.max(np.abs(values)))
-
-
-def sample(space: SampledMeasureSpace, fn: Callable[[float], complex]) -> np.ndarray:
-    """Evaluate a scalar function on the points of the space."""
-    return np.asarray([fn(x) for x in space.points], dtype=complex)
 
 
 # -- refinement families -----------------------------------------------------

@@ -1,16 +1,15 @@
 """Discretized test-function space inside a sampled Hilbert space.
 
 A model fixes an ambient coordinate space (raw samples on the grid of a
-:class:`~framelab.measure.SampledMeasureSpace`), a Hermitian positive
-definite Gram matrix defining the H inner product of raw samples, and a
-distinguished K-dimensional subspace D spanned by an H-orthonormalized
-basis.  Test functions are coefficient vectors over that basis; dual
-elements act on test functions through a coefficient pairing.
+:class:`~framelab.measure.SampledMeasureSpace`), whose positive weight
+vector w defines the H inner product of raw samples, <u, v> = sum_j w_j
+u_j conj(v_j), and a distinguished K-dimensional subspace D spanned by an
+H-orthonormalized basis.  Test functions are coefficient vectors over that
+basis; dual elements act on test functions through a coefficient pairing.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -86,59 +85,34 @@ def _raw_columns(space: SampledMeasureSpace, family: BasisFamily) -> np.ndarray:
 
 # -- orthonormalization ------------------------------------------------------
 
-def orthonormalize(columns: np.ndarray, gram: np.ndarray,
+def orthonormalize(columns: np.ndarray, weights: np.ndarray,
                    rank_rtol: float = RANK_RTOL) -> np.ndarray:
-    """H-orthonormalize columns by pivoted modified Gram-Schmidt.
+    """H-orthonormalize columns by one weighted Householder QR.
 
-    Pivots on the column of largest residual H-norm and reorthogonalizes
-    each selected column once against the accepted set before normalizing.
-    A residual below ``rank_rtol`` times the largest original column norm
-    means the columns are dependent; the error names the offending column.
-    The output preserves the input column order.
+    With W = diag(weights) the H inner product is <u, v> = v^H W u, so
+    sqrt(w) * columns = Q R (Householder QR, Golub & Van Loan, *Matrix
+    Computations*, 4th ed., section 5.2) gives the H-orthonormal basis
+    Q / sqrt(w) of the same nested spans.  Column phases are normalized so
+    that diag R is positive, as Gram-Schmidt would give.  A diagonal entry
+    |R_kk| at or below ``rank_rtol`` times the largest weighted column norm
+    means column k depends on the columns before it; the error names the
+    first such column.  The output preserves the input column order.
     """
-    work = np.array(columns, dtype=complex)
-    n, k = work.shape
-    diag_gram = np.allclose(gram, np.diag(np.diagonal(gram)), atol=0.0)
-    weights = np.diagonal(gram).real
-
-    def apply_gram(block):
-        if diag_gram:
-            return weights[:, None] * block if block.ndim == 2 else weights * block
-        return gram @ block
-
-    gwork = apply_gram(work)
-    norms0 = np.sqrt(np.abs(np.einsum("ij,ij->j", np.conj(work), gwork).real))
-    cutoff = rank_rtol * (norms0.max() if k else 1.0)
-    basis = np.zeros_like(work)
-    gbasis = np.zeros_like(work)
-    remaining = np.ones(k, dtype=bool)
-    accepted: list[int] = []
-    for _ in range(k):
-        res2 = np.einsum("ij,ij->j", np.conj(work), gwork).real
-        res2[~remaining] = -1.0
-        idx = int(np.argmax(res2))
-        res_norm = math.sqrt(max(res2[idx], 0.0))
-        if res_norm <= cutoff:
-            raise DegenerateBasisError(
-                f"basis column {idx} is linearly dependent on the others "
-                f"(residual norm {res_norm:.3e})"
-            )
-        remaining[idx] = False
-        q = work[:, idx]
-        if accepted:  # one reorthogonalization pass for stability
-            cols = np.array(accepted)
-            q = q - basis[:, cols] @ (gbasis[:, cols].conj().T @ q)
-        gq = apply_gram(q)
-        norm = math.sqrt(max(np.real(np.conj(q) @ gq), 1e-300))
-        q, gq = q / norm, gq / norm
-        basis[:, idx] = q
-        gbasis[:, idx] = gq
-        accepted.append(idx)
-        if np.any(remaining):
-            coeffs = np.conj(gq) @ work[:, remaining]
-            work[:, remaining] -= np.outer(q, coeffs)
-            gwork[:, remaining] -= np.outer(gq, coeffs)
-    return basis
+    root = np.sqrt(np.asarray(weights, dtype=float))
+    scaled = root[:, None] * np.asarray(columns, dtype=complex)
+    n, k = scaled.shape
+    q, r = np.linalg.qr(scaled)
+    diag = np.diagonal(r)
+    cutoff = rank_rtol * (np.linalg.norm(scaled, axis=0).max() if k else 1.0)
+    dependent = np.flatnonzero(np.abs(diag) <= cutoff)
+    if dependent.size or k > n:
+        idx = int(dependent[0]) if dependent.size else n
+        residual = abs(diag[idx]) if idx < n else 0.0
+        raise DegenerateBasisError(
+            f"basis column {idx} is linearly dependent on the others "
+            f"(residual norm {residual:.3e})"
+        )
+    return q * np.exp(1j * np.angle(diag)) / root[:, None]
 
 
 # -- the model ---------------------------------------------------------------
@@ -148,36 +122,26 @@ class ModelSpace:
     """Sampled triple: coordinates for H plus an orthonormal basis of D."""
 
     space: SampledMeasureSpace
-    h_gram: np.ndarray
     d_basis: np.ndarray
     on_basis: np.ndarray
     family: str = "custom"
 
     def __post_init__(self):
-        gram = np.asarray(self.h_gram, dtype=complex)
-        if gram.shape != (len(self.space), len(self.space)):
-            raise ShapeMismatchError("h_gram must be N x N for N sample points")
-        if not np.allclose(gram, gram.conj().T, atol=1e-12):
-            raise ValueError("h_gram must be Hermitian")
-        if np.min(np.linalg.eigvalsh(gram)) <= 0.0:
-            raise ValueError("h_gram must be positive definite")
         on = np.asarray(self.on_basis, dtype=complex)
-        if np.allclose(gram, np.diag(np.diagonal(gram)), atol=0.0):
-            gon = np.diagonal(gram).real[:, None] * on
-        else:
-            gon = gram @ on
+        if on.ndim != 2 or on.shape[0] != len(self.space):
+            raise ShapeMismatchError("on_basis must have one row per sample point")
+        gon = self.space.weights[:, None] * on
         defect = np.max(np.abs(on.conj().T @ gon - np.eye(on.shape[1])))
         if defect > 1e-12:
             raise ValueError(
                 f"on_basis is not H-orthonormal (defect {defect:.3e})"
             )
-        object.__setattr__(self, "h_gram", gram)
         object.__setattr__(self, "d_basis", np.asarray(self.d_basis, dtype=complex))
         object.__setattr__(self, "on_basis", on)
 
     @property
     def ambient_dim(self) -> int:
-        return self.h_gram.shape[0]
+        return self.on_basis.shape[0]
 
     @property
     def dim(self) -> int:
@@ -186,8 +150,8 @@ class ModelSpace:
 
     def summary(self) -> dict:
         """Report data: dimensions, family, conditioning of the raw basis."""
-        chol = np.linalg.cholesky(self.h_gram)
-        sigma = np.linalg.svd(chol.conj().T @ self.d_basis, compute_uv=False)
+        root = np.sqrt(self.space.weights)
+        sigma = np.linalg.svd(root[:, None] * self.d_basis, compute_uv=False)
         condition = float(sigma[0] / sigma[-1]) if sigma[-1] > 0 else float("inf")
         return {
             "ambient_dim": self.ambient_dim,
@@ -199,14 +163,11 @@ class ModelSpace:
 
 def make_model(space: SampledMeasureSpace, family: BasisFamily) -> ModelSpace:
     """Build a model with the L2(X, mu) inner product and the given basis."""
-    gram = np.diag(space.weights).astype(complex)
     raw = _raw_columns(space, family)
-    on = orthonormalize(raw, gram)
     return ModelSpace(
         space=space,
-        h_gram=gram,
         d_basis=raw,
-        on_basis=on,
+        on_basis=orthonormalize(raw, space.weights),
         family=type(family).__name__,
     )
 
@@ -258,10 +219,6 @@ def h_inner(model: ModelSpace, f, g) -> complex:
     return complex(np.sum(cf * np.conj(cg)))
 
 
-def h_norm(model: ModelSpace, f) -> float:
-    return math.sqrt(max(h_inner(model, f, f).real, 0.0))
-
-
 def to_samples(model: ModelSpace, f) -> np.ndarray:
     """Raw sample values of a test function on the model grid."""
     return model.on_basis @ _coeffs(f)
@@ -272,7 +229,7 @@ def from_samples(model: ModelSpace, values) -> TestFunction:
     v = np.asarray(values, dtype=complex)
     if v.shape != (model.ambient_dim,):
         raise ShapeMismatchError(f"expected {model.ambient_dim} sample values")
-    return TestFunction(model.on_basis.conj().T @ (model.h_gram @ v))
+    return TestFunction(model.on_basis.conj().T @ (model.space.weights * v))
 
 
 def random_test_function(model: ModelSpace, rng: np.random.Generator,

@@ -63,12 +63,14 @@ class Symbol:
 
 def make_symbol(space: SampledMeasureSpace, values,
                 tol: float = NONVANISHING_TOL) -> Symbol:
-    """Sample or wrap symbol values on a space and compute the metadata."""
+    """Sample or wrap finite symbol values on a space and compute the metadata."""
     if callable(values):
         values = [values(x) for x in space.points]
     values = np.asarray(values, dtype=complex)
     if values.shape != (len(space),):
         raise ShapeMismatchError(f"symbol needs {len(space)} values")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("symbol values must be finite")
     min_modulus = float(np.min(np.abs(values)))
     return Symbol(
         values=values,
@@ -192,7 +194,11 @@ def operator_norm(op: MultiplierOperator, verify_bound: bool = False,
 
 
 def norm_bound(op: MultiplierOperator) -> float:
-    """Bessel-bound estimate sqrt(B_omega * B_theta) * ess_sup(m)."""
+    """Bessel-bound estimate sqrt(B_omega * B_theta) * ess_sup(m).
+
+    Balazs, "Basic definition and properties of Bessel multipliers", JMAA
+    325 (2007).
+    """
     b_omega = diagnose(op.omega).upper
     b_theta = diagnose(op.theta).upper
     return math.sqrt(b_omega * b_theta) * op.symbol.ess_sup
@@ -201,8 +207,8 @@ def norm_bound(op: MultiplierOperator) -> float:
 def adjoint(op: MultiplierOperator) -> MultiplierOperator:
     """Multiplier with conjugated symbol and swapped maps; dense is the
     conjugate transpose of the original."""
-    m_bar = make_symbol(op.space, np.conj(op.symbol.values))
-    return build(m_bar, op.theta, op.omega, validate=False)
+    return build(conj_symbol(op.space, op.symbol), op.theta, op.omega,
+                 validate=False)
 
 
 # -- composition calculus --------------------------------------------------------
@@ -309,7 +315,9 @@ def invert(op: MultiplierOperator, tol: float = BOUND_TOL,
     the symbol nonvanishing, injectivity is guaranteed and its failure
     raises.  When both maps are Riesz bases and |m| >= C > 0, the smallest
     singular value must reach sqrt(A_theta * A_omega) * C; and for a dual
-    pair the inverse must agree with the multiplier of 1/m.
+    pair the inverse must agree with the multiplier of 1/m.  These are the
+    sufficient conditions of Stoeva & Balazs, "Invertibility of
+    multipliers", ACHA 33 (2012).
     """
     sigma = np.linalg.svd(op.dense, compute_uv=False)
     sigma_min, sigma_max = float(sigma[-1]), float(sigma[0])
@@ -509,7 +517,10 @@ class ClosureProfile:
         }
 
 
-def _growth_exponent(abscissae, values) -> float:
+def _growth_exponent(schedule, values) -> float:
+    """Log-log slope of values against L, or against n when L is fixed."""
+    ls = [L for _, L in schedule]
+    abscissae = ls if len(set(ls)) > 1 else [n for n, _ in schedule]
     xs, ys = [], []
     for x, y in zip(abscissae, values):
         if y > 1e-300:
@@ -517,8 +528,7 @@ def _growth_exponent(abscissae, values) -> float:
             ys.append(math.log(y))
     if len(xs) < 2:
         return 0.0
-    slope = np.polyfit(xs, ys, 1)[0]
-    return float(slope)
+    return float(np.polyfit(xs, ys, 1)[0])
 
 
 def closure_domain_profile(family: RefinementFamily,
@@ -536,9 +546,7 @@ def closure_domain_profile(family: RefinementFamily,
         f = f_builder(omega)
         integrand = m.values * omega.analyze(f)
         integrals.append(float(np.sum(space.weights * np.abs(integrand) ** 2)))
-    ls = [L for _, L in family.schedule]
-    abscissae = ls if len(set(ls)) > 1 else [n for n, _ in family.schedule]
-    exponent = _growth_exponent(abscissae, integrals)
+    exponent = _growth_exponent(family.schedule, integrals)
     verdict = (DomainVerdict.DIVERGENT if exponent > threshold
                else DomainVerdict.CONVERGENT)
     return ClosureProfile(
@@ -578,8 +586,7 @@ def closability_check(omega: DistributionMap, theta: DistributionMap, m: Symbol,
         return ClosabilityReport(passed=False, total=False, residual=float("inf"),
                                  reason="empty dual witness family")
     op = build(m, omega, theta, validate=False)
-    op_adj = build(make_symbol(omega.space, np.conj(m.values)), theta, omega,
-                   validate=False)
+    op_adj = build(conj_symbol(omega.space, m), theta, omega, validate=False)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):

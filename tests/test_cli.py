@@ -150,6 +150,31 @@ class TestRun:
         assert report["passed"]
         assert len(report["data"]["reports"]) == 4
 
+    def test_quartet_and_sweep_config_needs_no_omega(self, tmp_path):
+        config = write_config(tmp_path, "cfg.json", {
+            "suites": ["quartet", "sweep"],
+            "seed": 9,
+            "quartet": {"n": [4], "symbols": 1},
+            "sweep": {"l_values": [2, 4, 8]},
+        })
+        assert run(config, out_dir=tmp_path / "out") == EXIT_OK
+
+    def test_top_level_list_is_a_parse_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, "cfg.json", [PARSEVAL_CONFIG])
+        assert run(config, out_dir=tmp_path / "out") == EXIT_PARSE
+        assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, patch", [
+        ("space.n", {"space": {"family": "periodic_unit_grid", "n": "x"}}),
+        ("omega.weight", {"omega": {"family": "weighted_delta",
+                                    "weight": ["abc"] + ["1"] * 15}}),
+        ("symbol", {"symbol": {"family": "constant", "value": "nan"}}),
+    ])
+    def test_bad_values_are_validation_errors(self, tmp_path, capsys, field, patch):
+        config = write_config(tmp_path, "cfg.json", {**PARSEVAL_CONFIG, **patch})
+        assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
+        assert f"invalid config: {field}" in capsys.readouterr().err
+
     def test_exponential_frame_orthogonality_config(self, tmp_path):
         config = write_config(tmp_path, "cfg.json", {
             "space": {"family": "periodic_unit_grid", "n": 16},

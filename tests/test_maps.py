@@ -3,6 +3,7 @@ import pytest
 
 from framelab import (
     Classification,
+    DistributionMap,
     GridMismatchError,
     NotAFrameError,
     PreconditionError,
@@ -31,6 +32,7 @@ from framelab import (
     scaled_bump_family,
     symmetric_grid,
     to_samples,
+    transform_matrix,
     translated_window_frame,
     weighted_delta_frame,
 )
@@ -219,6 +221,37 @@ class TestDiagnoseProperties:
         assert diag.total and diag.mu_independent
 
 
+class TestSpectrumCache:
+    def test_repeated_diagnose_decomposes_once(self, rng, monkeypatch):
+        calls = {"svd": 0, "eigvalsh": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        omega = random_overcomplete_map(12, 5, rng)
+        first = diagnose(omega)
+        for _ in range(3):
+            assert diagnose(omega) == first
+        canonical_dual(omega)
+        assert calls == {"svd": 1, "eigvalsh": 1}
+
+    def test_tolerances_apply_per_call(self):
+        omega = c2_map()
+        assert diagnose(omega).classification is Classification.FRAME
+        assert diagnose(omega, tol=10.0).classification is Classification.BESSEL
+        assert diagnose(omega).classification is Classification.FRAME
+
+    def test_table_is_read_only_copy(self):
+        model = make_model(counting(2), RawSamples())
+        source = np.array([[1, 0], [1, 1], [0, 1]], dtype=complex)
+        omega = DistributionMap(table=source, space=counting(3), model=model)
+        with pytest.raises(ValueError):
+            omega.table[0, 0] = 5.0
+        source[0, 0] = 5.0  # the caller's array stays writable and unshared
+        assert omega.table[0, 0] == 1.0
+
+
 class TestCanonicalDual:
     def test_c2_dual_vectors(self):
         dual = canonical_dual(c2_map())
@@ -311,6 +344,29 @@ class TestPseudoOrthogonality:
         omega = delta_frame(model, space)
         report = check_pseudo_orthogonal(omega, bump_family(model), support_tol=1e-9)
         assert all(r.max_off_support <= 1e-9 for r in report.records)
+
+
+class TestWitnessFamilies:
+    @pytest.mark.parametrize("half_width", [0, 2])
+    def test_bump_family_equals_per_column_projection(self, rng, half_width):
+        model, _ = unit_grid_setup(16, degree=5)
+        heights = rng.uniform(0.5, 2.0, 16)
+        family = bump_family(model, heights=heights, half_width=half_width)
+        assert len(family) == 16
+        for c, f in enumerate(family):
+            values = np.zeros(16, dtype=complex)
+            values[max(0, c - half_width):c + half_width + 1] = heights[c]
+            expected = from_samples(model, values).coeffs
+            assert np.max(np.abs(f.coeffs - expected)) < 1e-14
+
+    def test_band_limited_family_equals_per_column_projection(self, rng):
+        model, space = unit_grid_setup(16, degree=5)
+        alpha = rng.uniform(0.5, 2.0, 16)
+        inverse = transform_matrix(space, inverse=True)
+        family = band_limited_family(model, space, alpha)
+        for u, f in enumerate(family):
+            expected = from_samples(model, inverse[:, u] * alpha[u]).coeffs
+            assert np.max(np.abs(f.coeffs - expected)) < 1e-14
 
 
 class TestHyperOrthogonality:

@@ -26,7 +26,8 @@ from framelab import (
 
 
 def gram_of(model):
-    return model.on_basis.conj().T @ (model.h_gram @ model.on_basis)
+    w = model.space.weights
+    return model.on_basis.conj().T @ (w[:, None] * model.on_basis)
 
 
 class TestMakeModel:
@@ -57,12 +58,58 @@ class TestMakeModel:
 
     def test_orthonormalization_idempotent(self):
         model = make_model(periodic_unit_grid(16), Trigonometric(max_degree=7))
-        again = orthonormalize(model.on_basis, model.h_gram)
+        again = orthonormalize(model.on_basis, model.space.weights)
         assert np.max(np.abs(again - model.on_basis)) < 1e-12
 
     def test_too_many_frequencies_rejected(self):
         with pytest.raises(DegenerateBasisError):
             make_model(periodic_unit_grid(8), Trigonometric(max_degree=6))
+
+
+class TestOrthonormalize:
+    @pytest.mark.parametrize("centers, column", [
+        ((0.0, 0.0), 1),
+        ((-1.0, 0.0, 0.0), 2),
+        ((0.0, 1e-12, 1.0), 1),
+        ((-1.0, 1.0, -1.0 + 1e-13), 2),
+    ])
+    def test_dependent_gaussian_columns_name_the_column(self, centers, column):
+        space = symmetric_grid(33, 4.0)
+        with pytest.raises(DegenerateBasisError, match=f"column {column} "):
+            make_model(space, GaussianBumps(centers=centers, width=0.7))
+
+    def test_linear_combination_is_rejected(self, rng):
+        weights = rng.uniform(0.5, 2.0, 12)
+        cols = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+        cols = np.column_stack([cols, cols[:, 0] - 2j * cols[:, 2]])
+        with pytest.raises(DegenerateBasisError, match="column 3 "):
+            orthonormalize(cols, weights)
+
+    def test_more_columns_than_points_is_rejected(self, rng):
+        cols = rng.standard_normal((4, 5)) + 0j
+        with pytest.raises(DegenerateBasisError, match="column 4 "):
+            orthonormalize(cols, np.ones(4))
+
+    @pytest.mark.parametrize("space, family, tol", [
+        (periodic_unit_grid(64), Trigonometric(max_degree=32), 1e-12),
+        (fourier_grid(32), Trigonometric(max_degree=15), 1e-12),
+        (symmetric_grid(65, 6.0),
+         GaussianBumps(centers=tuple(np.linspace(-4, 4, 9)), width=0.8), 1e-10),
+    ])
+    def test_bases_are_h_orthonormal(self, space, family, tol):
+        model = make_model(space, family)
+        assert np.max(np.abs(gram_of(model) - np.eye(model.dim))) < tol
+
+    def test_nested_spans_with_positive_diagonal(self, rng):
+        # Column k of the output spans the first k + 1 input columns, with a
+        # positive coefficient on column k: the Gram-Schmidt representative.
+        weights = rng.uniform(0.5, 2.0, 10)
+        cols = rng.standard_normal((10, 4)) + 1j * rng.standard_normal((10, 4))
+        on = orthonormalize(cols, weights)
+        r = on.conj().T @ (weights[:, None] * cols)
+        assert np.max(np.abs(np.tril(r, -1))) < 1e-12
+        assert np.all(np.abs(np.diagonal(r).imag) < 1e-12)
+        assert np.all(np.diagonal(r).real > 0)
 
 
 class TestHInner:

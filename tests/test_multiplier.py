@@ -50,6 +50,13 @@ def diag_operator(values=(2, 3, 5)):
     return build(make_symbol(space, values), delta, delta)
 
 
+class TestSymbol:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            make_symbol(counting(3), [1.0, bad, 2.0])
+
+
 class TestBuild:
     def test_diagonal_representation(self):
         op = diag_operator((2, 3, 5))
