@@ -13,6 +13,7 @@ import argparse
 import csv
 import enum
 import json
+import math
 import sys
 from dataclasses import dataclass, is_dataclass
 from pathlib import Path
@@ -274,8 +275,33 @@ def _need(cfg: dict, field: str, path: str, kind=None, default=_REQUIRED):
         return value
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(name, f"invalid value {value!r}") from None
+
+
+def _positive(value) -> float:
+    """A finite JSON number > 0; strings, booleans, NaN and 0 do not pass."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not (math.isfinite(value) and value > 0)):
+        raise ValueError(value)
+    return float(value)
+
+
+def _count(value) -> int:
+    """A whole JSON number >= 1: 8 and 8.0 pass; 2.5, "8", true and 0 do not."""
+    number = _positive(value)
+    if not number.is_integer():
+        raise ValueError(value)
+    return int(number)
+
+
+def _nonempty_list(kind):
+    """Reader of a nonempty JSON list whose entries ``kind`` converts."""
+    def read(value):
+        if not isinstance(value, list) or not value:
+            raise ValueError(value)
+        return [kind(v) for v in value]
+    return read
 
 
 def build_space(cfg: dict, path: str = "space") -> measure.SampledMeasureSpace:
@@ -677,8 +703,9 @@ def _suite_sweep(ctx_or_cfg, seed: int, tol: float, out_dir: Path | None = None)
     config = ctx_or_cfg.config if isinstance(ctx_or_cfg, Context) else ctx_or_cfg
     failures = []
     kind = config.sweep.get("kind", "weighted_delta")
-    l_values = [float(v) for v in config.sweep.get("l_values", [2, 4, 8, 16])]
-    ppu = int(config.sweep.get("points_per_unit", 8))
+    l_values = _need(config.sweep, "l_values", "sweep", _nonempty_list(_positive),
+                     [2.0, 4.0, 8.0, 16.0])
+    ppu = _need(config.sweep, "points_per_unit", "sweep", _count, 8)
     if kind == "weighted_delta":
         result = lab.weighted_delta_sweep(l_values, points_per_unit=ppu, check=False)
         for (n, L), norm in zip(result.schedule, result.norms):
@@ -709,16 +736,16 @@ def _suite_sweep(ctx_or_cfg, seed: int, tol: float, out_dir: Path | None = None)
 def _suite_quartet(ctx_or_cfg, seed: int, tol: float):
     config = ctx_or_cfg.config if isinstance(ctx_or_cfg, Context) else ctx_or_cfg
     failures = []
-    ns = config.quartet.get("n", [4, 8, 16])
-    if not isinstance(ns, list):
-        ns = [ns]
-    n_symbols = int(config.quartet.get("symbols", 5))
+    ns = _need(config.quartet, "n", "quartet",
+               lambda v: _nonempty_list(_count)(v if isinstance(v, list) else [v]),
+               [4, 8, 16])
+    n_symbols = _need(config.quartet, "symbols", "quartet", _count, 5)
     rng = np.random.default_rng(seed)
     reports = []
     for n in ns:
         for _ in range(n_symbols):
-            values = rng.standard_normal(int(n)) + 1j * rng.standard_normal(int(n))
-            report = lab.fourier_quartet_check(int(n), values, trials=3,
+            values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            report = lab.fourier_quartet_check(n, values, trials=3,
                                                seed=seed, tol=tol)
             reports.append(report.to_dict())
             if not report.passed:

@@ -4,7 +4,10 @@ Every identity asserted elsewhere is re-verified here along a code path
 that never reuses the factored representations: pairings by direct weighted
 summation, discrete frame bounds from explicitly accumulated outer
 products, transforms and circular convolutions from their defining sums.
-Oracles deliberately trade speed for independence.
+Independence means defining sums, never an FFT or a factored map: a
+transform is its kernel matrix applied to the weighted samples, and a
+circular convolution is accumulated term by term in index order, bit for
+bit as the scalar double loop would accumulate it.
 """
 
 from __future__ import annotations
@@ -75,6 +78,8 @@ def brute_force_pairing(op: MultiplierOperator, trials: int = 100,
 def duality_residual(omega: DistributionMap, theta: DistributionMap,
                      trials: int = 100, seed: int = 0) -> float:
     """Worst deviation of sum_j w_j <f, theta_j> <omega_j, g> from <f, g>."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
     k = omega.dim
     w = omega.space.weights
@@ -160,26 +165,39 @@ def discrete_reduction_oracle(vectors: Sequence, tol: float = 1e-14,
 
 # -- transform quartet oracle -------------------------------------------------------
 
-def _direct_transform(space: SampledMeasureSpace, values: np.ndarray,
+def _transform_kernel(space: SampledMeasureSpace,
                       inverse: bool = False) -> np.ndarray:
-    """Weighted transform by its defining sum, self-dual grids only."""
+    """Kernel exp(-+2 pi i x x^T) of the weighted transform, self-dual grids only.
+
+    The transform of ``values`` is the defining sum
+    ``kernel @ (space.weights * values)``.
+    """
     x = space.points
     sign = 2j if inverse else -2j
-    kernel = np.exp(sign * np.pi * np.outer(x, x))
-    return kernel @ (space.weights * values)
+    return np.exp(sign * np.pi * np.outer(x, x))
 
 
 def _direct_convolution(space: SampledMeasureSpace, a: np.ndarray,
                         b: np.ndarray) -> np.ndarray:
-    """Weighted circular convolution sum_l w_l a_l b_{j-l} by explicit loops."""
+    """Weighted circular convolution sum_l w_l a_l b_{j-l} by its defining sum.
+
+    All j are accumulated at once, over l = 0..n-1 in index order, in O(n)
+    memory.  The complex products are written in real arithmetic, so each
+    term rounds as the scalar product w_l a_l b_{j-l} does (NumPy's SIMD
+    complex multiply on arrays rounds differently) and the result is bit for
+    bit that of the scalar double loop.
+    """
     n = len(space)
     w = space.weights
+    war, wai = w * np.real(a), w * np.imag(a)
+    br = np.concatenate([np.real(b), np.real(b)])  # br[n-l:2n-l] = Re b_{(j-l) % n}
+    bi = np.concatenate([np.imag(b), np.imag(b)])
     out = np.zeros(n, dtype=complex)
-    for j in range(n):
-        acc = 0.0 + 0.0j
-        for l in range(n):
-            acc += w[l] * a[l] * b[(j - l) % n]
-        out[j] = acc
+    re, im = out.real, out.imag  # views: accumulating here fills out
+    for l in range(n):
+        shifted_r, shifted_i = br[n - l:2 * n - l], bi[n - l:2 * n - l]
+        re += war[l] * shifted_r - wai[l] * shifted_i
+        im += war[l] * shifted_i + wai[l] * shifted_r
     return out
 
 
@@ -224,22 +242,33 @@ def fourier_quartet_check(n: int, symbol_values, trials: int = 5,
     where ``_fwd``/``_inv`` are the forward/inverse weighted transforms.
     If a member misses the tolerance, the report says whether it passes with
     the transform direction flipped, which pins down a convention mismatch.
+    Each direction's transform kernel is built once per call and applied to
+    the symbol and to every trial's ``f`` before the next one is built, so
+    at most one n x n kernel is alive, and none once the operators exist.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     space = fourier_grid(n)
     model = make_model(space, RawSamples())
     m = np.asarray(symbol_values, dtype=complex)
     if m.shape != (n,):
         raise UnsupportedSpaceError(f"symbol must be sampled on the {n}-point grid")
     sym = make_symbol(space, m)
-    dd = build(sym, delta_frame(model, space), delta_frame(model, space))
-    de = build(sym, delta_frame(model, space), exponential_frame(model, space))
-    ed = build(sym, exponential_frame(model, space), delta_frame(model, space))
-    ee = build(sym, exponential_frame(model, space), exponential_frame(model, space))
+    w = space.weights
+    rng = np.random.default_rng(seed)
+    samples = []
+    for _ in range(trials):
+        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        samples.append(f / np.linalg.norm(f))
 
-    def oracles(f, flip: bool) -> dict:
-        fwd = _direct_transform(space, f, inverse=flip)
-        inv = _direct_transform(space, f, inverse=not flip)
-        mi = _direct_transform(space, m, inverse=not flip)
+    def transforms(inverse: bool):
+        kernel = _transform_kernel(space, inverse=inverse)
+        return kernel @ (w * m), [kernel @ (w * f) for f in samples]
+
+    m_fwd, f_fwds = transforms(inverse=False)
+    m_inv, f_invs = transforms(inverse=True)
+
+    def oracles(f, fwd, inv, mi) -> dict:
         return {
             "dd": m * f,
             "de": _direct_convolution(space, mi, inv),
@@ -247,15 +276,16 @@ def fourier_quartet_check(n: int, symbol_values, trials: int = 5,
             "ee": _direct_convolution(space, mi, f),
         }
 
-    rng = np.random.default_rng(seed)
+    dd = build(sym, delta_frame(model, space), delta_frame(model, space))
+    de = build(sym, delta_frame(model, space), exponential_frame(model, space))
+    ed = build(sym, exponential_frame(model, space), delta_frame(model, space))
+    ee = build(sym, exponential_frame(model, space), exponential_frame(model, space))
     ops = {"dd": dd, "de": de, "ed": ed, "ee": ee}
     residuals = {key: 0.0 for key in ops}
     flipped = {key: 0.0 for key in ops}
-    for _ in range(trials):
-        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        f = f / np.linalg.norm(f)
-        expected = oracles(f, flip=False)
-        alternate = oracles(f, flip=True)
+    for f, f_fwd, f_inv in zip(samples, f_fwds, f_invs):
+        expected = oracles(f, f_fwd, f_inv, m_inv)
+        alternate = oracles(f, f_inv, f_fwd, m_fwd)  # direction flipped
         coeffs = from_samples(model, f)
         for key, op in ops.items():
             got = to_samples(model, op.apply(coeffs))

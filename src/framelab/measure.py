@@ -64,8 +64,12 @@ class SampledMeasureSpace:
             )
         if len(points) == 0:
             raise EmptySpaceError("a measure space needs at least one point")
+        if not np.all(np.isfinite(points)):
+            raise ValueError("all points must be finite")
         if not np.all(weights > 0.0):
             raise ValueError("all weights must be strictly positive")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("all weights must be finite")
         if len(np.unique(points)) != len(points):
             raise ValueError("points must be pairwise distinct")
 

@@ -386,6 +386,8 @@ def reconstruction_pair(op: MultiplierOperator, side: Side,
     J^H satisfies <f, g> = sum_j w_j <f, omega_j> <tau_j, g>.  Returns the
     map and the worst pairing residual over random normalized pairs.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     sigma = np.linalg.svd(op.dense, compute_uv=False)
     if sigma[-1] <= rank_tol * max(sigma[0], 1.0):
         raise SingularOperatorError("multiplier is singular; no reconstruction pair")
@@ -582,6 +584,8 @@ def closability_check(omega: DistributionMap, theta: DistributionMap, m: Symbol,
     A total family of such g certifies a densely defined adjoint, the
     finite shadow of closability.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     if not dual_family:
         return ClosabilityReport(passed=False, total=False, residual=float("inf"),
                                  reason="empty dual witness family")

@@ -175,6 +175,28 @@ class TestRun:
         assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
         assert f"invalid config: {field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, section", [
+        ("quartet.n", {"quartet": {"n": ["x"]}}),
+        ("quartet.n", {"quartet": {"n": {}}}),
+        ("quartet.n", {"quartet": {"n": [0]}}),
+        ("quartet.n", {"quartet": {"n": [-3]}}),
+        ("quartet.n", {"quartet": {"n": [2.5]}}),
+        ("quartet.n", {"quartet": {"n": []}}),
+        ("quartet.symbols", {"quartet": {"symbols": "x"}}),
+        ("quartet.symbols", {"quartet": {"symbols": 0}}),
+        ("sweep.l_values", {"sweep": {"l_values": "abc"}}),
+        ("sweep.l_values", {"sweep": {"l_values": ["x"]}}),
+        ("sweep.l_values", {"sweep": {"l_values": [2, 4, "nan"]}}),
+        ("sweep.points_per_unit", {"sweep": {"points_per_unit": "x"}}),
+    ])
+    def test_bad_quartet_and_sweep_values_are_validation_errors(
+            self, tmp_path, capsys, field, section):
+        suite = field.split(".")[0]
+        config = write_config(tmp_path, "cfg.json",
+                              {"suites": [suite], "seed": 3, **section})
+        assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
+        assert f"invalid config: {field}" in capsys.readouterr().err
+
     def test_exponential_frame_orthogonality_config(self, tmp_path):
         config = write_config(tmp_path, "cfg.json", {
             "space": {"family": "periodic_unit_grid", "n": 16},

@@ -1,8 +1,10 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
+from framelab import lab
 from framelab import (
     GrowthVerdict,
     RawSamples,
@@ -13,12 +15,16 @@ from framelab import (
     counting,
     delta_frame,
     discrete_reduction_oracle,
+    duality_residual,
+    exponential_frame,
     fourier_grid,
     fourier_quartet_check,
     make_model,
     make_symbol,
+    from_samples,
     symmetric_grid,
     symmetric_grid_family,
+    to_samples,
     unboundedness_sweep,
     weighted_delta_sweep,
 )
@@ -51,6 +57,14 @@ class TestBruteForcePairing:
     def test_needs_at_least_one_trial(self):
         with pytest.raises(ValueError):
             brute_force_pairing(diag_operator((1, 2)), trials=0)
+
+
+class TestDualityResidual:
+    def test_needs_at_least_one_trial(self):
+        space = counting(3)
+        delta = delta_frame(make_model(space, RawSamples()), space)
+        with pytest.raises(ValueError):
+            duality_residual(delta, delta, trials=0)
 
 
 class TestDiscreteReductionOracle:
@@ -115,6 +129,102 @@ class TestFourierQuartet:
         # the flipped convention must fail the transform-sensitive members
         assert not report.flipped_passes["ed"]
         assert not report.flipped_passes["de"]
+
+
+    def test_needs_at_least_one_trial(self):
+        with pytest.raises(ValueError):
+            fourier_quartet_check(8, np.ones(8), trials=0)
+
+
+# The quartet oracle's defining sums as they were written before they were
+# vectorized: a double loop per convolution and a fresh kernel per transform.
+# The vectorized oracle must reproduce them bit for bit.
+
+def reference_transform(space, values, inverse=False):
+    x = space.points
+    sign = 2j if inverse else -2j
+    kernel = np.exp(sign * np.pi * np.outer(x, x))
+    return kernel @ (space.weights * values)
+
+
+def reference_convolution(space, a, b):
+    n = len(space)
+    w = space.weights
+    out = np.zeros(n, dtype=complex)
+    for j in range(n):
+        acc = 0.0 + 0.0j
+        for l in range(n):
+            acc += w[l] * a[l] * b[(j - l) % n]
+        out[j] = acc
+    return out
+
+
+def reference_quartet_residuals(n, m, trials, seed):
+    space = fourier_grid(n)
+    model = make_model(space, RawSamples())
+    sym = make_symbol(space, m)
+    delta, exp = delta_frame(model, space), exponential_frame(model, space)
+    ops = {"dd": build(sym, delta, delta), "de": build(sym, delta, exp),
+           "ed": build(sym, exp, delta), "ee": build(sym, exp, exp)}
+
+    def oracles(f, flip):
+        fwd = reference_transform(space, f, inverse=flip)
+        inv = reference_transform(space, f, inverse=not flip)
+        mi = reference_transform(space, m, inverse=not flip)
+        return {"dd": m * f, "de": reference_convolution(space, mi, inv),
+                "ed": m * fwd, "ee": reference_convolution(space, mi, f)}
+
+    rng = np.random.default_rng(seed)
+    residuals = {key: 0.0 for key in ops}
+    flipped = {key: 0.0 for key in ops}
+    for _ in range(trials):
+        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        f = f / np.linalg.norm(f)
+        expected, alternate = oracles(f, False), oracles(f, True)
+        coeffs = from_samples(model, f)
+        for key, op in ops.items():
+            got = to_samples(model, op.apply(coeffs))
+            residuals[key] = max(residuals[key],
+                                 float(np.max(np.abs(got - expected[key]))))
+            flipped[key] = max(flipped[key],
+                               float(np.max(np.abs(got - alternate[key]))))
+    return residuals, flipped
+
+
+class TestQuartetDefiningSums:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 128])
+    def test_convolution_equals_double_loop_bit_for_bit(self, n):
+        space = fourier_grid(n)
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            assert np.array_equal(lab._direct_convolution(space, a, b),
+                                  reference_convolution(space, a, b))
+
+    @pytest.mark.parametrize("n", [1, 8, 33])
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_kernel_transform_equals_defining_sum_bit_for_bit(self, n, inverse):
+        space = fourier_grid(n)
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        kernel = lab._transform_kernel(space, inverse=inverse)
+        assert np.array_equal(kernel @ (space.weights * values),
+                              reference_transform(space, values, inverse=inverse))
+
+    @pytest.mark.parametrize("n, seed", [(4, 0), (16, 3), (32, 7)])
+    def test_quartet_residuals_equal_per_call_oracle_bit_for_bit(self, n, seed):
+        rng = np.random.default_rng(100 + n)
+        m = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        report = fourier_quartet_check(n, m, trials=3, seed=seed)
+        residuals, flipped = reference_quartet_residuals(n, m, trials=3, seed=seed)
+        assert report.residuals == residuals
+        assert report.flipped_passes == {k: v <= 1e-10 for k, v in flipped.items()}
+
+    def test_oracle_stays_independent_of_fft_and_factored_maps(self):
+        source = inspect.getsource(lab)
+        assert "fft" not in source
+        assert "transform_matrix" not in source
 
 
 class TestUnboundednessSweep:

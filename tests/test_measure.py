@@ -89,6 +89,16 @@ class TestSpaceInvariants:
             SampledMeasureSpace(points=[0.0, 1.0], weights=[1.0, 0.0],
                                 kind=SpaceKind.ATOMIC, extent=2.0)
 
+    @pytest.mark.parametrize("points, weights, what", [
+        ([0.0, np.nan], [1.0, 1.0], "points"),
+        ([0.0, np.inf], [1.0, 1.0], "points"),
+        ([0.0, 1.0], [1.0, np.inf], "weights"),
+    ])
+    def test_non_finite_entries_rejected(self, points, weights, what):
+        with pytest.raises(ValueError, match=f"{what} must be finite"):
+            SampledMeasureSpace(points=points, weights=weights,
+                                kind=SpaceKind.ATOMIC, extent=2.0)
+
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             SampledMeasureSpace(points=[1.0, 1.0], weights=[1.0, 1.0],

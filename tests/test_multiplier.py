@@ -308,6 +308,10 @@ class TestReconstructionPair:
         with pytest.raises(SingularOperatorError):
             reconstruction_pair(diag_operator((1, 0, 1)), Side.RIGHT)
 
+    def test_needs_at_least_one_trial(self):
+        with pytest.raises(ValueError):
+            reconstruction_pair(diag_operator(), Side.RIGHT, trials=0)
+
 
 class TestSplitSymbol:
     def test_mixed_values(self):
@@ -444,3 +448,9 @@ class TestClosabilityCheck:
         report = closability_check(delta, delta, make_symbol(space, np.ones(3)), [])
         assert not report.passed
         assert "empty" in report.reason
+
+    def test_needs_at_least_one_trial(self):
+        space, model, delta = on_basis_setup(3)
+        with pytest.raises(ValueError):
+            closability_check(delta, delta, make_symbol(space, np.ones(3)),
+                              bump_family(model), trials=0)
