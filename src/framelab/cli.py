@@ -10,18 +10,20 @@ error, 3 validation error, 4 at least one suite assertion failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import enum
 import json
 import math
 import sys
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import lab, maps, measure, model, multiplier
-from .errors import ConfigError, FrameLabError
+from .errors import ConfigError, FrameLabError, ScheduleError
 
 SCHEMA_VERSION = "1"
 EXIT_OK = 0
@@ -29,114 +31,42 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_ASSERTION = 4
 
-SUITE_ORDER = (
-    "diagnose",
-    "dual",
-    "multiplier",
-    "calculus",
-    "invert",
-    "reconstruct",
-    "orthogonality",
-    "density",
-    "sweep",
-    "quartet",
-    "oracle",
-)
-RANDOMIZED_SUITES = frozenset(
-    {"dual", "multiplier", "calculus", "invert", "reconstruct", "quartet", "oracle"}
-)
 
-CATALOG = {
-    "spaces": {
-        "counting": {
-            "params": {"n": "int"},
-            "note": "atomic points 0..n-1 with unit mass",
-        },
-        "periodic_unit_grid": {
-            "params": {"n": "int"},
-            "note": "midpoint rule on [0, 1): points j/n, weights 1/n, period 1",
-        },
-        "fourier_grid": {
-            "params": {"n": "int"},
-            "note": "self-dual periodic grid, spacing 1/sqrt(n); exact transform regime",
-        },
-        "symmetric_grid": {
-            "params": {"n": "int", "half_width": "float"},
-            "note": "uniform grid on [-L, L] including both endpoints",
-        },
-    },
-    "models": {
-        "raw_samples": {
-            "params": {},
-            "note": "standard coordinates of the sample space (K = N)",
-        },
-        "trigonometric": {
-            "params": {"max_degree": "int"},
-            "note": "complex exponentials, frequencies -d..d (or -d..d-1 when 2d = n)",
-        },
-        "gaussian_bumps": {
-            "params": {"centers": "[float]", "width": "float"},
-            "note": "orthonormalized Gaussian columns at the given centers",
-        },
-    },
-    "frames": {
-        "delta": {
-            "params": {},
-            "note": "point evaluations f -> f(x_j); Parseval on exact grids",
-        },
-        "exponential": {
-            "params": {},
-            "note": "frequency functionals f -> fhat(g_j) (forward transform rows)",
-        },
-        "weighted_delta": {
-            "params": {"weight": "'coordinate' | [complex]"},
-            "note": "scaled point evaluations wf(x_j) f(x_j); canonical unbounded family",
-        },
-        "translated_window": {
-            "params": {"window": "[complex] | {family: gaussian_window, width, center}"},
-            "note": "circular translates of a window on a uniform grid",
-        },
-        "discrete": {
-            "params": {"vectors": "[[complex]] | csv path"},
-            "note": "finite vector family on counting measure (space/model implied)",
-        },
-        "custom": {
-            "params": {"csv": "path"},
-            "note": "evaluation table from CSV, complex entries as 'a+bi'",
-        },
-        "canonical_dual": {
-            "params": {},
-            "note": "canonical dual of the analysis frame (synthesis side only)",
-        },
-        "same": {
-            "params": {},
-            "note": "reuse the analysis frame (synthesis side only)",
-        },
-    },
-    "symbols": {
-        "constant": {"params": {"value": "complex"}, "note": "m(x) = value"},
-        "coordinate": {"params": {}, "note": "m(x) = x"},
-        "step": {
-            "params": {"low": "complex", "high": "complex", "at": "float"},
-            "note": "m = low below the threshold, high at and above it",
-        },
-        "random_phase": {
-            "params": {"seed": "int"},
-            "note": "unimodular random phases; |m| = 1 everywhere",
-        },
-        "reciprocal_safe": {
-            "params": {"floor": "float", "ceil": "float", "seed": "int"},
-            "note": "random phases with modulus in [floor, ceil]; floor > 0",
-        },
-        "csv": {"params": {"path": "path"}, "note": "rows of point,re,im"},
-    },
+class Suite(NamedTuple):
+    """What a suite needs: the Context built from the config, and a seed."""
+
+    needs_context: bool
+    randomized: bool
+
+
+# Suites in run order; a suite's position also derives its seed.
+SUITE_ORDER = {
+    "diagnose": Suite(needs_context=True, randomized=False),
+    "dual": Suite(needs_context=True, randomized=True),
+    "multiplier": Suite(needs_context=True, randomized=True),
+    "calculus": Suite(needs_context=True, randomized=True),
+    "invert": Suite(needs_context=True, randomized=True),
+    "reconstruct": Suite(needs_context=True, randomized=True),
+    "orthogonality": Suite(needs_context=True, randomized=False),
+    "density": Suite(needs_context=True, randomized=False),
+    "sweep": Suite(needs_context=False, randomized=False),
+    "quartet": Suite(needs_context=False, randomized=True),
+    "oracle": Suite(needs_context=True, randomized=True),
 }
+
+
+def _needs_context(suites) -> bool:
+    return any(SUITE_ORDER[s].needs_context for s in suites)
 
 
 # -- json helpers ---------------------------------------------------------------
 
 def _jsonify(value):
-    """Recursively convert reports to deterministic JSON-compatible data."""
+    """Recursively convert reports to deterministic JSON-compatible data.
+
+    A dataclass becomes the dict of its fields, minus those marked with
+    ``metadata={"report": False}``; properties are not fields.
+    """
     if isinstance(value, enum.Enum):
         return value.value
     if isinstance(value, (np.complexfloating, complex)):
@@ -154,40 +84,386 @@ def _jsonify(value):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    if is_dataclass(value) and hasattr(value, "to_dict"):
-        return _jsonify(value.to_dict())
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _jsonify(getattr(value, f.name)) for f in fields(value)
+                if f.metadata.get("report", True)}
     return value
 
 
-def _parse_complex(text: str, field: str) -> complex:
-    """Parse 'a+bi' (or plain numbers) into a complex value."""
+# -- typed readers ------------------------------------------------------------------
+#
+# A reader turns one JSON value into a typed value, or raises ValueError
+# (TypeError, OverflowError) saying what is wrong; _need names the field.
+
+_REQUIRED = object()
+
+
+def _need(cfg: dict, field: str, kind, default=_REQUIRED):
+    """Read ``cfg[field]`` with the reader ``kind``; bad input is a ConfigError."""
+    if field not in cfg:
+        if default is _REQUIRED:
+            raise ConfigError(field, "missing required parameter")
+        return default
     try:
-        return complex(text.strip().replace(" ", "").replace("i", "j"))
-    except ValueError:
-        raise ConfigError(field, f"cannot read complex entry {text!r}") from None
+        return kind(cfg[field])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(field, str(exc)) from None
 
 
-def _finite(values: np.ndarray, field: str) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
-        raise ConfigError(field, "entries must be finite")
+@contextlib.contextmanager
+def _within(path: str):
+    """Prefix the field of any ConfigError raised in the block with ``path``."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc.field}", exc.message) from None
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"must be a string, got {value!r}")
+    return value
+
+
+def _real(value) -> float:
+    """A finite JSON number; strings, booleans, NaN and infinities do not pass."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _positive(value) -> float:
+    """A finite JSON number > 0."""
+    if not _real(value) > 0:
+        raise ValueError(f"must be positive, got {value!r}")
+    return float(value)
+
+
+def _whole(minimum: int):
+    """Reader of a whole JSON number >= ``minimum``: 8 and 8.0 pass; 2.5,
+    "8" and true do not.  Integers are kept exact."""
+    def read(value) -> int:
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise ValueError(f"must be a whole number >= {minimum}, got {value!r}")
+        return value
+    return read
+
+
+_count = _whole(1)
+
+
+def _nonempty_list(kind):
+    """Reader of a nonempty JSON list whose entries ``kind`` converts."""
+    def read(value):
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"must be a nonempty list, got {value!r}")
+        return [kind(v) for v in value]
+    return read
+
+
+def _complex(value) -> complex:
+    """A finite complex entry: a number, a pair [re, im] or a string 'a+bi'."""
+    if isinstance(value, str):
+        try:
+            z = complex(value.strip().replace(" ", "").replace("i", "j"))
+        except ValueError:
+            raise ValueError(f"cannot read complex entry {value!r}") from None
+    elif (isinstance(value, list) and len(value) == 2
+          and all(isinstance(x, (int, float)) for x in value)):
+        z = complex(value[0], value[1])
+    elif isinstance(value, (int, float)):
+        z = complex(value)
+    else:
+        raise ValueError(f"cannot read complex entry {value!r}")
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError("entries must be finite")
+    return z
+
+
+def _complex_list(value) -> np.ndarray:
+    if not isinstance(value, list):
+        raise ValueError("must be a list of complex entries")
+    return np.asarray([_complex(v) for v in value], dtype=complex)
+
+
+def _existing_path(value) -> Path:
+    path = Path(_text(value))
+    if not path.exists():
+        raise ValueError(f"file does not exist: {path}")
+    return path
+
+
+def _table_csv(value) -> np.ndarray:
+    """The complex table of a CSV file, one row per nonempty line."""
+    with _existing_path(value).open(newline="") as handle:
+        rows = [[_complex(cell) for cell in row] for row in csv.reader(handle) if row]
+    if not rows:
+        raise ValueError("CSV table is empty")
+    if len({len(row) for row in rows}) != 1:
+        raise ValueError("CSV rows differ in length")
+    return np.asarray(rows, dtype=complex)
+
+
+def _vectors(value) -> np.ndarray:
+    """J x K table of a discrete family: inline rows or a CSV file."""
+    if isinstance(value, str):
+        return _table_csv(value)
+    if not isinstance(value, list) or not value:
+        raise ValueError("must be a CSV path or a nonempty list of vectors")
+    rows = [_complex_list(v) for v in value]
+    if len({len(row) for row in rows}) != 1:
+        raise ValueError("vectors differ in length")
+    return np.asarray(rows)
+
+
+def _coordinate(x):
+    return x
+
+
+def _weight(value):
+    return _coordinate if value == "coordinate" else _complex_list(value)
+
+
+def _window(value):
+    """Window samples, or the parameters of a Gaussian window as a dict."""
+    return value if isinstance(value, dict) else _complex_list(value)
+
+
+# -- family table ----------------------------------------------------------------------
+
+class Param(NamedTuple):
+    """A family parameter: its type as ``list-families`` prints it, the
+    reader of its JSON value, and its default when it is optional."""
+
+    type: str
+    read: Callable
+    default: object = _REQUIRED
+
+
+def _gaussian_window(space: measure.SampledMeasureSpace, cfg: dict) -> np.ndarray:
+    with _within("window"):
+        width = _need(cfg, "width", _positive, space.extent / 8.0)
+        center = _need(cfg, "center", _real, float(space.points[0]))
+        cut = _need(cfg, "cutoff", _real, 1e-3)
+    values = np.exp(-((space.points - center) ** 2) / (2 * width ** 2))
+    values[values < cut] = 0.0  # truncate so the support is proper
     return values
 
 
-def _as_complex_list(values, field: str) -> np.ndarray:
-    if not isinstance(values, list):
-        raise ConfigError(field, "must be a list of complex entries")
-    out = []
-    for v in values:
-        if isinstance(v, str):
-            out.append(_parse_complex(v, field))
-        elif (isinstance(v, list) and len(v) == 2
-              and all(isinstance(x, (int, float)) for x in v)):
-            out.append(complex(v[0], v[1]))
-        elif isinstance(v, (int, float)):
-            out.append(complex(v))
-        else:
-            raise ConfigError(field, f"cannot read complex entry {v!r}")
-    return _finite(np.asarray(out, dtype=complex), field)
+def _translated_window(mdl, space, analysis, window) -> maps.DistributionMap:
+    if isinstance(window, dict):
+        window = _gaussian_window(space, window)
+    return maps.translated_window_frame(mdl, space, window)
+
+
+def _discrete(mdl, space, analysis, vectors) -> maps.DistributionMap:
+    if space is None:  # omega: the table implies the space and the model
+        space = measure.counting(len(vectors))
+        mdl = model.make_model(measure.counting(vectors.shape[1]), model.RawSamples())
+    return maps.discrete_sequence_map(mdl, vectors, space)
+
+
+def _custom(mdl, space, analysis, csv) -> maps.DistributionMap:
+    if csv.shape != (len(space), mdl.dim):
+        raise ConfigError(
+            "csv",
+            f"table shape {csv.shape} does not match space/model "
+            f"({len(space)}, {mdl.dim})",
+        )
+    return maps.DistributionMap(table=csv, space=space, model=mdl)
+
+
+def _analysis(analysis, family: str) -> maps.DistributionMap:
+    """The analysis map that a synthesis-side family is built from."""
+    if analysis is None:
+        raise ConfigError("family", f"{family!r} is only valid for theta")
+    return analysis
+
+
+def _step(space, low, high, at):
+    at = float(np.median(space.points)) if at is None else at
+    return np.where(space.points < at, low, high)
+
+
+def _reciprocal_safe(space, floor, ceil, seed):
+    rng = np.random.default_rng(seed)
+    modulus = rng.uniform(floor, ceil, len(space))
+    return modulus * np.exp(2j * np.pi * rng.random(len(space)))
+
+
+def _symbol_csv(space, path):
+    points, values = [], []
+    with path.open(newline="") as handle:
+        try:
+            for row in csv.reader(handle):
+                if row:
+                    x, re, im = (_real(float(cell)) for cell in row[:3])
+                    points.append(x)
+                    values.append(complex(re, im))
+        except ValueError:
+            raise ConfigError("path", "rows must be point,re,im numbers") from None
+    if len(points) != len(space) or not np.allclose(points, space.points, atol=1e-12):
+        raise ConfigError("path", "CSV points do not match the space")
+    return values
+
+
+_N = Param("int", _count)
+_SEED = Param("int", _whole(0))
+
+# group -> family -> (parameters, note, builder).  Builders take the
+# group's leading arguments (see build_family), then the typed parameters
+# by name; symbol builders return the symbol's values on the space.
+FAMILIES = {
+    "spaces": {
+        "counting": (
+            {"n": _N},
+            "atomic points 0..n-1 with unit mass",
+            lambda n: measure.counting(n),
+        ),
+        "periodic_unit_grid": (
+            {"n": _N},
+            "midpoint rule on [0, 1): points j/n, weights 1/n, period 1",
+            lambda n: measure.periodic_unit_grid(n),
+        ),
+        "fourier_grid": (
+            {"n": _N},
+            "self-dual periodic grid, spacing 1/sqrt(n); exact transform regime",
+            lambda n: measure.fourier_grid(n),
+        ),
+        "symmetric_grid": (
+            {"n": Param("int", _whole(2)), "half_width": Param("float", _positive)},
+            "uniform grid on [-L, L] including both endpoints",
+            lambda n, half_width: measure.symmetric_grid(n, half_width),
+        ),
+    },
+    "models": {
+        "raw_samples": (
+            {},
+            "standard coordinates of the sample space (K = N)",
+            lambda space: model.make_model(space, model.RawSamples()),
+        ),
+        "trigonometric": (
+            {"max_degree": Param("int", _whole(0))},
+            "complex exponentials, frequencies -d..d (or -d..d-1 when 2d = n)",
+            lambda space, max_degree: model.make_model(
+                space, model.Trigonometric(max_degree)),
+        ),
+        "gaussian_bumps": (
+            {"centers": Param("[float]", _nonempty_list(_real)),
+             "width": Param("float", _positive)},
+            "orthonormalized Gaussian columns at the given centers",
+            lambda space, centers, width: model.make_model(
+                space, model.GaussianBumps(tuple(centers), width)),
+        ),
+    },
+    "frames": {
+        "delta": (
+            {},
+            "point evaluations f -> f(x_j); Parseval on exact grids",
+            lambda mdl, space, analysis: maps.delta_frame(mdl, space),
+        ),
+        "exponential": (
+            {},
+            "frequency functionals f -> fhat(g_j) (forward transform rows)",
+            lambda mdl, space, analysis: maps.exponential_frame(mdl, space),
+        ),
+        "weighted_delta": (
+            {"weight": Param("'coordinate' | [complex]", _weight, _coordinate)},
+            "scaled point evaluations wf(x_j) f(x_j); canonical unbounded family",
+            lambda mdl, space, analysis, weight: maps.weighted_delta_frame(
+                mdl, space, weight),
+        ),
+        "translated_window": (
+            {"window": Param("[complex] | {family: gaussian_window, width, center}",
+                             _window)},
+            "circular translates of a window on a uniform grid",
+            _translated_window,
+        ),
+        "discrete": (
+            {"vectors": Param("[[complex]] | csv path", _vectors)},
+            "finite vector family on counting measure (space/model implied)",
+            _discrete,
+        ),
+        "custom": (
+            {"csv": Param("path", _table_csv)},
+            "evaluation table from CSV, complex entries as 'a+bi'",
+            _custom,
+        ),
+        "canonical_dual": (
+            {},
+            "canonical dual of the analysis frame (synthesis side only)",
+            lambda mdl, space, analysis: maps.canonical_dual(
+                _analysis(analysis, "canonical_dual")),
+        ),
+        "same": (
+            {},
+            "reuse the analysis frame (synthesis side only)",
+            lambda mdl, space, analysis: _analysis(analysis, "same"),
+        ),
+    },
+    "symbols": {
+        "constant": (
+            {"value": Param("complex", _complex, 1.0)},
+            "m(x) = value",
+            lambda space, value: np.full(len(space), value),
+        ),
+        "coordinate": (
+            {},
+            "m(x) = x",
+            lambda space: space.points,
+        ),
+        "step": (
+            {"low": Param("complex", _complex, 0.0),
+             "high": Param("complex", _complex, 1.0),
+             "at": Param("float", _real, None)},
+            "m = low below the threshold, high at and above it",
+            _step,
+        ),
+        "random_phase": (
+            {"seed": _SEED},
+            "unimodular random phases; |m| = 1 everywhere",
+            lambda space, seed: np.exp(
+                2j * np.pi * np.random.default_rng(seed).random(len(space))),
+        ),
+        "reciprocal_safe": (
+            {"floor": Param("float", _positive, 1.0),
+             "ceil": Param("float", _real, 2.0),
+             "seed": _SEED},
+            "random phases with modulus in [floor, ceil]; floor > 0",
+            _reciprocal_safe,
+        ),
+        "csv": (
+            {"path": Param("path", _existing_path)},
+            "rows of point,re,im",
+            _symbol_csv,
+        ),
+    },
+}
+
+
+def build_family(group: str, cfg: dict, path: str, *args):
+    """Build the member of ``group`` that ``cfg`` names from its typed parameters.
+
+    ``args`` lead the builder's arguments: nothing for spaces; the space for
+    models and symbols; the model, the space and the analysis map (None when
+    building the analysis map itself) for frames.  A bad name or parameter
+    is a ConfigError whose field starts with ``path``.
+    """
+    with _within(path):
+        family = _need(cfg, "family", _text)
+        if family not in FAMILIES[group]:
+            raise ConfigError("family", f"unknown {group[:-1]} family {family!r}")
+        params, _, builder = FAMILIES[group][family]
+        return builder(*args, **{name: _need(cfg, name, p.read, p.default)
+                                 for name, p in params.items()})
+
+
+def _implies_space(omega: dict) -> bool:
+    """A discrete analysis table fixes the space and the model."""
+    return omega.get("family") == "discrete"
 
 
 # -- config ------------------------------------------------------------------------
@@ -203,10 +479,27 @@ class ExperimentConfig:
     tolerance: float
     seed: int | None
     output_dir: str
-    sweep: dict
-    quartet: dict
-    orthogonality: dict
-    raw: dict
+    support_tol: float
+    quartet_ns: list
+    quartet_symbols: int
+    sweep_kind: str
+    sweep_family: measure.RefinementFamily
+
+
+def _sweep_family(kind: str, l_values: list, ppu: int) -> measure.RefinementFamily:
+    """The grids a sweep of ``kind`` runs on, checked as the sweep checks them."""
+    if kind not in ("weighted_delta", "bounded_control"):
+        raise ConfigError("kind", f"unknown sweep kind {kind!r}")
+    try:
+        if kind == "weighted_delta":
+            family = lab.weighted_delta_family(l_values, ppu)
+        else:
+            family = measure.symmetric_grid_family(
+                tuple((ppu * int(L) + 1, float(L)) for L in l_values)
+            )
+        return lab.require_sweep_steps(family)
+    except ScheduleError as exc:
+        raise ConfigError("l_values", str(exc)) from None
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -222,26 +515,39 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(suites, list) or not suites:
         raise ConfigError("suites", "must be a nonempty list")
     for s in suites:
-        if s not in SUITE_ORDER:
+        if not isinstance(s, str) or s not in SUITE_ORDER:
             raise ConfigError("suites", f"unknown suite {s!r}")
     suites = tuple(s for s in SUITE_ORDER if s in suites)
 
-    seed = raw.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise ConfigError("seed", "must be an integer")
-    if seed is None and any(s in RANDOMIZED_SUITES for s in suites):
+    seed = _need(raw, "seed", _whole(0), None)
+    if seed is None and any(SUITE_ORDER[s].randomized for s in suites):
         raise ConfigError("seed", "required when a randomized suite is selected")
 
-    # The quartet and sweep suites build their own spaces and maps.
-    quartet_only = set(suites) <= {"quartet", "sweep"}
-    omega = section("omega", {} if quartet_only else None)
-    implied = quartet_only or omega.get("family") == "discrete"
+    # Only the context suites build the space, the model and the maps.
+    context = _needs_context(suites)
+    omega = section("omega", None if context else {})
+    implied = not context or _implies_space(omega)
     space = section("space", {} if implied else None)
     model_cfg = section("model", {} if implied else None)
 
-    tolerance = _need(raw, "tolerance", "", float, 1e-10)
-    if not tolerance > 0:
-        raise ConfigError("tolerance", "must be positive")
+    quartet = section("quartet", {})
+    with _within("quartet"):
+        quartet_ns = _need(
+            quartet, "n",
+            lambda v: _nonempty_list(_count)(v if isinstance(v, list) else [v]),
+            [4, 8, 16],
+        )
+        quartet_symbols = _need(quartet, "symbols", _count, 5)
+    sweep = section("sweep", {})
+    with _within("sweep"):
+        sweep_kind = _need(sweep, "kind", _text, "weighted_delta")
+        sweep_family = _sweep_family(
+            sweep_kind,
+            _need(sweep, "l_values", _nonempty_list(_positive), [2.0, 4.0, 8.0, 16.0]),
+            _need(sweep, "points_per_unit", _count, 8),
+        )
+    with _within("orthogonality"):
+        support_tol = _need(section("orthogonality", {}), "support_tol", _positive, 1e-9)
 
     return ExperimentConfig(
         space=space,
@@ -250,231 +556,21 @@ def parse_config(raw: dict) -> ExperimentConfig:
         theta=section("theta", {"family": "same"}),
         symbol=section("symbol", {"family": "constant", "value": 1.0}),
         suites=suites,
-        tolerance=tolerance,
+        tolerance=_need(raw, "tolerance", _positive, 1e-10),
         seed=seed,
         output_dir=str(raw.get("output_dir", "reports")),
-        sweep=section("sweep", {}),
-        quartet=section("quartet", {}),
-        orthogonality=section("orthogonality", {}),
-        raw=raw,
+        support_tol=support_tol,
+        quartet_ns=quartet_ns,
+        quartet_symbols=quartet_symbols,
+        sweep_kind=sweep_kind,
+        sweep_family=sweep_family,
     )
-
-
-_REQUIRED = object()
-
-
-def _need(cfg: dict, field: str, path: str, kind=None, default=_REQUIRED):
-    """Read a parameter converted by ``kind``; bad input is a ConfigError."""
-    name = f"{path}.{field}" if path else field
-    if field not in cfg:
-        if default is _REQUIRED:
-            raise ConfigError(name, "missing required parameter")
-        return default
-    value = cfg[field]
-    if kind is None:
-        return value
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(name, f"invalid value {value!r}") from None
-
-
-def _positive(value) -> float:
-    """A finite JSON number > 0; strings, booleans, NaN and 0 do not pass."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not (math.isfinite(value) and value > 0)):
-        raise ValueError(value)
-    return float(value)
-
-
-def _count(value) -> int:
-    """A whole JSON number >= 1: 8 and 8.0 pass; 2.5, "8", true and 0 do not."""
-    number = _positive(value)
-    if not number.is_integer():
-        raise ValueError(value)
-    return int(number)
-
-
-def _nonempty_list(kind):
-    """Reader of a nonempty JSON list whose entries ``kind`` converts."""
-    def read(value):
-        if not isinstance(value, list) or not value:
-            raise ValueError(value)
-        return [kind(v) for v in value]
-    return read
-
-
-def build_space(cfg: dict, path: str = "space") -> measure.SampledMeasureSpace:
-    family = _need(cfg, "family", path)
-    if family not in CATALOG["spaces"]:
-        raise ConfigError(f"{path}.family", f"unknown space family {family!r}")
-    n = _need(cfg, "n", path, int)
-    if n < (2 if family == "symmetric_grid" else 1):
-        raise ConfigError(f"{path}.n", f"too few points: {n}")
-    if family == "counting":
-        return measure.counting(n)
-    if family == "periodic_unit_grid":
-        return measure.periodic_unit_grid(n)
-    if family == "fourier_grid":
-        return measure.fourier_grid(n)
-    half_width = _need(cfg, "half_width", path, float)
-    if not half_width > 0:
-        raise ConfigError(f"{path}.half_width", "must be positive")
-    return measure.symmetric_grid(n, half_width)
-
-
-def build_model(cfg: dict, space: measure.SampledMeasureSpace,
-                path: str = "model") -> model.ModelSpace:
-    family = _need(cfg, "family", path)
-    if family == "raw_samples":
-        return model.make_model(space, model.RawSamples())
-    if family == "trigonometric":
-        return model.make_model(
-            space, model.Trigonometric(_need(cfg, "max_degree", path, int))
-        )
-    if family == "gaussian_bumps":
-        centers = _need(cfg, "centers", path, lambda v: tuple(float(c) for c in v))
-        return model.make_model(
-            space, model.GaussianBumps(centers, _need(cfg, "width", path, float))
-        )
-    raise ConfigError(f"{path}.family", f"unknown model family {family!r}")
-
-
-def _load_table_csv(path_str: str, field: str) -> np.ndarray:
-    path = Path(path_str)
-    if not path.exists():
-        raise ConfigError(field, f"file does not exist: {path}")
-    rows = []
-    with path.open(newline="") as handle:
-        for row in csv.reader(handle):
-            if row:
-                rows.append([_parse_complex(cell, field) for cell in row])
-    if not rows:
-        raise ConfigError(field, "CSV table is empty")
-    if len({len(row) for row in rows}) != 1:
-        raise ConfigError(field, "CSV rows differ in length")
-    return _finite(np.asarray(rows, dtype=complex), field)
-
-
-def _discrete_table(cfg: dict, path: str) -> np.ndarray:
-    """J x K table of a discrete family: inline rows or a CSV file."""
-    vectors = _need(cfg, "vectors", path)
-    field = f"{path}.vectors"
-    if isinstance(vectors, str):
-        return _load_table_csv(vectors, field)
-    if not isinstance(vectors, list) or not vectors:
-        raise ConfigError(field, "must be a CSV path or a nonempty list of vectors")
-    rows = [_as_complex_list(v, field) for v in vectors]
-    if len({len(row) for row in rows}) != 1:
-        raise ConfigError(field, "vectors differ in length")
-    return np.asarray(rows)
-
-
-def _gaussian_window(space, cfg, path: str) -> np.ndarray:
-    width = _need(cfg, "width", path, float, space.extent / 8.0)
-    center = _need(cfg, "center", path, float, float(space.points[0]))
-    cut = _need(cfg, "cutoff", path, float, 1e-3)
-    values = np.exp(-((space.points - center) ** 2) / (2 * width ** 2))
-    values[values < cut] = 0.0  # truncate so the support is proper
-    return values
-
-
-def build_frame(cfg: dict, mdl: model.ModelSpace,
-                space: measure.SampledMeasureSpace, path: str,
-                analysis: maps.DistributionMap | None = None) -> maps.DistributionMap:
-    family = _need(cfg, "family", path)
-    if family == "same":
-        if analysis is None:
-            raise ConfigError(f"{path}.family", "'same' is only valid for theta")
-        return analysis
-    if family == "canonical_dual":
-        if analysis is None:
-            raise ConfigError(f"{path}.family", "'canonical_dual' is only valid for theta")
-        return maps.canonical_dual(analysis)
-    if family == "delta":
-        return maps.delta_frame(mdl, space)
-    if family == "exponential":
-        return maps.exponential_frame(mdl, space)
-    if family == "weighted_delta":
-        weight = cfg.get("weight", "coordinate")
-        if weight == "coordinate":
-            return maps.weighted_delta_frame(mdl, space, lambda x: x)
-        return maps.weighted_delta_frame(
-            mdl, space, _as_complex_list(weight, f"{path}.weight")
-        )
-    if family == "translated_window":
-        window = _need(cfg, "window", path)
-        if isinstance(window, dict):
-            values = _gaussian_window(space, window, f"{path}.window")
-        else:
-            values = _as_complex_list(window, f"{path}.window")
-        return maps.translated_window_frame(mdl, space, values)
-    if family == "discrete":
-        return maps.discrete_sequence_map(mdl, _discrete_table(cfg, path), space)
-    if family == "custom":
-        table = _load_table_csv(_need(cfg, "csv", path), f"{path}.csv")
-        if table.shape != (len(space), mdl.dim):
-            raise ConfigError(
-                f"{path}.csv",
-                f"table shape {table.shape} does not match space/model "
-                f"({len(space)}, {mdl.dim})",
-            )
-        return maps.DistributionMap(table=table, space=space, model=mdl)
-    raise ConfigError(f"{path}.family", f"unknown frame family {family!r}")
-
-
-def build_symbol(cfg: dict, space: measure.SampledMeasureSpace,
-                 path: str = "symbol") -> multiplier.Symbol:
-    family = _need(cfg, "family", path)
-    n = len(space)
-    if family == "constant":
-        value = _as_complex_list([cfg.get("value", 1.0)], f"{path}.value")[0]
-        values = np.full(n, value)
-    elif family == "coordinate":
-        values = space.points
-    elif family == "step":
-        low = _need(cfg, "low", path, complex, 0.0)
-        high = _need(cfg, "high", path, complex, 1.0)
-        at = _need(cfg, "at", path, float, float(np.median(space.points)))
-        values = np.where(space.points < at, low, high)
-    elif family == "random_phase":
-        rng = np.random.default_rng(_need(cfg, "seed", path, int))
-        values = np.exp(2j * np.pi * rng.random(n))
-    elif family == "reciprocal_safe":
-        floor = _need(cfg, "floor", path, float, 1.0)
-        ceil = _need(cfg, "ceil", path, float, 2.0)
-        if not floor > 0:
-            raise ConfigError(f"{path}.floor", "must be positive")
-        rng = np.random.default_rng(_need(cfg, "seed", path, int))
-        modulus = rng.uniform(floor, ceil, n)
-        values = modulus * np.exp(2j * np.pi * rng.random(n))
-    elif family == "csv":
-        file_path = Path(_need(cfg, "path", path))
-        if not file_path.exists():
-            raise ConfigError(f"{path}.path", f"file does not exist: {file_path}")
-        points, values = [], []
-        with file_path.open(newline="") as handle:
-            try:
-                for row in csv.reader(handle):
-                    if row:
-                        points.append(float(row[0]))
-                        values.append(complex(float(row[1]), float(row[2])))
-            except (IndexError, ValueError):
-                raise ConfigError(f"{path}.path",
-                                  "rows must be point,re,im numbers") from None
-        if len(points) != n or not np.allclose(points, space.points, atol=1e-12):
-            raise ConfigError(f"{path}.path", "CSV points do not match the space")
-    else:
-        raise ConfigError(f"{path}.family", f"unknown symbol family {family!r}")
-    values = _finite(np.asarray(values, dtype=complex), path)
-    return multiplier.make_symbol(space, values)
 
 
 # -- experiment context --------------------------------------------------------------
 
 @dataclass
 class Context:
-    config: ExperimentConfig
     space: measure.SampledMeasureSpace
     model: model.ModelSpace
     omega: maps.DistributionMap
@@ -486,43 +582,43 @@ class Context:
 
 
 def build_context(config: ExperimentConfig) -> Context:
-    if config.omega.get("family") == "discrete":
-        # The table fixes the space and the model, so it is read only once.
-        table = _discrete_table(config.omega, "omega")
-        space = measure.counting(len(table))
-        mdl = model.make_model(measure.counting(table.shape[1]), model.RawSamples())
-        omega = maps.discrete_sequence_map(mdl, table, space)
+    if _implies_space(config.omega):
+        space = mdl = None  # the omega builder makes them
     else:
-        space = build_space(config.space)
-        mdl = build_model(config.model, space)
-        omega = build_frame(config.omega, mdl, space, "omega")
-    theta = build_frame(config.theta, mdl, space, "theta", analysis=omega)
-    symbol = build_symbol(config.symbol, space)
+        space = build_family("spaces", config.space, "space")
+        mdl = build_family("models", config.model, "model", space)
+    omega = build_family("frames", config.omega, "omega", mdl, space, None)
+    space, mdl = omega.space, omega.model
+    theta = build_family("frames", config.theta, "theta", mdl, space, omega)
+    values = build_family("symbols", config.symbol, "symbol", space)
     return Context(
-        config=config, space=space, model=mdl, omega=omega, theta=theta,
-        symbol=symbol,
+        space=space, model=mdl, omega=omega, theta=theta,
+        symbol=multiplier.make_symbol(space, values),
     )
 
 
 def _suite_seed(root_seed: int | None, suite: str) -> int:
-    index = SUITE_ORDER.index(suite)
+    index = list(SUITE_ORDER).index(suite)
     seq = np.random.SeedSequence([0 if root_seed is None else root_seed, index])
     return int(seq.generate_state(1)[0])
 
 
 # -- suites ---------------------------------------------------------------------------
+#
+# Every suite is called as suite(config, ctx, seed, out) and returns (data,
+# failures); ctx is None for a suite that does not need a context, and out
+# is the report directory.
 
-def _suite_diagnose(ctx: Context, seed: int, tol: float):
-    d_omega = maps.diagnose(ctx.omega)
-    d_theta = maps.diagnose(ctx.theta)
+def _suite_diagnose(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     return {
         "model": ctx.model.summary(),
-        "omega": d_omega.to_dict(),
-        "theta": d_theta.to_dict(),
+        "omega": maps.diagnose(ctx.omega),
+        "theta": maps.diagnose(ctx.theta),
     }, []
 
 
-def _suite_dual(ctx: Context, seed: int, tol: float):
+def _suite_dual(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
+    tol = config.tolerance
     failures = []
     diag = maps.diagnose(ctx.omega)
     dual = maps.canonical_dual(ctx.omega)
@@ -550,7 +646,7 @@ def _suite_dual(ctx: Context, seed: int, tol: float):
     return data, failures
 
 
-def _suite_multiplier(ctx: Context, seed: int, tol: float):
+def _suite_multiplier(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     failures = []
     op = ctx.operator()
     analysis, diag_wm, synthesis = op.factored()
@@ -563,7 +659,7 @@ def _suite_multiplier(ctx: Context, seed: int, tol: float):
     if norm > bound + 1e-10:
         failures.append(f"norm {norm:.6e} above bound {bound:.6e}")
     pairing = lab.brute_force_pairing(op, trials=100, seed=seed)
-    if pairing > tol:
+    if pairing > config.tolerance:
         failures.append(f"pairing residual {pairing:.3e}")
     adj = multiplier.adjoint(op)
     adj_residual = float(np.max(np.abs(adj.dense - op.dense.conj().T)))
@@ -586,7 +682,8 @@ def _suite_multiplier(ctx: Context, seed: int, tol: float):
     return data, failures
 
 
-def _suite_calculus(ctx: Context, seed: int, tol: float):
+def _suite_calculus(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
+    tol = config.tolerance
     failures = []
     rng = np.random.default_rng(seed)
     results = []
@@ -614,24 +711,24 @@ def _suite_calculus(ctx: Context, seed: int, tol: float):
     return data, failures
 
 
-def _suite_invert(ctx: Context, seed: int, tol: float):
+def _suite_invert(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     failures = []
     op = ctx.operator()
     try:
         report = multiplier.invert(op)
     except FrameLabError as exc:
         return {"error": str(exc)}, [f"invert: {exc}"]
-    data = report.to_dict()
     if report.bound_satisfied is False:
         failures.append("inverse bound violated")
-    if report.reciprocal_residual is not None and report.reciprocal_residual > tol:
+    if (report.reciprocal_residual is not None
+            and report.reciprocal_residual > config.tolerance):
         failures.append(
             f"reciprocal-symbol residual {report.reciprocal_residual:.3e}"
         )
-    return data, failures
+    return report, failures
 
 
-def _suite_reconstruct(ctx: Context, seed: int, tol: float):
+def _suite_reconstruct(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     failures = []
     op = ctx.operator()
     rho, res_right = multiplier.reconstruction_pair(
@@ -640,9 +737,9 @@ def _suite_reconstruct(ctx: Context, seed: int, tol: float):
     tau, res_left = multiplier.reconstruction_pair(
         op, multiplier.Side.LEFT, trials=50, seed=seed
     )
-    if res_right > tol:
+    if res_right > config.tolerance:
         failures.append(f"right reconstruction residual {res_right:.3e}")
-    if res_left > tol:
+    if res_left > config.tolerance:
         failures.append(f"left reconstruction residual {res_left:.3e}")
     return {
         "right_residual": res_right,
@@ -650,39 +747,37 @@ def _suite_reconstruct(ctx: Context, seed: int, tol: float):
     }, failures
 
 
-def _witness_family(ctx: Context, alpha_values=None):
-    family_name = ctx.config.omega.get("family", "delta")
-    if family_name == "exponential":
+def _witness_family(config: ExperimentConfig, ctx: Context, alpha_values=None):
+    if config.omega.get("family") == "exponential":
         return maps.band_limited_family(ctx.model, ctx.space, alpha_values)
     if alpha_values is None:
         return maps.bump_family(ctx.model)
     return maps.scaled_bump_family(ctx.model, alpha_values)
 
 
-def _suite_orthogonality(ctx: Context, seed: int, tol: float):
+def _suite_orthogonality(config: ExperimentConfig, ctx: Context, seed: int,
+                         out: Path):
     failures = []
-    support_tol = float(ctx.config.orthogonality.get("support_tol", 1e-9))
     pseudo = maps.check_pseudo_orthogonal(
-        ctx.omega, _witness_family(ctx), support_tol=support_tol
+        ctx.omega, _witness_family(config, ctx), support_tol=config.support_tol
     )
     if not pseudo.passed:
         failures.append(f"pseudo-orthogonality: {pseudo.reason}")
     alpha = 1.0 / (1.0 + ctx.space.points ** 2)
     hyper = maps.check_hyper_orthogonal(
-        ctx.omega, alpha, lambda a: _witness_family(ctx, a),
-        support_tol=support_tol,
+        ctx.omega, alpha, lambda a: _witness_family(config, ctx, a),
+        support_tol=config.support_tol,
     )
     if not hyper.passed:
         failures.append(f"hyper-orthogonality: {hyper.reason}")
-    return {"pseudo": pseudo.to_dict(), "hyper": hyper.to_dict()}, failures
+    return {"pseudo": pseudo, "hyper": hyper}, failures
 
 
-def _suite_density(ctx: Context, seed: int, tol: float):
+def _suite_density(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     failures = []
-    support_tol = float(ctx.config.orthogonality.get("support_tol", 1e-9))
     report = multiplier.density_certificate(
-        ctx.omega, ctx.theta, ctx.symbol, _witness_family(ctx),
-        support_tol=support_tol, tol=tol,
+        ctx.omega, ctx.theta, ctx.symbol, _witness_family(config, ctx),
+        support_tol=config.support_tol, tol=config.tolerance,
     )
     if not report.passed:
         failures.append(f"density certificate: {report.reason}")
@@ -694,62 +789,45 @@ def _suite_density(ctx: Context, seed: int, tol: float):
     )
     if not split_ok:
         failures.append("symbol split postconditions violated")
-    data = report.to_dict()
-    data["split_ok"] = bool(split_ok)
-    return data, failures
+    return {**_jsonify(report), "split_ok": bool(split_ok)}, failures
 
 
-def _suite_sweep(ctx_or_cfg, seed: int, tol: float, out_dir: Path | None = None):
-    config = ctx_or_cfg.config if isinstance(ctx_or_cfg, Context) else ctx_or_cfg
+def _suite_sweep(config: ExperimentConfig, ctx: None, seed: int, out: Path):
     failures = []
-    kind = config.sweep.get("kind", "weighted_delta")
-    l_values = _need(config.sweep, "l_values", "sweep", _nonempty_list(_positive),
-                     [2.0, 4.0, 8.0, 16.0])
-    ppu = _need(config.sweep, "points_per_unit", "sweep", _count, 8)
-    if kind == "weighted_delta":
-        result = lab.weighted_delta_sweep(l_values, points_per_unit=ppu, check=False)
+    if config.sweep_kind == "weighted_delta":
+        result = lab.unboundedness_sweep(config.sweep_family, lab.coordinate_multiplier)
         for (n, L), norm in zip(result.schedule, result.norms):
             if norm < 0.9 * L:
                 failures.append(f"norm {norm:.3e} below 0.9*L at L={L}")
         if result.verdict is not lab.GrowthVerdict.UNBOUNDED:
             failures.append("expected an unbounded verdict")
-    elif kind == "bounded_control":
-        schedule = tuple((ppu * int(L) + 1, float(L)) for L in l_values)
-        family = measure.symmetric_grid_family(schedule)
-
+    else:
         def bounded(space):
             mdl = model.make_model(space, model.RawSamples())
             delta = maps.delta_frame(mdl, space)
             one = multiplier.make_symbol(space, np.ones(len(space)))
             return multiplier.build(one, delta, delta, validate=False)
 
-        result = lab.unboundedness_sweep(family, bounded)
+        result = lab.unboundedness_sweep(config.sweep_family, bounded)
         if result.verdict is not lab.GrowthVerdict.BOUNDED:
             failures.append("expected a bounded verdict")
-    else:
-        raise ConfigError("sweep.kind", f"unknown sweep kind {kind!r}")
-    if out_dir is not None:
-        (out_dir / "sweep.csv").write_text(result.to_csv())
-    return result.to_dict(), failures
+    (out / "sweep.csv").write_text(result.to_csv())
+    return result, failures
 
 
-def _suite_quartet(ctx_or_cfg, seed: int, tol: float):
-    config = ctx_or_cfg.config if isinstance(ctx_or_cfg, Context) else ctx_or_cfg
+def _suite_quartet(config: ExperimentConfig, ctx: None, seed: int, out: Path):
     failures = []
-    ns = _need(config.quartet, "n", "quartet",
-               lambda v: _nonempty_list(_count)(v if isinstance(v, list) else [v]),
-               [4, 8, 16])
-    n_symbols = _need(config.quartet, "symbols", "quartet", _count, 5)
     rng = np.random.default_rng(seed)
     reports = []
-    for n in ns:
-        for _ in range(n_symbols):
+    for n in config.quartet_ns:
+        for _ in range(config.quartet_symbols):
             values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             report = lab.fourier_quartet_check(n, values, trials=3,
-                                               seed=seed, tol=tol)
-            reports.append(report.to_dict())
+                                               seed=seed, tol=config.tolerance)
+            reports.append(report)
             if not report.passed:
-                bad = {k: v for k, v in report.residuals.items() if v > tol}
+                bad = {k: v for k, v in report.residuals.items()
+                       if v > config.tolerance}
                 failures.append(
                     f"quartet n={n} members {sorted(bad)} failed; "
                     f"flipped convention passes: {report.flipped_passes}"
@@ -757,32 +835,24 @@ def _suite_quartet(ctx_or_cfg, seed: int, tol: float):
     return {"reports": reports}, failures
 
 
-def _suite_oracle(ctx: Context, seed: int, tol: float):
+def _suite_oracle(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     failures = []
     op = ctx.operator()
     residual = lab.brute_force_pairing(op, trials=100, seed=seed)
-    if residual > tol:
+    if residual > config.tolerance:
         failures.append(f"brute-force pairing residual {residual:.3e}")
     data = {"pairing_residual": residual}
-    if ctx.config.omega.get("family") == "discrete":
+    if config.omega.get("family") == "discrete":
         comparison = lab.discrete_reduction_oracle(np.conj(ctx.omega.table))
-        data["discrete_reduction"] = comparison.to_dict()
+        data["discrete_reduction"] = comparison
         if not comparison.agree:
             failures.append("discrete reduction paths disagree")
     return data, failures
 
 
-SUITES = {
-    "diagnose": _suite_diagnose,
-    "dual": _suite_dual,
-    "multiplier": _suite_multiplier,
-    "calculus": _suite_calculus,
-    "invert": _suite_invert,
-    "reconstruct": _suite_reconstruct,
-    "orthogonality": _suite_orthogonality,
-    "density": _suite_density,
-    "oracle": _suite_oracle,
-}
+# Suite name -> function.  run looks each suite up here when it calls it,
+# so an entry replaced in this dict (a tracing wrapper, say) takes effect.
+SUITES = {name: globals()[f"_suite_{name}"] for name in SUITE_ORDER}
 
 
 # -- runner -------------------------------------------------------------------------
@@ -794,7 +864,8 @@ def run(config_path, out_dir=None, tol=None, seed=None,
     Writes one report per selected suite into the output directory; the same
     config and seed produce byte-identical reports.  With ``json_output`` the
     run summary (including the machine-readable failure list) goes to stdout
-    as JSON instead of human-readable lines.
+    as JSON instead of human-readable lines.  The whole config is checked,
+    and the context built, before any report is written.
     """
     path = Path(config_path)
     try:
@@ -820,8 +891,7 @@ def run(config_path, out_dir=None, tol=None, seed=None,
 
     try:
         config = parse_config(raw)
-        needs_ctx = any(s not in ("sweep", "quartet") for s in config.suites)
-        ctx = build_context(config) if needs_ctx else None
+        ctx = build_context(config) if _needs_context(config.suites) else None
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -834,19 +904,9 @@ def run(config_path, out_dir=None, tol=None, seed=None,
 
     all_failures = []
     for suite in config.suites:
-        suite_seed = _suite_seed(config.seed, suite)
         try:
-            if suite == "sweep":
-                data, failures = _suite_sweep(ctx or config, suite_seed,
-                                              config.tolerance, out_dir=out)
-            elif suite == "quartet":
-                data, failures = _suite_quartet(ctx or config, suite_seed,
-                                                config.tolerance)
-            else:
-                data, failures = SUITES[suite](ctx, suite_seed, config.tolerance)
-        except ConfigError as exc:
-            print(f"error: invalid config: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+            data, failures = SUITES[suite](config, ctx,
+                                           _suite_seed(config.seed, suite), out)
         except FrameLabError as exc:
             data, failures = {"error": str(exc)}, [f"{suite}: {exc}"]
         report = {
@@ -881,10 +941,17 @@ def run(config_path, out_dir=None, tol=None, seed=None,
 
 
 def list_families(as_json: bool = False) -> str:
+    catalog = {
+        group: {
+            name: {"params": {k: p.type for k, p in params.items()}, "note": note}
+            for name, (params, note, _) in entries.items()
+        }
+        for group, entries in FAMILIES.items()
+    }
     if as_json:
-        return json.dumps(CATALOG, indent=2, sort_keys=True)
+        return json.dumps(catalog, indent=2, sort_keys=True)
     lines = []
-    for group, entries in CATALOG.items():
+    for group, entries in catalog.items():
         lines.append(f"{group}:")
         for name, entry in entries.items():
             params = ", ".join(f"{k}: {v}" for k, v in entry["params"].items())

@@ -110,18 +110,6 @@ class ReductionComparison:
     max_deviation: float
     agree: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "classical_lower": self.classical_lower,
-            "classical_upper": self.classical_upper,
-            "classical_total": self.classical_total,
-            "maps_lower": self.maps_lower,
-            "maps_upper": self.maps_upper,
-            "maps_total": self.maps_total,
-            "max_deviation": self.max_deviation,
-            "agree": self.agree,
-        }
-
 
 def discrete_reduction_oracle(vectors: Sequence, tol: float = 1e-14,
                               rank_tol: float = 1e-10) -> ReductionComparison:
@@ -216,15 +204,6 @@ class QuartetReport:
     passed: bool
     convention: str
     flipped_passes: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "residuals": dict(self.residuals),
-            "passed": self.passed,
-            "convention": self.convention,
-            "flipped_passes": dict(self.flipped_passes),
-        }
 
 
 def fourier_quartet_check(n: int, symbol_values, trials: int = 5,
@@ -321,15 +300,6 @@ class SweepResult:
     verdict: GrowthVerdict
     threshold: float
 
-    def to_dict(self) -> dict:
-        return {
-            "schedule": [list(s) for s in self.schedule],
-            "norms": list(self.norms),
-            "fitted_growth": self.fitted_growth,
-            "verdict": self.verdict.value,
-            "threshold": self.threshold,
-        }
-
     def to_csv(self) -> str:
         lines = ["step,n,L,norm"]
         for step, ((n, L), norm) in enumerate(zip(self.schedule, self.norms)):
@@ -337,12 +307,18 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
+def require_sweep_steps(family: RefinementFamily) -> RefinementFamily:
+    """Return ``family`` if it has the 3 steps a growth fit needs, else raise."""
+    if len(family) < 3:
+        raise ScheduleError("unboundedness sweep needs at least 3 schedule steps")
+    return family
+
+
 def unboundedness_sweep(family: RefinementFamily,
                         builder: Callable[[SampledMeasureSpace], MultiplierOperator],
                         threshold: float = GROWTH_THRESHOLD) -> SweepResult:
     """Operator norm per schedule step, growth fit, bounded/unbounded verdict."""
-    if len(family) < 3:
-        raise ScheduleError("unboundedness sweep needs at least 3 schedule steps")
+    require_sweep_steps(family)
     norms = []
     for step in range(len(family)):
         space = refine(family, step)
@@ -373,6 +349,14 @@ def coordinate_multiplier(space: SampledMeasureSpace) -> MultiplierOperator:
                  validate=False)
 
 
+def weighted_delta_family(l_values: Sequence[float],
+                          points_per_unit: int = 8) -> RefinementFamily:
+    """Symmetric grids of half-widths ``l_values``, ``points_per_unit`` per unit."""
+    return symmetric_grid_family(tuple(
+        (int(points_per_unit * L) + 1, float(L)) for L in l_values
+    ))
+
+
 def weighted_delta_sweep(l_values: Sequence[float] = (2.0, 4.0, 8.0, 16.0),
                          points_per_unit: int = 8,
                          check: bool = True) -> SweepResult:
@@ -381,11 +365,8 @@ def weighted_delta_sweep(l_values: Sequence[float] = (2.0, 4.0, 8.0, 16.0),
     With ``check`` the per-step norm must reach 0.9 * L (it equals L exactly
     on grids containing the endpoints) or the sweep raises.
     """
-    schedule = tuple(
-        (int(points_per_unit * L) + 1, float(L)) for L in l_values
-    )
-    family = symmetric_grid_family(schedule)
-    result = unboundedness_sweep(family, coordinate_multiplier)
+    result = unboundedness_sweep(weighted_delta_family(l_values, points_per_unit),
+                                 coordinate_multiplier)
     if check:
         for (n, L), norm in zip(result.schedule, result.norms):
             if norm < 0.9 * L:
@@ -404,7 +385,9 @@ __all__ = [
     "fourier_quartet_check",
     "GrowthVerdict",
     "SweepResult",
+    "require_sweep_steps",
     "unboundedness_sweep",
     "coordinate_multiplier",
+    "weighted_delta_family",
     "weighted_delta_sweep",
 ]

@@ -243,22 +243,6 @@ class FrameDiagnostics:
             return float("inf")
         return self.synthesis_sigma_max / self.synthesis_sigma_min
 
-    def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "synthesis_sigma_min": self.synthesis_sigma_min,
-            "synthesis_sigma_max": self.synthesis_sigma_max,
-            "mu_independent": self.mu_independent,
-            "total": self.total,
-            "classification": self.classification.value,
-            "tolerance": self.tolerance,
-            "rank_tol": self.rank_tol,
-            "n_points": self.n_points,
-            "dim": self.dim,
-            "note": self.note,
-        }
-
 
 def diagnose(omega: DistributionMap, tol: float = EIG_TOL,
              rank_tol: float = RANK_RTOL) -> FrameDiagnostics:
@@ -402,11 +386,8 @@ class SupportRecord:
     sup_on_support: float
     max_off_support: float
     strict_subset: bool
-    bound_violation: tuple | None = None  # (point index, value, allowed)
-
-    @property
-    def passed(self) -> bool:
-        return self.strict_subset and self.bound_violation is None
+    bound_violation: tuple | None  # (point index, value, allowed)
+    passed: bool  # strict subset and no bound violation
 
 
 @dataclass(frozen=True)
@@ -417,26 +398,6 @@ class OrthogonalityReport:
     total: bool
     records: tuple
     reason: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "total": self.total,
-            "reason": self.reason,
-            "records": [
-                {
-                    "index": r.index,
-                    "support_size": r.support_size,
-                    "support_measure": r.support_measure,
-                    "sup_on_support": r.sup_on_support,
-                    "max_off_support": r.max_off_support,
-                    "strict_subset": r.strict_subset,
-                    "bound_violation": r.bound_violation,
-                    "passed": r.passed,
-                }
-                for r in self.records
-            ],
-        }
 
 
 def _family_total(model: ModelSpace, family: Sequence[TestFunction],
@@ -475,6 +436,7 @@ def _support_record(omega: DistributionMap, f: TestFunction, index: int,
         max_off_support=float(values[~on].max()) if np.any(~on) else 0.0,
         strict_subset=bool(strict),
         bound_violation=violation,
+        passed=bool(strict) and violation is None,
     )
 
 

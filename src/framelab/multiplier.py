@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -236,15 +236,9 @@ class CompositionReport:
     residual: float
     dual_pair: bool
     asserted: bool
-    product_dense: np.ndarray
-    built_dense: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "residual": self.residual,
-            "dual_pair": self.dual_pair,
-            "asserted": self.asserted,
-        }
+    # The dense matrices are for callers, not for reports.
+    product_dense: np.ndarray = field(metadata={"report": False})
+    built_dense: np.ndarray = field(metadata={"report": False})
 
 
 def compose(op1: MultiplierOperator, op2: MultiplierOperator,
@@ -293,18 +287,6 @@ class InverseReport:
     bound_satisfied: bool | None
     reciprocal_residual: float | None
     vanishing_points: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "sigma_min": self.sigma_min,
-            "sigma_max": self.sigma_max,
-            "injective": self.injective,
-            "inverse_norm": self.inverse_norm,
-            "lower_bound": self.lower_bound,
-            "bound_satisfied": self.bound_satisfied,
-            "reciprocal_residual": self.reciprocal_residual,
-            "vanishing_points": list(self.vanishing_points),
-        }
 
 
 def invert(op: MultiplierOperator, tol: float = BOUND_TOL,
@@ -439,14 +421,6 @@ class DensityReport:
     records: tuple
     reason: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "total": self.total,
-            "reason": self.reason,
-            "records": [r.__dict__ for r in self.records],
-        }
-
 
 def density_certificate(omega: DistributionMap, theta: DistributionMap,
                         m: Symbol, family: Sequence[TestFunction],
@@ -510,14 +484,6 @@ class ClosureProfile:
     fitted_exponent: float
     verdict: DomainVerdict
 
-    def to_dict(self) -> dict:
-        return {
-            "schedule": [list(s) for s in self.schedule],
-            "integrals": list(self.integrals),
-            "fitted_exponent": self.fitted_exponent,
-            "verdict": self.verdict.value,
-        }
-
 
 def _growth_exponent(schedule, values) -> float:
     """Log-log slope of values against L, or against n when L is fixed."""
@@ -565,14 +531,6 @@ class ClosabilityReport:
     total: bool
     residual: float
     reason: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "total": self.total,
-            "residual": self.residual,
-            "reason": self.reason,
-        }
 
 
 def closability_check(omega: DistributionMap, theta: DistributionMap, m: Symbol,

@@ -1,18 +1,24 @@
 import filecmp
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from framelab import maps, measure, model, multiplier
 from framelab.cli import (
     EXIT_ASSERTION,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
-    list_families,
+    FAMILIES,
+    _jsonify,
+    build_family,
     main,
     run,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_config(tmp_path, name, payload):
@@ -169,6 +175,29 @@ class TestRun:
         ("omega.weight", {"omega": {"family": "weighted_delta",
                                     "weight": ["abc"] + ["1"] * 15}}),
         ("symbol", {"symbol": {"family": "constant", "value": "nan"}}),
+        # one case per parameter kind of the family table
+        ("space.n", {"space": {"family": "periodic_unit_grid", "n": 16.7}}),
+        ("space.n", {"space": {"family": "periodic_unit_grid", "n": "16"}}),
+        ("space.n", {"space": {"family": "symmetric_grid", "n": 1,
+                               "half_width": 1.0}}),
+        ("space.half_width", {"space": {"family": "symmetric_grid", "n": 16,
+                                        "half_width": "nan"}}),
+        ("model.max_degree", {"model": {"family": "trigonometric",
+                                        "max_degree": 2.9}}),
+        ("model.max_degree", {"model": {"family": "trigonometric",
+                                        "max_degree": "2"}}),
+        ("model.centers", {"model": {"family": "gaussian_bumps", "centers": [],
+                                     "width": 0.1}}),
+        ("symbol.seed", {"symbol": {"family": "random_phase", "seed": 2.5}}),
+        ("symbol.seed", {"symbol": {"family": "random_phase", "seed": -1}}),
+        ("symbol.low", {"symbol": {"family": "step", "low": [1, 2, 3]}}),
+        ("symbol.path", {"symbol": {"family": "csv", "path": 7}}),
+        ("omega.window.width", {"omega": {"family": "translated_window",
+                                          "window": {"width": "x"}}}),
+        ("omega.vectors", {"omega": {"family": "discrete", "vectors": [[1], [1, 2]]}}),
+        ("omega.family", {"omega": {"family": "canonical_dual"}}),
+        ("space.family", {"space": {"family": "torus", "n": 16}}),
+        ("seed", {"seed": -1}),
     ])
     def test_bad_values_are_validation_errors(self, tmp_path, capsys, field, patch):
         config = write_config(tmp_path, "cfg.json", {**PARSEVAL_CONFIG, **patch})
@@ -188,6 +217,15 @@ class TestRun:
         ("sweep.l_values", {"sweep": {"l_values": ["x"]}}),
         ("sweep.l_values", {"sweep": {"l_values": [2, 4, "nan"]}}),
         ("sweep.points_per_unit", {"sweep": {"points_per_unit": "x"}}),
+        ("sweep.kind", {"sweep": {"kind": "logarithmic"}}),
+        # schedules a growth fit cannot use: not increasing in n, steps
+        # that round to one grid size, fewer than three steps
+        ("sweep.l_values", {"sweep": {"l_values": [8, 4, 2]}}),
+        ("sweep.l_values", {"sweep": {"l_values": [2, 2, 2]}}),
+        ("sweep.l_values", {"sweep": {"l_values": [0.01, 0.02, 0.03]}}),
+        ("sweep.l_values", {"sweep": {"l_values": [2, 4]}}),
+        ("sweep.l_values", {"sweep": {"kind": "bounded_control",
+                                      "l_values": [2.2, 2.6, 3.5]}}),
     ])
     def test_bad_quartet_and_sweep_values_are_validation_errors(
             self, tmp_path, capsys, field, section):
@@ -196,6 +234,42 @@ class TestRun:
                               {"suites": [suite], "seed": 3, **section})
         assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
         assert f"invalid config: {field}" in capsys.readouterr().err
+
+    def test_family_seeds_accept_zero(self, tmp_path):
+        config = write_config(tmp_path, "cfg.json", {
+            **PARSEVAL_CONFIG, "symbol": {"family": "random_phase", "seed": 0.0},
+        })
+        assert run(config, out_dir=tmp_path / "out") == EXIT_OK
+
+    def test_bad_later_section_writes_no_report(self, tmp_path, capsys):
+        config = write_config(tmp_path, "cfg.json", {
+            "suites": ["sweep", "quartet"], "seed": 1, "quartet": {"n": [0]},
+        })
+        out = tmp_path / "out"
+        assert run(config, out_dir=out) == EXIT_VALIDATION
+        assert "invalid config: quartet.n" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_report_key_paths_match_the_schema(self, tmp_path):
+        config = write_config(tmp_path, "cfg.json", {
+            "omega": {"family": "discrete", "vectors": [[1, 0], [1, 1], [0, 1]]},
+            "theta": {"family": "canonical_dual"},
+            "symbol": {"family": "reciprocal_safe", "floor": 0.5, "ceil": 3,
+                       "seed": 0},
+            "suites": ["diagnose", "dual", "multiplier", "calculus", "invert",
+                       "reconstruct", "orthogonality", "density", "sweep",
+                       "quartet", "oracle"],
+            "seed": 11,
+            "sweep": {"l_values": [2, 4, 8]},
+            "quartet": {"n": [4], "symbols": 1},
+        })
+        out = tmp_path / "out"
+        assert run(config, out_dir=out) == EXIT_ASSERTION
+        found = set()
+        for report in out.glob("*.json"):
+            found |= key_paths(json.loads(report.read_text()), report.stem)
+        expected = (DATA / "report_paths.txt").read_text().split()
+        assert sorted(found) == expected
 
     def test_exponential_frame_orthogonality_config(self, tmp_path):
         config = write_config(tmp_path, "cfg.json", {
@@ -231,6 +305,18 @@ class TestRun:
         mult = load_report(out, "multiplier")
         dense = as_complex_matrix(mult["data"]["dense"])
         assert np.allclose(dense, np.diag([2.0, 3.0]))
+
+
+    def test_custom_table_must_match_space_and_model(self, tmp_path, capsys):
+        (tmp_path / "frame.csv").write_text("1,0\n0,1\n1,1\n")
+        config = write_config(tmp_path, "cfg.json", {
+            "space": {"family": "counting", "n": 2},
+            "model": {"family": "raw_samples"},
+            "omega": {"family": "custom", "csv": str(tmp_path / "frame.csv")},
+            "suites": ["diagnose"],
+        })
+        assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
+        assert "invalid config: omega.csv: table shape (3, 2)" in capsys.readouterr().err
 
 
 class TestMain:
@@ -278,7 +364,82 @@ class TestMain:
         assert summary["d_basis_condition"] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_list_families_catalog_matches_builtins():
-    text = list_families()
-    assert "canonical_dual" in text
-    assert "reciprocal_safe" in text
+def key_paths(value, prefix):
+    """Leaf paths of a JSON value: ``a.b`` for keys, ``a[]`` for list items."""
+    if isinstance(value, dict) and value:
+        return set().union(*(key_paths(v, f"{prefix}.{k}") for k, v in value.items()))
+    if isinstance(value, list) and value:
+        return set().union(*(key_paths(v, f"{prefix}[]") for v in value))
+    return {prefix}
+
+
+@pytest.mark.parametrize("args, golden", [
+    (["list-families"], "list_families.txt"),
+    (["list-families", "--json"], "list_families.json"),
+])
+def test_list_families_golden(capsys, args, golden):
+    assert main(args) == EXIT_OK
+    assert capsys.readouterr().out == (DATA / golden).read_text()
+
+
+MINIMAL_PARAMS = {
+    ("spaces", "counting"): {"n": 4},
+    ("spaces", "periodic_unit_grid"): {"n": 4},
+    ("spaces", "fourier_grid"): {"n": 4},
+    ("spaces", "symmetric_grid"): {"n": 4, "half_width": 1.0},
+    ("models", "raw_samples"): {},
+    ("models", "trigonometric"): {"max_degree": 1},
+    ("models", "gaussian_bumps"): {"centers": [0.5], "width": 0.2},
+    ("frames", "delta"): {},
+    ("frames", "exponential"): {},
+    ("frames", "weighted_delta"): {},
+    ("frames", "translated_window"): {"window": {"family": "gaussian_window"}},
+    ("frames", "discrete"): {"vectors": [[1, 0], [0, 1], [1, 1]]},
+    ("frames", "custom"): {"csv": "frame.csv"},
+    ("frames", "canonical_dual"): {},
+    ("frames", "same"): {},
+    ("symbols", "constant"): {},
+    ("symbols", "coordinate"): {},
+    ("symbols", "step"): {},
+    ("symbols", "random_phase"): {"seed": 0},
+    ("symbols", "reciprocal_safe"): {"seed": 1},
+    ("symbols", "csv"): {"path": "symbol.csv"},
+}
+
+
+@pytest.mark.parametrize("group, name", [
+    (group, name) for group, entries in FAMILIES.items() for name in entries
+])
+def test_every_family_builds_from_a_minimal_config(tmp_path, monkeypatch,
+                                                   group, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "frame.csv").write_text("1,0,0,0\n0,1,0,0\n0,0,1,0\n0,0,0,1\n")
+    (tmp_path / "symbol.csv").write_text("0,1,0\n0.25,2,0\n0.5,3,0\n0.75,4,1\n")
+    space = measure.periodic_unit_grid(4)
+    mdl = model.make_model(space, model.RawSamples())
+    args = {
+        "spaces": (),
+        "models": (space,),
+        # a discrete omega makes its own space and model
+        "frames": ((None, None, None) if name == "discrete"
+                   else (mdl, space, maps.delta_frame(mdl, space))),
+        "symbols": (space,),
+    }[group]
+    cfg = {"family": name, **MINIMAL_PARAMS[group, name]}
+    built = build_family(group, cfg, group, *args)
+    if group == "symbols":
+        assert multiplier.make_symbol(space, built).values.shape == (4,)
+    else:
+        kind = {"spaces": measure.SampledMeasureSpace, "models": model.ModelSpace,
+                "frames": maps.DistributionMap}[group]
+        assert isinstance(built, kind)
+
+
+def test_reports_leave_out_what_is_not_a_field_or_is_marked():
+    space = measure.counting(2)
+    mdl = model.make_model(space, model.RawSamples())
+    delta = maps.delta_frame(mdl, space)
+    op = multiplier.build(multiplier.make_symbol(space, [1.0, 2.0]), delta, delta)
+    assert set(_jsonify(multiplier.compose(op, op))) == {
+        "residual", "dual_pair", "asserted"}
+    assert "condition_number" not in _jsonify(maps.diagnose(delta))
