@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import enum
+import functools
 import json
 import math
 import sys
@@ -577,7 +578,10 @@ class Context:
     theta: maps.DistributionMap
     symbol: multiplier.Symbol
 
+    @functools.cached_property
     def operator(self) -> multiplier.MultiplierOperator:
+        """The validated multiplier, built once and shared by the suites; a
+        build error is not cached, so it fails each suite that reads it."""
         return multiplier.build(self.symbol, self.omega, self.theta)
 
 
@@ -648,7 +652,7 @@ def _suite_dual(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
 
 def _suite_multiplier(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     failures = []
-    op = ctx.operator()
+    op = ctx.operator
     analysis, diag_wm, synthesis = op.factored()
     refactored = (synthesis * diag_wm[None, :]) @ analysis
     fact_residual = float(np.linalg.norm(op.dense - refactored))
@@ -682,6 +686,21 @@ def _suite_multiplier(config: ExperimentConfig, ctx: Context, seed: int, out: Pa
     return data, failures
 
 
+def _calculus_trial(ctx: Context, rng: np.random.Generator,
+                    tol: float) -> tuple[float, bool]:
+    """(residual, asserted) of composing the multipliers of two random
+    symbols; the trial's matrices are freed when it returns."""
+    ops = []
+    for _ in range(2):
+        m = multiplier.make_symbol(
+            ctx.space, rng.uniform(0.5, 2.0, len(ctx.space))
+            * np.exp(2j * np.pi * rng.random(len(ctx.space)))
+        )
+        ops.append(multiplier.build(m, ctx.omega, ctx.theta, validate=False))
+    report = multiplier.compose(*ops, tol=tol)
+    return report.residual, report.asserted
+
+
 def _suite_calculus(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     tol = config.tolerance
     failures = []
@@ -689,20 +708,10 @@ def _suite_calculus(config: ExperimentConfig, ctx: Context, seed: int, out: Path
     results = []
     dual_pair = multiplier.is_dual_pair(ctx.omega, ctx.theta)
     for _ in range(10):
-        m1 = multiplier.make_symbol(
-            ctx.space, rng.uniform(0.5, 2.0, len(ctx.space))
-            * np.exp(2j * np.pi * rng.random(len(ctx.space)))
-        )
-        m2 = multiplier.make_symbol(
-            ctx.space, rng.uniform(0.5, 2.0, len(ctx.space))
-            * np.exp(2j * np.pi * rng.random(len(ctx.space)))
-        )
-        op1 = multiplier.build(m1, ctx.omega, ctx.theta, validate=False)
-        op2 = multiplier.build(m2, ctx.omega, ctx.theta, validate=False)
-        report = multiplier.compose(op1, op2, tol=tol)
-        results.append(report.residual)
-        if report.asserted and report.residual > tol:
-            failures.append(f"calculus residual {report.residual:.3e} on dual pair")
+        residual, asserted = _calculus_trial(ctx, rng, tol)
+        results.append(residual)
+        if asserted and residual > tol:
+            failures.append(f"calculus residual {residual:.3e} on dual pair")
     data = {
         "dual_pair": dual_pair,
         "residuals": results,
@@ -713,7 +722,7 @@ def _suite_calculus(config: ExperimentConfig, ctx: Context, seed: int, out: Path
 
 def _suite_invert(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     failures = []
-    op = ctx.operator()
+    op = ctx.operator
     try:
         report = multiplier.invert(op)
     except FrameLabError as exc:
@@ -730,7 +739,7 @@ def _suite_invert(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
 
 def _suite_reconstruct(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     failures = []
-    op = ctx.operator()
+    op = ctx.operator
     rho, res_right = multiplier.reconstruction_pair(
         op, multiplier.Side.RIGHT, trials=50, seed=seed
     )
@@ -837,7 +846,7 @@ def _suite_quartet(config: ExperimentConfig, ctx: None, seed: int, out: Path):
 
 def _suite_oracle(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     failures = []
-    op = ctx.operator()
+    op = ctx.operator
     residual = lab.brute_force_pairing(op, trials=100, seed=seed)
     if residual > config.tolerance:
         failures.append(f"brute-force pairing residual {residual:.3e}")

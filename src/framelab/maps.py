@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedSpaceError,
 )
 from .measure import SampledMeasureSpace, _frozen_array, counting, same_grid
-from .model import DualElement, ModelSpace, TestFunction, transform_matrix
+from .model import ModelSpace, TestFunction, transform_matrix
 
 EIG_TOL = 1e-8
 RANK_RTOL = 1e-10
@@ -95,13 +95,6 @@ class DistributionMap:
         """Analysis values <f, omega_{x_j}> for all j."""
         c = f.coeffs if isinstance(f, TestFunction) else np.asarray(f, dtype=complex)
         return self.table @ c
-
-    def synthesize(self, xi) -> DualElement:
-        """Weighted synthesis of a coefficient function on X into the dual."""
-        xi = np.asarray(xi, dtype=complex)
-        if xi.shape != (self.n_points,):
-            raise ShapeMismatchError(f"expected {self.n_points} coefficients on X")
-        return DualElement(self.table.conj().T @ (self.space.weights * xi))
 
     def vectors(self) -> np.ndarray:
         """Rows of H coefficients: row j represents omega_{x_j} as an element of H."""

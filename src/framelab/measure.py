@@ -142,17 +142,6 @@ def counting(n_or_points) -> SampledMeasureSpace:
     )
 
 
-def atomic(points: Sequence[float], masses: Sequence[float]) -> SampledMeasureSpace:
-    """Atomic space with explicit atom masses."""
-    points = np.asarray(points, dtype=float)
-    return SampledMeasureSpace(
-        points=points,
-        weights=np.asarray(masses, dtype=float),
-        kind=SpaceKind.ATOMIC,
-        extent=float(len(points)),
-    )
-
-
 def periodic_unit_grid(n: int) -> SampledMeasureSpace:
     """Midpoint rule on [0, 1): points j/n, weights 1/n, period 1."""
     n = int(n)
@@ -279,7 +268,10 @@ def counting_family(ns: Sequence[int]) -> RefinementFamily:
 
 
 def symmetric_grid_family(schedule: Sequence[tuple]) -> RefinementFamily:
-    return RefinementFamily(
+    family = RefinementFamily(
         generator=lambda n, L: symmetric_grid(n, L),
         schedule=tuple(schedule),
     )
+    if any(n < 2 for n, _ in family.schedule):
+        raise ScheduleError("every symmetric grid needs at least 2 points")
+    return family

@@ -5,7 +5,7 @@ A model fixes an ambient coordinate space (raw samples on the grid of a
 vector w defines the H inner product of raw samples, <u, v> = sum_j w_j
 u_j conj(v_j), and a distinguished K-dimensional subspace D spanned by an
 H-orthonormalized basis.  Test functions are coefficient vectors over that
-basis; dual elements act on test functions through a coefficient pairing.
+basis.
 """
 
 from __future__ import annotations
@@ -189,22 +189,6 @@ class TestFunction:
         object.__setattr__(self, "coeffs", c)
 
 
-@dataclass(frozen=True, eq=False)
-class DualElement:
-    """Conjugate-linear functional on D: <F, g> = sum_k action_k conj(g_k)."""
-
-    action: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.action, dtype=complex)
-        if not np.all(np.isfinite(a)):
-            raise ValueError("dual-element action must be finite")
-        object.__setattr__(self, "action", a)
-
-    def pair(self, g: TestFunction) -> complex:
-        return complex(np.sum(self.action * np.conj(g.coeffs)))
-
-
 def _coeffs(f) -> np.ndarray:
     return f.coeffs if isinstance(f, TestFunction) else np.asarray(f, dtype=complex)
 
@@ -230,14 +214,6 @@ def from_samples(model: ModelSpace, values) -> TestFunction:
     if v.shape != (model.ambient_dim,):
         raise ShapeMismatchError(f"expected {model.ambient_dim} sample values")
     return TestFunction(model.on_basis.conj().T @ (model.space.weights * v))
-
-
-def random_test_function(model: ModelSpace, rng: np.random.Generator,
-                         normalize: bool = True) -> TestFunction:
-    c = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
-    if normalize:
-        c = c / np.linalg.norm(c)
-    return TestFunction(c)
 
 
 # -- discrete transform on periodic grids ------------------------------------

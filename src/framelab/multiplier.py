@@ -15,6 +15,7 @@ it at configurable tolerances.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -28,7 +29,7 @@ from .errors import (
     ShapeMismatchError,
     SingularOperatorError,
 )
-from .maps import Classification, DistributionMap, _family_total, diagnose
+from .maps import RANK_RTOL, Classification, DistributionMap, _family_total, diagnose
 from .measure import (
     RefinementFamily,
     SampledMeasureSpace,
@@ -109,12 +110,39 @@ def split_symbol(m: Symbol) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class MultiplierOperator:
-    """Dense coefficient matrix of a multiplier plus its building blocks."""
+    """Dense coefficient matrix of a multiplier plus its building blocks.
+
+    ``dense`` is a read-only view, and its singular values, injectivity and
+    inverse are each computed at most once, on first use.
+    """
 
     dense: np.ndarray
     omega: DistributionMap
     theta: DistributionMap
     symbol: Symbol
+
+    def __post_init__(self):
+        dense = np.asarray(self.dense, dtype=complex).view()
+        dense.flags.writeable = False
+        object.__setattr__(self, "dense", dense)
+
+    @functools.cached_property
+    def singular_values(self) -> np.ndarray:
+        """Singular values of the dense matrix, largest first."""
+        return np.linalg.svd(self.dense, compute_uv=False)
+
+    @functools.cached_property
+    def injective(self) -> bool:
+        """The one rank rule: sigma_min > RANK_RTOL * sigma_max > 0."""
+        sigma = self.singular_values
+        return bool(sigma[0] > 0 and sigma[-1] > RANK_RTOL * sigma[0])
+
+    @functools.cached_property
+    def inverse(self) -> np.ndarray:
+        """Inverse of the dense matrix; SingularOperatorError unless injective."""
+        if not self.injective:
+            raise SingularOperatorError("multiplier is not injective")
+        return np.linalg.inv(self.dense)
 
     @property
     def space(self) -> SampledMeasureSpace:
@@ -183,7 +211,7 @@ def operator_norm(op: MultiplierOperator, verify_bound: bool = False,
     sqrt(B_omega * B_theta) * ess_sup(m) computed from fresh diagnostics; a
     violation raises, since the bound is exact linear algebra here.
     """
-    norm = float(np.linalg.svd(op.dense, compute_uv=False)[0]) if op.dim else 0.0
+    norm = float(op.singular_values[0]) if op.dim else 0.0
     if verify_bound:
         bound = norm_bound(op)
         if norm > bound + tol:
@@ -289,42 +317,45 @@ class InverseReport:
     vanishing_points: tuple
 
 
-def invert(op: MultiplierOperator, tol: float = BOUND_TOL,
-           rank_tol: float = 1e-10) -> InverseReport:
+def invert(op: MultiplierOperator) -> InverseReport:
     """Report injectivity, the inverse norm, and the applicable lower bounds.
 
     When the analysis map is mu-independent, the synthesis map total, and
-    the symbol nonvanishing, injectivity is guaranteed and its failure
-    raises.  When both maps are Riesz bases and |m| >= C > 0, the smallest
-    singular value must reach sqrt(A_theta * A_omega) * C; and for a dual
-    pair the inverse must agree with the multiplier of 1/m.  These are the
-    sufficient conditions of Stoeva & Balazs, "Invertibility of
-    multipliers", ACHA 33 (2012).
+    min|m| > RANK_RTOL * ess_sup|m| * kappa(omega) * kappa(theta) (kappa the
+    condition number of a weighted table), sigma_min / sigma_max exceeds
+    RANK_RTOL, so injectivity is guaranteed and its failure raises.  When
+    both maps are Riesz bases and |m| >= C > 0, the smallest singular value
+    must reach sqrt(A_theta * A_omega) * C; and for a dual pair the inverse
+    must agree with the multiplier of 1/m.  These are the sufficient
+    conditions of Stoeva & Balazs, "Invertibility of multipliers", ACHA 33
+    (2012).
     """
-    sigma = np.linalg.svd(op.dense, compute_uv=False)
+    m = op.symbol
+    sigma = op.singular_values
     sigma_min, sigma_max = float(sigma[-1]), float(sigma[0])
-    injective = sigma_max > 0 and sigma_min > rank_tol * sigma_max
+    injective = op.injective
     inverse_norm = 1.0 / sigma_min if injective else float("inf")
     vanishing = tuple(
-        int(j) for j in np.flatnonzero(np.abs(op.symbol.values) <= NONVANISHING_TOL)
+        int(j) for j in np.flatnonzero(np.abs(m.values) <= NONVANISHING_TOL)
     )
 
     d_omega = diagnose(op.omega)
     d_theta = diagnose(op.theta)
-    if d_omega.mu_independent and d_theta.total and op.symbol.nonvanishing:
-        if not injective:
-            raise InconsistencyError(
-                "multiplier of a mu-independent/total pair with nonvanishing "
-                "symbol must be injective"
-            )
+    guaranteed = m.min_modulus > (RANK_RTOL * m.ess_sup * d_omega.condition_number
+                                  * d_theta.condition_number)
+    if d_omega.mu_independent and d_theta.total and guaranteed and not injective:
+        raise InconsistencyError(
+            "multiplier of a mu-independent/total pair with nonvanishing "
+            "symbol must be injective"
+        )
 
     riesz = (Classification.RIESZ_BASIS, Classification.GELFAND_BASIS)
     lower_bound = None
     bound_satisfied = None
     if (d_omega.classification in riesz and d_theta.classification in riesz
-            and op.symbol.min_modulus > 0):
-        lower_bound = math.sqrt(d_theta.lower * d_omega.lower) * op.symbol.min_modulus
-        bound_satisfied = sigma_min >= lower_bound - tol
+            and m.min_modulus > 0):
+        lower_bound = math.sqrt(d_theta.lower * d_omega.lower) * m.min_modulus
+        bound_satisfied = sigma_min >= lower_bound - BOUND_TOL
         if not bound_satisfied:
             raise InconsistencyError(
                 f"sigma_min {sigma_min:.6e} below the Riesz lower bound "
@@ -332,12 +363,10 @@ def invert(op: MultiplierOperator, tol: float = BOUND_TOL,
             )
 
     reciprocal_residual = None
-    if injective and op.symbol.nonvanishing and is_dual_pair(op.omega, op.theta):
-        inv_m = make_symbol(op.space, 1.0 / op.symbol.values)
-        built = build(inv_m, op.omega, op.theta, validate=False).dense
-        reciprocal_residual = float(
-            np.linalg.norm(np.linalg.inv(op.dense) - built)
-        )
+    if injective and m.nonvanishing and is_dual_pair(op.omega, op.theta):
+        built = build(reciprocal_symbol(op.space, m), op.omega, op.theta,
+                      validate=False).dense
+        reciprocal_residual = float(np.linalg.norm(op.inverse - built))
     return InverseReport(
         sigma_min=sigma_min,
         sigma_max=sigma_max,
@@ -358,8 +387,7 @@ class Side(enum.Enum):
 
 
 def reconstruction_pair(op: MultiplierOperator, side: Side,
-                        trials: int = 20, seed: int = 0,
-                        rank_tol: float = 1e-12) -> tuple[DistributionMap, float]:
+                        trials: int = 20, seed: int = 0) -> tuple[DistributionMap, float]:
     """Build the reconstruction map induced by inverting the multiplier.
 
     RIGHT: with J = dense^{-1}, the map rho with table diag(m) E_omega J
@@ -370,10 +398,9 @@ def reconstruction_pair(op: MultiplierOperator, side: Side,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    sigma = np.linalg.svd(op.dense, compute_uv=False)
-    if sigma[-1] <= rank_tol * max(sigma[0], 1.0):
+    if not op.injective:
         raise SingularOperatorError("multiplier is singular; no reconstruction pair")
-    inv = np.linalg.inv(op.dense)
+    inv = op.inverse
     m = op.symbol.values
     if side is Side.RIGHT:
         table = m[:, None] * (op.omega.table @ inv)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framelab import maps, measure, model, multiplier
+from framelab import InconsistencyError, maps, measure, model, multiplier
 from framelab.cli import (
     EXIT_ASSERTION,
     EXIT_OK,
@@ -226,6 +226,10 @@ class TestRun:
         ("sweep.l_values", {"sweep": {"l_values": [2, 4]}}),
         ("sweep.l_values", {"sweep": {"kind": "bounded_control",
                                       "l_values": [2.2, 2.6, 3.5]}}),
+        # a first step of one grid point
+        ("sweep.l_values", {"sweep": {"l_values": [0.01, 0.2, 0.3]}}),
+        ("sweep.l_values", {"sweep": {"kind": "bounded_control",
+                                      "l_values": [0.5, 1, 2]}}),
     ])
     def test_bad_quartet_and_sweep_values_are_validation_errors(
             self, tmp_path, capsys, field, section):
@@ -317,6 +321,56 @@ class TestRun:
         })
         assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
         assert "invalid config: omega.csv: table shape (3, 2)" in capsys.readouterr().err
+
+    def test_injective_operator_with_tiny_symbol_passes_invert(self, tmp_path):
+        # diag(5e-11, 1) is injective in exact arithmetic but not under the
+        # relative rank rule; that is a verdict, not an inconsistency.
+        config = write_config(tmp_path, "cfg.json", {
+            "space": {"family": "periodic_unit_grid", "n": 8},
+            "model": {"family": "raw_samples"},
+            "omega": {"family": "delta"},
+            "symbol": {"family": "step", "low": 5e-11, "high": 1.0},
+            "suites": ["invert"],
+            "seed": 1,
+        })
+        out = tmp_path / "out"
+        assert run(config, out_dir=out) == EXIT_OK
+        data = load_report(out, "invert")["data"]
+        assert data["injective"] is False
+        assert data["sigma_min"] == pytest.approx(5e-11)
+
+    def test_suites_share_one_validated_operator(self, tmp_path, monkeypatch):
+        validated = []
+        build = multiplier.build
+
+        def counted(*args, **kwargs):
+            if kwargs.get("validate", True):
+                validated.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(multiplier, "build", counted)
+        config = write_config(tmp_path, "cfg.json", {
+            **PARSEVAL_CONFIG,
+            "suites": ["multiplier", "invert", "reconstruct", "oracle"],
+        })
+        assert run(config, out_dir=tmp_path / "out") == EXIT_OK
+        assert len(validated) == 1
+
+    def test_operator_build_error_fails_each_suite_that_reads_it(
+            self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InconsistencyError("dense matrix disagrees")
+
+        monkeypatch.setattr(multiplier, "build", broken)
+        config = write_config(tmp_path, "cfg.json", {
+            **PARSEVAL_CONFIG, "suites": ["diagnose", "multiplier", "oracle"],
+        })
+        out = tmp_path / "out"
+        assert run(config, out_dir=out) == EXIT_ASSERTION
+        assert load_report(out, "diagnose")["passed"]
+        for suite in ("multiplier", "oracle"):
+            assert load_report(out, suite)["data"] == {
+                "error": "dense matrix disagrees"}
 
 
 class TestMain:

@@ -269,6 +269,43 @@ class TestInvert:
             invert(corrupted)
 
 
+class TestDecompositionCache:
+    def test_norm_invert_and_reconstruction_decompose_once(self, rng, monkeypatch):
+        omega, theta = riesz_dual_pair(5, rng)
+        diagnose(omega), diagnose(theta)  # the maps' own spectra
+        op = build(random_bounded_symbol(omega.space, rng, lo=0.5, hi=2.0),
+                   omega, theta)
+        calls = {"svd": 0, "inv": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        operator_norm(op)
+        report = invert(op)
+        reconstruction_pair(op, Side.RIGHT)
+        reconstruction_pair(op, Side.LEFT)
+        assert report.reciprocal_residual < 1e-10
+        assert calls == {"svd": 1, "inv": 1}
+
+    def test_dense_is_read_only(self):
+        op = diag_operator((2, 3, 5))
+        with pytest.raises(ValueError):
+            op.dense[0, 0] = 7.0
+
+    def test_invert_and_reconstruction_share_the_rank_rule(self):
+        singular = diag_operator((1, 5e-11, 1))
+        assert not invert(singular).injective
+        for side in Side:
+            with pytest.raises(SingularOperatorError):
+                reconstruction_pair(singular, side)
+        tiny = diag_operator((1e-13, 2e-13, 3e-13))
+        assert invert(tiny).injective
+        for side in Side:
+            _, residual = reconstruction_pair(tiny, side)
+            assert residual < 1e-12
+
+
 class TestReconstructionPair:
     def delta_pair_operator(self, n=8):
         space = fourier_grid(n)
