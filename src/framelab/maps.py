@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     GridMismatchError,
@@ -29,6 +30,8 @@ from .model import ModelSpace, TestFunction, transform_matrix
 
 EIG_TOL = 1e-8
 RANK_RTOL = 1e-10
+# An analysis value may exceed its envelope by this much.
+BOUND_SLACK = 1e-10
 
 
 class Classification(enum.Enum):
@@ -393,50 +396,59 @@ class OrthogonalityReport:
     reason: str = ""
 
 
-def _family_total(model: ModelSpace, family: Sequence[TestFunction],
-                  rank_tol: float) -> bool:
-    if not family:
-        return False
-    coeffs = np.asarray([f.coeffs for f in family])
+def _witness_analysis(omega: DistributionMap, family: Sequence[TestFunction],
+                      support_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """One evaluation of a non-empty witness family, stacked as K x F coefficients.
+
+    Returns the J x F analysis matrix (column f holds <f, omega_j>), its
+    moduli, the support mask (moduli above ``support_tol``) and whether the
+    family is total in D (full rank at relative tolerance RANK_RTOL).
+    """
+    coeffs = np.array([f.coeffs for f in family]).T
     sigma = np.linalg.svd(coeffs, compute_uv=False)
-    rank = int(np.sum(sigma > rank_tol * sigma[0])) if sigma[0] > 0 else 0
-    return rank == model.dim
+    total = bool(np.sum(sigma > RANK_RTOL * sigma[0]) == omega.dim)
+    analysis = omega.table @ coeffs
+    values = np.abs(analysis)
+    return analysis, values, values > support_tol, total
 
 
-def _support_record(omega: DistributionMap, f: TestFunction, index: int,
-                    support_tol: float, alpha: np.ndarray | None,
-                    bound_slack: float,
-                    max_support_fraction: float | None) -> SupportRecord:
-    values = np.abs(omega.analyze(f))
-    on = values > support_tol
-    support_measure = float(np.sum(omega.space.weights[on]))
-    if max_support_fraction is None:
-        strict = int(np.sum(on)) < omega.n_points
+def _orthogonality(omega: DistributionMap, family: Sequence[TestFunction],
+                   support_tol: float,
+                   alpha: np.ndarray | None = None) -> OrthogonalityReport:
+    """Support records of a non-empty family, with the envelope bound if alpha."""
+    values, on, total = _witness_analysis(omega, family, support_tol)[1:]
+    violations = [None] * len(family)
+    if alpha is not None:
+        excess = values - alpha[:, None]
+        excess[~on] = -np.inf
+        worst = np.argmax(excess, axis=0)
+        for i in np.flatnonzero(excess[worst, np.arange(len(family))] > BOUND_SLACK):
+            j = int(worst[i])
+            violations[i] = (j, float(values[j, i]), float(alpha[j]))
+    sizes = on.sum(axis=0)
+    columns = zip(sizes.tolist(), (omega.space.weights @ on).tolist(),
+                  np.max(values, axis=0, where=on, initial=0.0).tolist(),
+                  np.max(values, axis=0, where=~on, initial=0.0).tolist(),
+                  (sizes < omega.n_points).tolist(), violations)
+    records = tuple(
+        SupportRecord(i, size, measure, sup, off, strict, violation,
+                      passed=strict and violation is None)
+        for i, (size, measure, sup, off, strict, violation) in enumerate(columns))
+    passed = total and all(r.passed for r in records)
+    if passed:
+        reason = ""
+    elif not total:
+        reason = "witness family is not total"
+    elif any(violations):
+        reason = "envelope bound violated"
     else:
-        strict = support_measure <= max_support_fraction * omega.space.total_measure
-    violation = None
-    if alpha is not None and np.any(on):
-        excess = values[on] - alpha[on]
-        worst = int(np.argmax(excess))
-        if excess[worst] > bound_slack:
-            j = int(np.flatnonzero(on)[worst])
-            violation = (j, float(values[j]), float(alpha[j]))
-    return SupportRecord(
-        index=index,
-        support_size=int(np.sum(on)),
-        support_measure=support_measure,
-        sup_on_support=float(values[on].max()) if np.any(on) else 0.0,
-        max_off_support=float(values[~on].max()) if np.any(~on) else 0.0,
-        strict_subset=bool(strict),
-        bound_violation=violation,
-        passed=bool(strict) and violation is None,
-    )
+        reason = "support is not proper"
+    return OrthogonalityReport(passed=passed, total=total, records=records,
+                               reason=reason)
 
 
 def check_pseudo_orthogonal(omega: DistributionMap, family: Sequence[TestFunction],
-                            support_tol: float = 1e-9,
-                            rank_tol: float = RANK_RTOL,
-                            max_support_fraction: float | None = None) -> OrthogonalityReport:
+                            support_tol: float = 1e-9) -> OrthogonalityReport:
     """Certify a witness family for proper-support orthogonality.
 
     Each witness must have analysis support on a strict subset of the points
@@ -448,35 +460,20 @@ def check_pseudo_orthogonal(omega: DistributionMap, family: Sequence[TestFunctio
         return OrthogonalityReport(
             passed=False, total=False, records=(), reason="empty witness family"
         )
-    records = tuple(
-        _support_record(omega, f, i, support_tol, None, 0.0, max_support_fraction)
-        for i, f in enumerate(family)
-    )
-    total = _family_total(omega.model, family, rank_tol)
-    passed = total and all(r.passed for r in records)
-    reason = "" if passed else (
-        "witness family is not total" if not total else "support is not proper"
-    )
-    return OrthogonalityReport(passed=passed, total=total, records=records,
-                               reason=reason)
+    return _orthogonality(omega, family, support_tol)
 
 
 def check_hyper_orthogonal(omega: DistributionMap, alpha,
                            family_builder: Callable[[np.ndarray], Sequence[TestFunction]],
-                           support_tol: float = 1e-9,
-                           rank_tol: float = RANK_RTOL,
-                           bound_slack: float = 1e-10,
-                           max_support_fraction: float | None = None) -> OrthogonalityReport:
+                           support_tol: float = 1e-9) -> OrthogonalityReport:
     """Certify a dominated witness family built for a positive envelope alpha.
 
     The builder receives alpha sampled on the points and must return test
-    functions whose analysis values stay below alpha on their support and
-    vanish (below ``support_tol``) elsewhere, with the family total in D.
+    functions whose analysis values stay below alpha (up to ``BOUND_SLACK``)
+    on their support and vanish (below ``support_tol``) elsewhere, with the
+    family total in D.
     """
-    if callable(alpha):
-        alpha_values = np.asarray([alpha(x) for x in omega.space.points], dtype=float)
-    else:
-        alpha_values = np.asarray(alpha, dtype=float)
+    alpha_values = np.asarray(alpha, dtype=float)
     if alpha_values.shape != (omega.n_points,):
         raise ShapeMismatchError("alpha must be sampled on the point set")
     if np.any(alpha_values <= 0.0):
@@ -487,23 +484,7 @@ def check_hyper_orthogonal(omega: DistributionMap, alpha,
             passed=False, total=False, records=(),
             reason="builder returned an empty witness family",
         )
-    records = tuple(
-        _support_record(omega, f, i, support_tol, alpha_values, bound_slack,
-                        max_support_fraction)
-        for i, f in enumerate(family)
-    )
-    total = _family_total(omega.model, family, rank_tol)
-    passed = total and all(r.passed for r in records)
-    if passed:
-        reason = ""
-    elif not total:
-        reason = "witness family is not total"
-    elif any(r.bound_violation for r in records):
-        reason = "envelope bound violated"
-    else:
-        reason = "support is not proper"
-    return OrthogonalityReport(passed=passed, total=total, records=records,
-                               reason=reason)
+    return _orthogonality(omega, family, support_tol, alpha_values)
 
 
 # -- builtin witness families --------------------------------------------------
@@ -527,21 +508,21 @@ def bump_family(model: ModelSpace, heights=None,
     if heights is None:
         heights = np.ones(n)
     heights = np.asarray(heights, dtype=float)
-    values = np.zeros((n, n), dtype=complex)
-    for c in range(n):
-        values[max(0, c - half_width):min(n, c + half_width + 1), c] = heights[c]
-    return _project_columns(model, values)
+    index = np.arange(n)
+    within = np.abs(index[:, None] - index[None, :]) <= half_width
+    return _project_columns(model, within * heights[None, :])
 
 
 def scaled_bump_family(model: ModelSpace, alpha_values,
                        half_width: int = 0) -> list[TestFunction]:
-    """Bumps dominated by an envelope: height = min of alpha over the bump."""
-    alpha_values = np.asarray(alpha_values, dtype=float)
-    n = model.ambient_dim
-    heights = np.array([
-        alpha_values[max(0, c - half_width):min(n, c + half_width + 1)].min()
-        for c in range(n)
-    ])
+    """Bumps dominated by an envelope: height = min of alpha over the bump.
+
+    Bumps live on the model grid, so only its first ``ambient_dim`` envelope
+    values are read.
+    """
+    envelope = np.asarray(alpha_values, dtype=float)[:model.ambient_dim]
+    padded = np.pad(envelope, half_width, constant_values=np.inf)
+    heights = sliding_window_view(padded, 2 * half_width + 1).min(axis=1)
     return bump_family(model, heights=heights, half_width=half_width)
 
 

@@ -207,10 +207,6 @@ def l2_inner(space: SampledMeasureSpace, xi, eta) -> complex:
     return complex(np.sum(space.weights * x * np.conj(y)))
 
 
-def l2_norm(space: SampledMeasureSpace, xi) -> float:
-    return math.sqrt(max(l2_inner(space, xi, xi).real, 0.0))
-
-
 def ess_sup(space: SampledMeasureSpace, xi) -> float:
     """Largest modulus over the (all positive-weight) points."""
     values = _as_values(space, xi)
@@ -251,20 +247,6 @@ def refine(family: RefinementFamily, step: int) -> SampledMeasureSpace:
         )
     n, L = family.schedule[step]
     return family.generator(n, L)
-
-
-def unit_grid_family(ns: Sequence[int]) -> RefinementFamily:
-    return RefinementFamily(
-        generator=lambda n, L: periodic_unit_grid(n),
-        schedule=tuple((n, 1.0) for n in ns),
-    )
-
-
-def counting_family(ns: Sequence[int]) -> RefinementFamily:
-    return RefinementFamily(
-        generator=lambda n, L: counting(n),
-        schedule=tuple((n, float(n)) for n in ns),
-    )
 
 
 def symmetric_grid_family(schedule: Sequence[tuple]) -> RefinementFamily:

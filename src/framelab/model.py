@@ -193,16 +193,6 @@ def _coeffs(f) -> np.ndarray:
     return f.coeffs if isinstance(f, TestFunction) else np.asarray(f, dtype=complex)
 
 
-def h_inner(model: ModelSpace, f, g) -> complex:
-    """Inner product sum_k f_k conj(g_k); valid because the basis is orthonormal."""
-    cf, cg = _coeffs(f), _coeffs(g)
-    if cf.shape != (model.dim,) or cg.shape != (model.dim,):
-        raise ShapeMismatchError(
-            f"coefficient vectors must have length {model.dim}"
-        )
-    return complex(np.sum(cf * np.conj(cg)))
-
-
 def to_samples(model: ModelSpace, f) -> np.ndarray:
     """Raw sample values of a test function on the model grid."""
     return model.on_basis @ _coeffs(f)

@@ -29,7 +29,7 @@ from .errors import (
     ShapeMismatchError,
     SingularOperatorError,
 )
-from .maps import RANK_RTOL, Classification, DistributionMap, _family_total, diagnose
+from .maps import RANK_RTOL, Classification, DistributionMap, _witness_analysis, diagnose
 from .measure import (
     RefinementFamily,
     SampledMeasureSpace,
@@ -171,6 +171,15 @@ class MultiplierOperator:
         return complex(np.vdot(cg, self.dense @ cf))
 
 
+def _check_factors(m: Symbol, omega: DistributionMap, theta: DistributionMap):
+    if not same_grid(omega.space, theta.space):
+        raise GridMismatchError("analysis and synthesis maps on different spaces")
+    if omega.dim != theta.dim:
+        raise GridMismatchError("analysis and synthesis maps on different models")
+    if len(m.values) != omega.n_points:
+        raise ShapeMismatchError("symbol not sampled on the shared space")
+
+
 def build(m: Symbol, omega: DistributionMap, theta: DistributionMap,
           validate: bool = True, tol: float = RESIDUAL_TOL) -> MultiplierOperator:
     """Assemble the dense multiplier matrix for symbol m, analysis omega,
@@ -181,12 +190,7 @@ def build(m: Symbol, omega: DistributionMap, theta: DistributionMap,
     against the direct weighted sum; disagreement raises, since the two are
     the same computation in different association orders.
     """
-    if not same_grid(omega.space, theta.space):
-        raise GridMismatchError("analysis and synthesis maps on different spaces")
-    if omega.dim != theta.dim:
-        raise GridMismatchError("analysis and synthesis maps on different models")
-    if len(m.values) != omega.n_points:
-        raise ShapeMismatchError("symbol not sampled on the shared space")
+    _check_factors(m, omega, theta)
     wm = omega.space.weights * m.values
     dense = theta.table.conj().T @ (wm[:, None] * omega.table)
     op = MultiplierOperator(dense=dense, omega=omega, theta=theta, symbol=m)
@@ -458,37 +462,32 @@ def density_certificate(omega: DistributionMap, theta: DistributionMap,
     For each witness f with analysis support X_f the norm of M f must stay
     below  sup_{X_f} |<f, omega_j>| * sqrt(B_theta) * ||m||_{L2(X_f)}; with
     a total family this is the finite shadow of a densely defined
-    multiplier for locally square-integrable symbols.
+    multiplier for locally square-integrable symbols.  Each ||M f|| comes
+    from the factorization, as a column norm of E_theta^H (w * m * analysis)
+    over the family's one analysis matrix; no operator is built.
     """
     if not family:
         return DensityReport(passed=False, total=False, records=(),
                              reason="empty witness family")
+    _check_factors(m, omega, theta)
     b_theta = diagnose(theta).upper
-    op = build(m, omega, theta, validate=False)
-    w = omega.space.weights
-    records = []
-    for i, f in enumerate(family):
-        values = np.abs(omega.analyze(f))
-        on = values > support_tol
-        c_f = float(values[on].max()) if np.any(on) else 0.0
-        m_l2 = math.sqrt(float(np.sum(w[on] * np.abs(m.values[on]) ** 2)))
-        bound = c_f * math.sqrt(b_theta) * m_l2
-        norm_mf = float(np.linalg.norm(op.dense @ f.coeffs))
-        records.append(DensityRecord(
-            index=i,
-            support_size=int(np.sum(on)),
-            sup_on_support=c_f,
-            symbol_l2_on_support=m_l2,
-            bound=bound,
-            norm_mf=norm_mf,
-            passed=norm_mf <= bound + tol,
-        ))
-    total = _family_total(omega.model, family, rank_tol=1e-10)
+    analysis, values, on, total = _witness_analysis(omega, family, support_tol)
+    c_f = np.max(values, axis=0, where=on, initial=0.0)
+    del values  # freed before the J x F product below, which sets this suite's peak
+    m_l2 = np.sqrt((omega.space.weights * np.abs(m.values) ** 2) @ on)
+    bound = c_f * math.sqrt(b_theta) * m_l2
+    # ||E_theta^H X|| = ||E_theta^T conj(X)|| per column: no copy of E_theta^H.
+    analysis *= (omega.space.weights * m.values)[:, None]
+    np.conj(analysis, out=analysis)
+    norm_mf = np.linalg.norm(theta.table.T @ analysis, axis=0)
+    columns = (on.sum(axis=0), c_f, m_l2, bound, norm_mf, norm_mf <= bound + tol)
+    records = tuple(DensityRecord(i, *row) for i, row in
+                    enumerate(zip(*(column.tolist() for column in columns))))
     passed = total and all(r.passed for r in records)
     reason = "" if passed else (
         "witness family is not total" if not total else "bound violated"
     )
-    return DensityReport(passed=passed, total=total, records=tuple(records),
+    return DensityReport(passed=passed, total=total, records=records,
                          reason=reason)
 
 
@@ -574,23 +573,23 @@ def closability_check(omega: DistributionMap, theta: DistributionMap, m: Symbol,
     if not dual_family:
         return ClosabilityReport(passed=False, total=False, residual=float("inf"),
                                  reason="empty dual witness family")
-    op = build(m, omega, theta, validate=False)
-    op_adj = build(conj_symbol(omega.space, m), theta, omega, validate=False)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        f = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-        f = f / np.linalg.norm(f)
-        for g in dual_family:
-            lhs = op.pair(f, g)  # <M f, g>
-            rhs = np.vdot(op_adj.dense @ g.coeffs, f)  # <f, M' g>
-            worst = max(worst, abs(lhs - rhs))
-    total = _family_total(omega.model, dual_family, rank_tol=1e-10)
+    _check_factors(m, omega, theta)
+    # Column g of `weighted` is w * m * conj(E_theta g), the family's analysis
+    # by theta: <M f, g> = weighted^T E_omega f and conj(M' g) = E_omega^T weighted.
+    weighted, _, _, total = _witness_analysis(theta, dual_family, 0.0)
+    np.conj(weighted, out=weighted)
+    weighted *= (omega.space.weights * m.values)[:, None]
+    draws = np.random.default_rng(seed).standard_normal((trials, 2, omega.dim))
+    f = (draws[:, 0] + 1j * draws[:, 1]).T
+    f /= np.linalg.norm(f, axis=0)
+    lhs = weighted.T @ (omega.table @ f)  # <M f, g>, one row per g
+    rhs = (omega.table.T @ weighted).T @ f  # <f, M' g>
+    worst = float(np.max(np.abs(lhs - rhs)))
     passed = total and worst <= tol
     reason = "" if passed else (
         "dual witness family is not total" if not total else "pairing mismatch"
     )
-    return ClosabilityReport(passed=passed, total=total, residual=float(worst),
+    return ClosabilityReport(passed=passed, total=total, residual=worst,
                              reason=reason)
 
 

@@ -346,6 +346,23 @@ class TestPseudoOrthogonality:
         assert all(r.max_off_support <= 1e-9 for r in report.records)
 
 
+def loop_bump_coeffs(model, heights, half_width):
+    """The per-center loop that built bump_family, kept as its reference."""
+    n = model.ambient_dim
+    values = np.zeros((n, n), dtype=complex)
+    for c in range(n):
+        values[max(0, c - half_width):min(n, c + half_width + 1), c] = heights[c]
+    return model.on_basis.conj().T @ (model.space.weights[:, None] * values)
+
+
+def loop_scaled_heights(alpha_values, n, half_width):
+    """The per-center loop that gave scaled_bump_family its heights."""
+    return np.array([
+        alpha_values[max(0, c - half_width):min(n, c + half_width + 1)].min()
+        for c in range(n)
+    ])
+
+
 class TestWitnessFamilies:
     @pytest.mark.parametrize("half_width", [0, 2])
     def test_bump_family_equals_per_column_projection(self, rng, half_width):
@@ -358,6 +375,12 @@ class TestWitnessFamilies:
             values[max(0, c - half_width):c + half_width + 1] = heights[c]
             expected = from_samples(model, values).coeffs
             assert np.max(np.abs(f.coeffs - expected)) < 1e-14
+        assert np.array_equal(np.array([f.coeffs for f in family]).T,
+                              loop_bump_coeffs(model, heights, half_width))
+        scaled = scaled_bump_family(model, heights, half_width=half_width)
+        expected = loop_bump_coeffs(
+            model, loop_scaled_heights(heights, 16, half_width), half_width)
+        assert np.array_equal(np.array([f.coeffs for f in scaled]).T, expected)
 
     def test_band_limited_family_equals_per_column_projection(self, rng):
         model, space = unit_grid_setup(16, degree=5)

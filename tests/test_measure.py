@@ -11,7 +11,6 @@ from framelab import (
     ShapeMismatchError,
     SpaceKind,
     counting,
-    counting_family,
     ess_sup,
     fourier_grid,
     l2_inner,
@@ -20,7 +19,6 @@ from framelab import (
     same_grid,
     symmetric_grid,
     symmetric_grid_family,
-    unit_grid_family,
 )
 
 
@@ -123,15 +121,21 @@ class TestSpaceInvariants:
         assert set(payload) == {"kind", "points", "weights", "extent", "periodic"}
 
 
+def unit_grids(ns):
+    return RefinementFamily(generator=lambda n, L: periodic_unit_grid(n),
+                            schedule=[(n, 1.0) for n in ns])
+
+
 class TestRefinement:
     def test_unit_grid_step(self):
-        family = unit_grid_family([8, 16])
+        family = unit_grids([8, 16])
         space = refine(family, 0)
         assert len(space) == 8
         assert np.allclose(space.weights, 1 / 8)
 
     def test_counting_family_unit_weights(self):
-        family = counting_family([4, 8, 16])
+        family = RefinementFamily(generator=lambda n, L: counting(n),
+                                  schedule=[(4, 4.0), (8, 8.0), (16, 16.0)])
         for step in range(3):
             assert np.all(refine(family, step).weights == 1.0)
 
@@ -141,12 +145,12 @@ class TestRefinement:
         assert np.allclose(space.points, np.arange(-4, 5))
 
     def test_refine_is_deterministic(self):
-        family = unit_grid_family([8, 16])
+        family = unit_grids([8, 16])
         assert same_grid(refine(family, 1), refine(family, 1))
 
     def test_step_out_of_range(self):
         with pytest.raises(ScheduleError):
-            refine(unit_grid_family([8]), 1)
+            refine(unit_grids([8]), 1)
 
     def test_schedule_must_increase(self):
         with pytest.raises(ScheduleError):
