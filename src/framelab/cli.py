@@ -3,8 +3,9 @@
 Reads a single JSON document describing a space, a model, two frame
 families, a symbol and a set of verification suites; runs the suites in
 dependency order; writes one deterministic JSON report per suite plus
-optional CSV sweep data.  Exit codes: 0 all assertions passed, 2 parse
-error, 3 validation error, 4 at least one suite assertion failed.
+optional CSV sweep data.  Exit codes: 0 all assertions passed, 2 config
+unreadable or unparsable, 3 validation error (values, data or output
+paths), 4 at least one suite assertion failed.
 """
 
 from __future__ import annotations
@@ -194,6 +195,8 @@ def _existing_path(value) -> Path:
     path = Path(_text(value))
     if not path.exists():
         raise ValueError(f"file does not exist: {path}")
+    if not path.is_file():
+        raise ValueError(f"not a regular file: {path}")
     return path
 
 
@@ -498,9 +501,12 @@ def _sweep_family(kind: str, l_values: list, ppu: int) -> measure.RefinementFami
             family = measure.symmetric_grid_family(
                 tuple((ppu * int(L) + 1, float(L)) for L in l_values)
             )
-        return lab.require_sweep_steps(family)
     except ScheduleError as exc:
         raise ConfigError("l_values", str(exc)) from None
+    if len(family) < multiplier.MIN_SWEEP_STEPS:
+        raise ConfigError("l_values", "a growth sweep needs at least "
+                          f"{multiplier.MIN_SWEEP_STEPS} schedule steps")
+    return family
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -548,7 +554,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             _need(sweep, "points_per_unit", _count, 8),
         )
     with _within("orthogonality"):
-        support_tol = _need(section("orthogonality", {}), "support_tol", _positive, 1e-9)
+        support_tol = _need(section("orthogonality", {}), "support_tol", _positive,
+                            maps.SUPPORT_TOL)
 
     return ExperimentConfig(
         space=space,
@@ -557,9 +564,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         theta=section("theta", {"family": "same"}),
         symbol=section("symbol", {"family": "constant", "value": 1.0}),
         suites=suites,
-        tolerance=_need(raw, "tolerance", _positive, 1e-10),
+        tolerance=_need(raw, "tolerance", _positive, multiplier.RESIDUAL_TOL),
         seed=seed,
-        output_dir=str(raw.get("output_dir", "reports")),
+        output_dir=_need(raw, "output_dir", _text, "reports"),
         support_tol=support_tol,
         quartet_ns=quartet_ns,
         quartet_symbols=quartet_symbols,
@@ -805,9 +812,7 @@ def _suite_sweep(config: ExperimentConfig, ctx: None, seed: int, out: Path):
     failures = []
     if config.sweep_kind == "weighted_delta":
         result = lab.unboundedness_sweep(config.sweep_family, lab.coordinate_multiplier)
-        for (n, L), norm in zip(result.schedule, result.norms):
-            if norm < 0.9 * L:
-                failures.append(f"norm {norm:.3e} below 0.9*L at L={L}")
+        failures.extend(lab.norm_floor_misses(result))
         if result.verdict is not lab.GrowthVerdict.UNBOUNDED:
             failures.append("expected an unbounded verdict")
     else:
@@ -866,6 +871,15 @@ SUITES = {name: globals()[f"_suite_{name}"] for name in SUITE_ORDER}
 
 # -- runner -------------------------------------------------------------------------
 
+def _report_dir(name: str) -> Path:
+    """Create the report directory; a path that cannot be one is a ConfigError."""
+    try:
+        Path(name).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("output_dir", f"cannot create {name}: {exc.strerror}") from None
+    return Path(name)
+
+
 def run(config_path, out_dir=None, tol=None, seed=None,
         json_output: bool = False) -> int:
     """Execute the experiment described by a JSON config file.
@@ -881,6 +895,9 @@ def run(config_path, out_dir=None, tol=None, seed=None,
         raw = json.loads(path.read_text())
     except FileNotFoundError:
         print(f"error: config file not found: {path}", file=sys.stderr)
+        return EXIT_PARSE
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read config file {path}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except json.JSONDecodeError as exc:
         print(f"error: config parse failed at line {exc.lineno}, column "
@@ -901,15 +918,13 @@ def run(config_path, out_dir=None, tol=None, seed=None,
     try:
         config = parse_config(raw)
         ctx = build_context(config) if _needs_context(config.suites) else None
+        out = _report_dir(config.output_dir)
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except FrameLabError as exc:
         print(f"error: cannot build experiment: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     all_failures = []
     for suite in config.suites:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InconsistencyError, ScheduleError, UnsupportedSpaceError
+from .errors import InconsistencyError, UnsupportedSpaceError
 from .maps import (
     DistributionMap,
     delta_frame,
@@ -32,19 +32,21 @@ from .measure import (
     SampledMeasureSpace,
     counting,
     fourier_grid,
-    refine,
     symmetric_grid_family,
 )
-from .model import RawSamples, from_samples, make_model, to_samples
+from .model import RANK_RTOL, RawSamples, from_samples, make_model, to_samples
 from .multiplier import (
+    GROWTH_THRESHOLD,
+    RESIDUAL_TOL,
     MultiplierOperator,
-    _growth_exponent,
+    _growth_sweep,
     build,
     make_symbol,
     operator_norm,
 )
 
-GROWTH_THRESHOLD = 0.25
+REDUCTION_TOL = 1e-14  # classical and table-path bounds agree to it * max(1, B)
+NORM_FLOOR = 0.9  # each weighted-delta sweep norm reaches NORM_FLOOR * L
 
 
 # -- pairing oracle ------------------------------------------------------------
@@ -111,8 +113,8 @@ class ReductionComparison:
     agree: bool
 
 
-def discrete_reduction_oracle(vectors: Sequence, tol: float = 1e-14,
-                              rank_tol: float = 1e-10) -> ReductionComparison:
+def discrete_reduction_oracle(vectors: Sequence,
+                              tol: float = REDUCTION_TOL) -> ReductionComparison:
     """Compare classical discrete frame bounds with the table-path diagnostics.
 
     The classical side accumulates sum_j |phi_j><phi_j| explicitly and takes
@@ -128,7 +130,7 @@ def discrete_reduction_oracle(vectors: Sequence, tol: float = 1e-14,
     eigs = np.linalg.eigvalsh(gram)
     classical_upper = float(max(eigs[-1], 0.0))
     classical_lower = float(max(eigs[0], 0.0)) if j >= k else 0.0
-    classical_total = j >= k and classical_lower > (rank_tol ** 2) * classical_upper
+    classical_total = j >= k and classical_lower > (RANK_RTOL ** 2) * classical_upper
 
     space = counting(j)
     model = make_model(counting(k), RawSamples())
@@ -207,7 +209,7 @@ class QuartetReport:
 
 
 def fourier_quartet_check(n: int, symbol_values, trials: int = 5,
-                          seed: int = 0, tol: float = 1e-10) -> QuartetReport:
+                          seed: int = 0, tol: float = RESIDUAL_TOL) -> QuartetReport:
     """Check the four multipliers of the point/frequency pair on one grid.
 
     Uses the self-dual grid, where analysis with the exponential family is
@@ -307,31 +309,18 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def require_sweep_steps(family: RefinementFamily) -> RefinementFamily:
-    """Return ``family`` if it has the 3 steps a growth fit needs, else raise."""
-    if len(family) < 3:
-        raise ScheduleError("unboundedness sweep needs at least 3 schedule steps")
-    return family
-
-
-def unboundedness_sweep(family: RefinementFamily,
-                        builder: Callable[[SampledMeasureSpace], MultiplierOperator],
-                        threshold: float = GROWTH_THRESHOLD) -> SweepResult:
+def unboundedness_sweep(
+        family: RefinementFamily,
+        builder: Callable[[SampledMeasureSpace], MultiplierOperator]) -> SweepResult:
     """Operator norm per schedule step, growth fit, bounded/unbounded verdict."""
-    require_sweep_steps(family)
-    norms = []
-    for step in range(len(family)):
-        space = refine(family, step)
-        norms.append(operator_norm(builder(space)))
-    growth = _growth_exponent(family.schedule, norms)
-    verdict = (GrowthVerdict.UNBOUNDED if growth > threshold
-               else GrowthVerdict.BOUNDED)
+    norms, growth, grows = _growth_sweep(
+        family, lambda space: operator_norm(builder(space)))
     return SweepResult(
         schedule=family.schedule,
-        norms=tuple(norms),
+        norms=norms,
         fitted_growth=growth,
-        verdict=verdict,
-        threshold=threshold,
+        verdict=GrowthVerdict.UNBOUNDED if grows else GrowthVerdict.BOUNDED,
+        threshold=GROWTH_THRESHOLD,
     )
 
 
@@ -357,22 +346,26 @@ def weighted_delta_family(l_values: Sequence[float],
     ))
 
 
+def norm_floor_misses(result: SweepResult) -> list[str]:
+    """One message per step whose norm stays below NORM_FLOOR * L."""
+    return [f"norm {norm:.3e} below {NORM_FLOOR}*L at L={L}"
+            for (_, L), norm in zip(result.schedule, result.norms)
+            if norm < NORM_FLOOR * L]
+
+
 def weighted_delta_sweep(l_values: Sequence[float] = (2.0, 4.0, 8.0, 16.0),
                          points_per_unit: int = 8,
                          check: bool = True) -> SweepResult:
     """Standard unbounded sweep over symmetric grids of growing half-width.
 
-    With ``check`` the per-step norm must reach 0.9 * L (it equals L exactly
-    on grids containing the endpoints) or the sweep raises.
+    With ``check`` the per-step norm must reach NORM_FLOOR * L (it equals L
+    exactly on grids containing the endpoints) or the sweep raises.
     """
     result = unboundedness_sweep(weighted_delta_family(l_values, points_per_unit),
                                  coordinate_multiplier)
-    if check:
-        for (n, L), norm in zip(result.schedule, result.norms):
-            if norm < 0.9 * L:
-                raise InconsistencyError(
-                    f"weighted-delta norm {norm:.3e} below 0.9*L at L={L}"
-                )
+    misses = norm_floor_misses(result)
+    if check and misses:
+        raise InconsistencyError(f"weighted-delta {misses[0]}")
     return result
 
 
@@ -385,9 +378,9 @@ __all__ = [
     "fourier_quartet_check",
     "GrowthVerdict",
     "SweepResult",
-    "require_sweep_steps",
     "unboundedness_sweep",
     "coordinate_multiplier",
     "weighted_delta_family",
+    "norm_floor_misses",
     "weighted_delta_sweep",
 ]

@@ -26,12 +26,12 @@ from .errors import (
     UnsupportedSpaceError,
 )
 from .measure import SampledMeasureSpace, _frozen_array, counting, same_grid
-from .model import ModelSpace, TestFunction, transform_matrix
+from .model import RANK_RTOL, ModelSpace, TestFunction, transform_matrix
 
-EIG_TOL = 1e-8
-RANK_RTOL = 1e-10
-# An analysis value may exceed its envelope by this much.
-BOUND_SLACK = 1e-10
+EIG_TOL = 1e-8  # classification slack: zero map, Parseval, tight
+BOUND_SLACK = 1e-10  # an analysis value may exceed its envelope by this much
+SUPPORT_TOL = 1e-9  # a witness's support: points where |<f, omega_j>| exceeds it
+WINDOW_SUPPORT_TOL = 1e-12  # a window's support: samples of modulus above it
 
 
 class Classification(enum.Enum):
@@ -163,7 +163,7 @@ def weighted_delta_frame(model: ModelSpace, space: SampledMeasureSpace,
 
 
 def translated_window_frame(model: ModelSpace, space: SampledMeasureSpace,
-                            window, support_tol: float = 1e-12) -> DistributionMap:
+                            window) -> DistributionMap:
     """Circular translates of a window: row j pairs f against the j-shifted window.
 
     The grid must be uniformly spaced; translation acts on sample indices
@@ -176,7 +176,7 @@ def translated_window_frame(model: ModelSpace, space: SampledMeasureSpace,
     if g.shape != (n,):
         raise ShapeMismatchError("window must be sampled on the full grid")
     _ = space.spacing  # rejects non-uniform grids
-    support = int(np.sum(np.abs(g) > support_tol))
+    support = int(np.sum(np.abs(g) > WINDOW_SUPPORT_TOL))
     note = ""
     if support * 2 > n:
         note = (
@@ -217,7 +217,7 @@ class FrameDiagnostics:
     ``lower`` and ``upper`` are the extreme eigenvalues of the frame matrix,
     i.e. the best constants in  A ||f||^2 <= sum_j w_j |<f, omega_j>|^2
     <= B ||f||^2  over D.  Totality and mu-independence are rank decisions
-    on the weighted table at relative tolerance ``rank_tol``.
+    on the weighted table at relative tolerance ``rank_tol`` = RANK_RTOL.
     """
 
     lower: float
@@ -240,8 +240,7 @@ class FrameDiagnostics:
         return self.synthesis_sigma_max / self.synthesis_sigma_min
 
 
-def diagnose(omega: DistributionMap, tol: float = EIG_TOL,
-             rank_tol: float = RANK_RTOL) -> FrameDiagnostics:
+def diagnose(omega: DistributionMap) -> FrameDiagnostics:
     """Compute frame bounds, rank properties and the strongest classification.
 
     The weighted table sqrt(w) * table carries everything: its squared
@@ -250,8 +249,7 @@ def diagnose(omega: DistributionMap, tol: float = EIG_TOL,
     has trivial kernel iff the table has full row rank, which already fails
     whenever J > K: an overcomplete sampled family is never mu-independent).
 
-    The spectrum is computed once per map and cached on it; the tolerances
-    apply per call.
+    The spectrum is computed once per map and cached on it.
     """
     j, k = omega.table.shape
     sigma, eigs = omega.spectrum
@@ -261,19 +259,19 @@ def diagnose(omega: DistributionMap, tol: float = EIG_TOL,
     upper = float(max(eigs[-1], 0.0))
     lower = float(max(eigs[0], 0.0)) if j >= k else 0.0
 
-    total = j >= k and sigma_min > rank_tol * sigma_max
-    mu_independent = j <= k and sigma_min > rank_tol * sigma_max
+    total = j >= k and sigma_min > RANK_RTOL * sigma_max
+    mu_independent = j <= k and sigma_min > RANK_RTOL * sigma_max
     if sigma_max == 0.0:
         total = False
         mu_independent = False
 
-    if upper <= tol:
+    if upper <= EIG_TOL:
         cls = Classification.BESSEL  # degenerate zero map
     elif not total:
         cls = Classification.BOUNDED_BESSEL
     else:
-        parseval = max(abs(lower - 1.0), abs(upper - 1.0)) <= tol
-        tight = abs(upper - lower) <= tol * upper
+        parseval = max(abs(lower - 1.0), abs(upper - 1.0)) <= EIG_TOL
+        tight = abs(upper - lower) <= EIG_TOL * upper
         if mu_independent and parseval:
             cls = Classification.GELFAND_BASIS
         elif mu_independent:
@@ -293,21 +291,21 @@ def diagnose(omega: DistributionMap, tol: float = EIG_TOL,
         mu_independent=mu_independent,
         total=total,
         classification=cls,
-        tolerance=tol,
-        rank_tol=rank_tol,
+        tolerance=EIG_TOL,
+        rank_tol=RANK_RTOL,
         n_points=j,
         dim=k,
         note=omega.note,
     )
 
 
-def canonical_dual(omega: DistributionMap, tol: float = EIG_TOL) -> DistributionMap:
+def canonical_dual(omega: DistributionMap) -> DistributionMap:
     """Dual map theta with table = table(omega) @ S^{-1}.
 
     Satisfies the reconstruction pairing <f, g> = sum_j w_j <f, theta_j>
     <omega_j, g> and has frame bounds (1/B, 1/A).  Requires a frame.
     """
-    diag = diagnose(omega, tol=tol)
+    diag = diagnose(omega)
     if diag.classification not in FRAME_CLASSES:
         raise NotAFrameError(
             f"canonical dual needs a frame, got {diag.classification.value} "
@@ -333,15 +331,14 @@ class TransitionReport:
         return self.sigma_max / self.sigma_min if self.sigma_min > 0 else float("inf")
 
 
-def riesz_transition(omega: DistributionMap, zeta: DistributionMap,
-                     tol: float = EIG_TOL, rank_tol: float = RANK_RTOL) -> TransitionReport:
+def riesz_transition(omega: DistributionMap, zeta: DistributionMap) -> TransitionReport:
     """Operator W sending sum_j w_j xi(j) zeta_j to sum_j w_j xi(j) omega_j.
 
     On coefficients W = E_omega^H diag(w) E_zeta.  Invertibility of W is
     equivalent to the target being a Riesz basis; the report is checked
     against :func:`diagnose` and an inconsistency raises.
     """
-    zeta_diag = diagnose(zeta, tol=tol, rank_tol=rank_tol)
+    zeta_diag = diagnose(zeta)
     if zeta_diag.classification is not Classification.GELFAND_BASIS:
         raise PreconditionError(
             f"reference map must be a Gel'fand basis, got "
@@ -353,8 +350,8 @@ def riesz_transition(omega: DistributionMap, zeta: DistributionMap,
     matrix = omega.table.conj().T @ (w[:, None] * zeta.table)
     sigma = np.linalg.svd(matrix, compute_uv=False)
     sigma_min, sigma_max = float(sigma[-1]), float(sigma[0])
-    invertible = sigma_min > rank_tol * sigma_max and sigma_max > 0.0
-    omega_cls = diagnose(omega, tol=tol, rank_tol=rank_tol).classification
+    invertible = sigma_min > RANK_RTOL * sigma_max and sigma_max > 0.0
+    omega_cls = diagnose(omega).classification
     is_riesz = omega_cls in (Classification.RIESZ_BASIS, Classification.GELFAND_BASIS)
     if invertible != is_riesz:
         raise InconsistencyError(
@@ -448,7 +445,7 @@ def _orthogonality(omega: DistributionMap, family: Sequence[TestFunction],
 
 
 def check_pseudo_orthogonal(omega: DistributionMap, family: Sequence[TestFunction],
-                            support_tol: float = 1e-9) -> OrthogonalityReport:
+                            support_tol: float = SUPPORT_TOL) -> OrthogonalityReport:
     """Certify a witness family for proper-support orthogonality.
 
     Each witness must have analysis support on a strict subset of the points
@@ -465,7 +462,7 @@ def check_pseudo_orthogonal(omega: DistributionMap, family: Sequence[TestFunctio
 
 def check_hyper_orthogonal(omega: DistributionMap, alpha,
                            family_builder: Callable[[np.ndarray], Sequence[TestFunction]],
-                           support_tol: float = 1e-9) -> OrthogonalityReport:
+                           support_tol: float = SUPPORT_TOL) -> OrthogonalityReport:
     """Certify a dominated witness family built for a positive envelope alpha.
 
     The builder receives alpha sampled on the points and must return test

@@ -23,6 +23,8 @@ from .errors import (
     UnsupportedSpaceError,
 )
 
+SPACING_RTOL, SPACING_ATOL = 1e-12, 1e-14  # gaps of a uniform grid, as np.allclose
+
 
 class SpaceKind(enum.Enum):
     ATOMIC = "atomic"
@@ -86,7 +88,7 @@ class SampledMeasureSpace:
         if len(self.points) == 1:
             return self.extent
         gaps = np.diff(np.sort(self.points))
-        if not np.allclose(gaps, gaps[0], rtol=1e-12, atol=1e-14):
+        if not np.allclose(gaps, gaps[0], rtol=SPACING_RTOL, atol=SPACING_ATOL):
             raise UnsupportedSpaceError("grid spacing is not uniform")
         return float(gaps[0])
 

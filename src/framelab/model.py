@@ -22,7 +22,8 @@ from .errors import (
 )
 from .measure import SampledMeasureSpace, SpaceKind
 
-RANK_RTOL = 1e-10
+RANK_RTOL = 1e-10  # singular values <= RANK_RTOL * the largest count as zero
+ORTHONORMAL_TOL = 1e-12  # largest |Q^H W Q - I| entry of an orthonormal basis
 
 
 # -- basis families ----------------------------------------------------------
@@ -85,8 +86,7 @@ def _raw_columns(space: SampledMeasureSpace, family: BasisFamily) -> np.ndarray:
 
 # -- orthonormalization ------------------------------------------------------
 
-def orthonormalize(columns: np.ndarray, weights: np.ndarray,
-                   rank_rtol: float = RANK_RTOL) -> np.ndarray:
+def orthonormalize(columns: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """H-orthonormalize columns by one weighted Householder QR.
 
     With W = diag(weights) the H inner product is <u, v> = v^H W u, so
@@ -94,7 +94,7 @@ def orthonormalize(columns: np.ndarray, weights: np.ndarray,
     Computations*, 4th ed., section 5.2) gives the H-orthonormal basis
     Q / sqrt(w) of the same nested spans.  Column phases are normalized so
     that diag R is positive, as Gram-Schmidt would give.  A diagonal entry
-    |R_kk| at or below ``rank_rtol`` times the largest weighted column norm
+    |R_kk| at or below ``RANK_RTOL`` times the largest weighted column norm
     means column k depends on the columns before it; the error names the
     first such column.  The output preserves the input column order.
     """
@@ -103,7 +103,7 @@ def orthonormalize(columns: np.ndarray, weights: np.ndarray,
     n, k = scaled.shape
     q, r = np.linalg.qr(scaled)
     diag = np.diagonal(r)
-    cutoff = rank_rtol * (np.linalg.norm(scaled, axis=0).max() if k else 1.0)
+    cutoff = RANK_RTOL * (np.linalg.norm(scaled, axis=0).max() if k else 1.0)
     dependent = np.flatnonzero(np.abs(diag) <= cutoff)
     if dependent.size or k > n:
         idx = int(dependent[0]) if dependent.size else n
@@ -132,7 +132,7 @@ class ModelSpace:
             raise ShapeMismatchError("on_basis must have one row per sample point")
         gon = self.space.weights[:, None] * on
         defect = np.max(np.abs(on.conj().T @ gon - np.eye(on.shape[1])))
-        if defect > 1e-12:
+        if defect > ORTHONORMAL_TOL:
             raise ValueError(
                 f"on_basis is not H-orthonormal (defect {defect:.3e})"
             )

@@ -9,7 +9,7 @@ so its dense K x K coefficient matrix factors exactly as
 ``E_theta^H diag(w * m) E_omega``.  Everything else here (norm and inverse
 bounds, adjoints, composition calculus, reconstruction pairs, dense-domain
 certificates) is derived from that factorization and cross-checked against
-it at configurable tolerances.
+it at the tolerances named below.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     ShapeMismatchError,
     SingularOperatorError,
 )
-from .maps import RANK_RTOL, Classification, DistributionMap, _witness_analysis, diagnose
+from .maps import SUPPORT_TOL, Classification, DistributionMap, _witness_analysis, diagnose
 from .measure import (
     RefinementFamily,
     SampledMeasureSpace,
@@ -37,11 +37,11 @@ from .measure import (
     refine,
     same_grid,
 )
-from .model import TestFunction
+from .model import RANK_RTOL, TestFunction
 
-RESIDUAL_TOL = 1e-10
-BOUND_TOL = 1e-8
-NONVANISHING_TOL = 1e-12
+RESIDUAL_TOL = 1e-10  # largest residual allowed for an exact identity
+BOUND_TOL = 1e-8  # slack of the Riesz lower bound and of the dual-pair test
+NONVANISHING_TOL = 1e-12  # a symbol value of modulus at or below it vanishes
 
 
 # -- symbols -------------------------------------------------------------------
@@ -62,8 +62,7 @@ class Symbol:
         return len(self.values)
 
 
-def make_symbol(space: SampledMeasureSpace, values,
-                tol: float = NONVANISHING_TOL) -> Symbol:
+def make_symbol(space: SampledMeasureSpace, values) -> Symbol:
     """Sample or wrap finite symbol values on a space and compute the metadata."""
     if callable(values):
         values = [values(x) for x in space.points]
@@ -77,7 +76,7 @@ def make_symbol(space: SampledMeasureSpace, values,
         values=values,
         ess_sup=ess_sup(space, values),
         min_modulus=min_modulus,
-        nonvanishing=min_modulus > tol,
+        nonvanishing=min_modulus > NONVANISHING_TOL,
     )
 
 
@@ -181,7 +180,7 @@ def _check_factors(m: Symbol, omega: DistributionMap, theta: DistributionMap):
 
 
 def build(m: Symbol, omega: DistributionMap, theta: DistributionMap,
-          validate: bool = True, tol: float = RESIDUAL_TOL) -> MultiplierOperator:
+          validate: bool = True) -> MultiplierOperator:
     """Assemble the dense multiplier matrix for symbol m, analysis omega,
     synthesis theta.
 
@@ -202,27 +201,14 @@ def build(m: Symbol, omega: DistributionMap, theta: DistributionMap,
             f = rng.standard_normal(k) + 1j * rng.standard_normal(k)
             g = rng.standard_normal(k) + 1j * rng.standard_normal(k)
             direct = np.sum(wm * (omega.table @ f) * np.conj(theta.table @ g))
-            if abs(op.pair(f, g) - direct) > tol * scale * k:
+            if abs(op.pair(f, g) - direct) > RESIDUAL_TOL * scale * k:
                 raise InconsistencyError("dense matrix disagrees with its pairing")
     return op
 
 
-def operator_norm(op: MultiplierOperator, verify_bound: bool = False,
-                  tol: float = RESIDUAL_TOL) -> float:
-    """Largest singular value of the dense matrix.
-
-    With ``verify_bound`` the value is checked against the product bound
-    sqrt(B_omega * B_theta) * ess_sup(m) computed from fresh diagnostics; a
-    violation raises, since the bound is exact linear algebra here.
-    """
-    norm = float(op.singular_values[0]) if op.dim else 0.0
-    if verify_bound:
-        bound = norm_bound(op)
-        if norm > bound + tol:
-            raise InconsistencyError(
-                f"operator norm {norm:.6e} exceeds bound {bound:.6e}"
-            )
-    return norm
+def operator_norm(op: MultiplierOperator) -> float:
+    """Largest singular value of the dense matrix; :func:`norm_bound` bounds it."""
+    return float(op.singular_values[0]) if op.dim else 0.0
 
 
 def norm_bound(op: MultiplierOperator) -> float:
@@ -245,8 +231,7 @@ def adjoint(op: MultiplierOperator) -> MultiplierOperator:
 
 # -- composition calculus --------------------------------------------------------
 
-def is_dual_pair(omega: DistributionMap, theta: DistributionMap,
-                 tol: float = BOUND_TOL) -> bool:
+def is_dual_pair(omega: DistributionMap, theta: DistributionMap) -> bool:
     """True when the mixed frame matrix of the two maps is the identity.
 
     That is exactly the reconstruction duality <f, g> = sum_j w_j
@@ -257,7 +242,7 @@ def is_dual_pair(omega: DistributionMap, theta: DistributionMap,
         return False
     mixed = theta.table.conj().T @ (omega.space.weights[:, None] * omega.table)
     return bool(
-        np.linalg.norm(mixed - np.eye(omega.dim)) <= tol * math.sqrt(omega.dim)
+        np.linalg.norm(mixed - np.eye(omega.dim)) <= BOUND_TOL * math.sqrt(omega.dim)
     )
 
 
@@ -455,7 +440,7 @@ class DensityReport:
 
 def density_certificate(omega: DistributionMap, theta: DistributionMap,
                         m: Symbol, family: Sequence[TestFunction],
-                        support_tol: float = 1e-9,
+                        support_tol: float = SUPPORT_TOL,
                         tol: float = RESIDUAL_TOL) -> DensityReport:
     """Certify the dense-domain bound on a proper-support witness family.
 
@@ -511,6 +496,10 @@ class ClosureProfile:
     verdict: DomainVerdict
 
 
+GROWTH_THRESHOLD = 0.25  # a fitted growth exponent above it is growth
+MIN_SWEEP_STEPS = 3  # schedule steps a growth fit needs
+
+
 def _growth_exponent(schedule, values) -> float:
     """Log-log slope of values against L, or against n when L is fixed."""
     ls = [L for _, L in schedule]
@@ -525,29 +514,33 @@ def _growth_exponent(schedule, values) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def closure_domain_profile(family: RefinementFamily,
-                           builder: Callable[[SampledMeasureSpace],
-                                             tuple[DistributionMap, Symbol]],
-                           f_builder: Callable[[DistributionMap], TestFunction],
-                           threshold: float = 0.25) -> ClosureProfile:
+def _growth_sweep(family: RefinementFamily,
+                  value: Callable[[SampledMeasureSpace], float]) -> tuple[tuple, float, bool]:
+    """Values along a schedule, their fitted growth exponent, and whether it grows."""
+    if len(family) < MIN_SWEEP_STEPS:
+        raise ScheduleError(
+            f"a growth sweep needs at least {MIN_SWEEP_STEPS} schedule steps")
+    values = tuple(value(refine(family, step)) for step in range(len(family)))
+    exponent = _growth_exponent(family.schedule, values)
+    return values, exponent, exponent > GROWTH_THRESHOLD
+
+
+def closure_domain_profile(
+        family: RefinementFamily,
+        builder: Callable[[SampledMeasureSpace], tuple[DistributionMap, Symbol]],
+        f_builder: Callable[[DistributionMap], TestFunction]) -> ClosureProfile:
     """Sweep the weighted integral of |m * analysis(f)|^2 over a schedule."""
-    if len(family) < 3:
-        raise ScheduleError("closure profile needs at least 3 schedule steps")
-    integrals = []
-    for step in range(len(family)):
-        space = refine(family, step)
+    def integral(space: SampledMeasureSpace) -> float:
         omega, m = builder(space)
-        f = f_builder(omega)
-        integrand = m.values * omega.analyze(f)
-        integrals.append(float(np.sum(space.weights * np.abs(integrand) ** 2)))
-    exponent = _growth_exponent(family.schedule, integrals)
-    verdict = (DomainVerdict.DIVERGENT if exponent > threshold
-               else DomainVerdict.CONVERGENT)
+        integrand = m.values * omega.analyze(f_builder(omega))
+        return float(np.sum(space.weights * np.abs(integrand) ** 2))
+
+    integrals, exponent, grows = _growth_sweep(family, integral)
     return ClosureProfile(
         schedule=family.schedule,
-        integrals=tuple(integrals),
+        integrals=integrals,
         fitted_exponent=exponent,
-        verdict=verdict,
+        verdict=DomainVerdict.DIVERGENT if grows else DomainVerdict.CONVERGENT,
     )
 
 
@@ -561,8 +554,7 @@ class ClosabilityReport:
 
 def closability_check(omega: DistributionMap, theta: DistributionMap, m: Symbol,
                       dual_family: Sequence[TestFunction],
-                      trials: int = 20, seed: int = 0,
-                      tol: float = RESIDUAL_TOL) -> ClosabilityReport:
+                      trials: int = 20, seed: int = 0) -> ClosabilityReport:
     """Verify <M f, g> = <f, M' g> with M' the conjugate-symbol swap.
 
     A total family of such g certifies a densely defined adjoint, the
@@ -585,7 +577,7 @@ def closability_check(omega: DistributionMap, theta: DistributionMap, m: Symbol,
     lhs = weighted.T @ (omega.table @ f)  # <M f, g>, one row per g
     rhs = (omega.table.T @ weighted).T @ f  # <f, M' g>
     worst = float(np.max(np.abs(lhs - rhs)))
-    passed = total and worst <= tol
+    passed = total and worst <= RESIDUAL_TOL
     reason = "" if passed else (
         "dual witness family is not total" if not total else "pairing mismatch"
     )

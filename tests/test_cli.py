@@ -92,10 +92,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert "omega.csv" in err
 
-    def test_parse_error(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
+    @pytest.mark.parametrize("content", [b"{not json", b'{"seed": "\xe9"}', None],
+                             ids=["not-json", "not-utf8", "directory"])
+    def test_parse_error(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
         assert run(path, out_dir=tmp_path / "out") == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_seed_for_randomized_suite(self, tmp_path, capsys):
         payload = dict(PARSEVAL_CONFIG)
@@ -198,11 +205,23 @@ class TestRun:
         ("omega.family", {"omega": {"family": "canonical_dual"}}),
         ("space.family", {"space": {"family": "torus", "n": 16}}),
         ("seed", {"seed": -1}),
+        # data paths that name a directory
+        ("omega.vectors", {"omega": {"family": "discrete", "vectors": str(DATA)}}),
+        ("omega.csv", {"omega": {"family": "custom", "csv": str(DATA)}}),
+        ("symbol.path", {"symbol": {"family": "csv", "path": str(DATA)}}),
+        # an output directory that is a number, a file or under a file
+        ("output_dir", {"output_dir": 5}),
+        ("output_dir", {"output_dir": str(DATA / "list_families.txt")}),
+        ("output_dir", {"output_dir": str(DATA / "list_families.txt" / "out")}),
     ])
-    def test_bad_values_are_validation_errors(self, tmp_path, capsys, field, patch):
+    def test_bad_values_are_validation_errors(self, tmp_path, monkeypatch, capsys,
+                                              field, patch):
+        monkeypatch.chdir(tmp_path)
         config = write_config(tmp_path, "cfg.json", {**PARSEVAL_CONFIG, **patch})
-        assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
+        out = None if "output_dir" in patch else tmp_path / "out"
+        assert run(config, out_dir=out) == EXIT_VALIDATION
         assert f"invalid config: {field}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]  # no report written
 
     @pytest.mark.parametrize("field, section", [
         ("quartet.n", {"quartet": {"n": ["x"]}}),

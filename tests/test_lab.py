@@ -7,6 +7,7 @@ import pytest
 from framelab import lab
 from framelab import (
     GrowthVerdict,
+    InconsistencyError,
     RawSamples,
     ScheduleError,
     brute_force_pairing,
@@ -233,6 +234,15 @@ class TestUnboundednessSweep:
         assert result.verdict is GrowthVerdict.UNBOUNDED
         assert np.allclose(result.norms, (2.0, 4.0, 8.0))
         assert result.fitted_growth == pytest.approx(1.0, abs=1e-6)
+
+    def test_norm_floor_misses_name_each_low_step(self, monkeypatch):
+        low = dataclasses.replace(weighted_delta_sweep((2.0, 4.0, 8.0)),
+                                  norms=(2.0, 3.5, 8.0))
+        assert lab.norm_floor_misses(low) == ["norm 3.500e+00 below 0.9*L at L=4.0"]
+        monkeypatch.setattr(lab, "unboundedness_sweep", lambda *args: low)
+        assert weighted_delta_sweep((2.0, 4.0, 8.0), check=False) is low
+        with pytest.raises(InconsistencyError, match="weighted-delta norm 3.500e"):
+            weighted_delta_sweep((2.0, 4.0, 8.0))
 
     def test_bounded_control(self):
         family = symmetric_grid_family([(17, 2.0), (33, 4.0), (65, 8.0)])

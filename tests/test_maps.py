@@ -236,12 +236,6 @@ class TestSpectrumCache:
         canonical_dual(omega)
         assert calls == {"svd": 1, "eigvalsh": 1}
 
-    def test_tolerances_apply_per_call(self):
-        omega = c2_map()
-        assert diagnose(omega).classification is Classification.FRAME
-        assert diagnose(omega, tol=10.0).classification is Classification.BESSEL
-        assert diagnose(omega).classification is Classification.FRAME
-
     def test_table_is_read_only_copy(self):
         model = make_model(counting(2), RawSamples())
         source = np.array([[1, 0], [1, 1], [0, 1]], dtype=complex)

@@ -128,7 +128,7 @@ class TestOperatorNorm:
                 space=space, model=model)
             op = build(random_bounded_symbol(space, rng), omega, theta,
                        validate=False)
-            assert operator_norm(op, verify_bound=True) <= norm_bound(op) + 1e-10
+            assert operator_norm(op) <= norm_bound(op) + 1e-10
 
 
 class TestAdjoint:
