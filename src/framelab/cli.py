@@ -66,8 +66,7 @@ def _needs_context(suites) -> bool:
 def _jsonify(value):
     """Recursively convert reports to deterministic JSON-compatible data.
 
-    A dataclass becomes the dict of its fields, minus those marked with
-    ``metadata={"report": False}``; properties are not fields.
+    A dataclass becomes the dict of its fields; properties are not fields.
     """
     if isinstance(value, enum.Enum):
         return value.value
@@ -87,8 +86,7 @@ def _jsonify(value):
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
     if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _jsonify(getattr(value, f.name)) for f in fields(value)
-                if f.metadata.get("report", True)}
+        return {f.name: _jsonify(getattr(value, f.name)) for f in fields(value)}
     return value
 
 
@@ -640,11 +638,11 @@ def _suite_dual(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     bound_dev = max(
         abs(d_dual.lower - 1.0 / diag.upper), abs(d_dual.upper - 1.0 / diag.lower)
     )
-    if bound_dev > 1e-8:
+    if bound_dev > multiplier.BOUND_TOL:
         failures.append(f"dual bounds deviate by {bound_dev:.3e}")
     back = maps.canonical_dual(dual)
     back_residual = float(np.max(np.abs(back.table - ctx.omega.table)))
-    if back_residual > 1e-10:
+    if back_residual > multiplier.RESIDUAL_TOL:
         failures.append(f"dual of dual residual {back_residual:.3e}")
     data = {
         "duality_residual": residual,
@@ -663,22 +661,22 @@ def _suite_multiplier(config: ExperimentConfig, ctx: Context, seed: int, out: Pa
     analysis, diag_wm, synthesis = op.factored()
     refactored = (synthesis * diag_wm[None, :]) @ analysis
     fact_residual = float(np.linalg.norm(op.dense - refactored))
-    if fact_residual > 1e-12:
+    if fact_residual > multiplier.ROUNDING_TOL:
         failures.append(f"factorization residual {fact_residual:.3e}")
     norm = multiplier.operator_norm(op)
     bound = multiplier.norm_bound(op)
-    if norm > bound + 1e-10:
+    if norm > bound + multiplier.RESIDUAL_TOL:
         failures.append(f"norm {norm:.6e} above bound {bound:.6e}")
     pairing = lab.brute_force_pairing(op, trials=100, seed=seed)
     if pairing > config.tolerance:
         failures.append(f"pairing residual {pairing:.3e}")
     adj = multiplier.adjoint(op)
     adj_residual = float(np.max(np.abs(adj.dense - op.dense.conj().T)))
-    if adj_residual > 1e-12:
+    if adj_residual > multiplier.ROUNDING_TOL:
         failures.append(f"adjoint residual {adj_residual:.3e}")
     invol = multiplier.adjoint(adj)
     invol_residual = float(np.max(np.abs(invol.dense - op.dense)))
-    if invol_residual > 1e-12:
+    if invol_residual > multiplier.ROUNDING_TOL:
         failures.append(f"adjoint involution residual {invol_residual:.3e}")
     data = {
         "factorization_residual": fact_residual,
@@ -693,8 +691,7 @@ def _suite_multiplier(config: ExperimentConfig, ctx: Context, seed: int, out: Pa
     return data, failures
 
 
-def _calculus_trial(ctx: Context, rng: np.random.Generator,
-                    tol: float) -> tuple[float, bool]:
+def _calculus_trial(ctx: Context, rng: np.random.Generator) -> tuple[float, bool]:
     """(residual, asserted) of composing the multipliers of two random
     symbols; the trial's matrices are freed when it returns."""
     ops = []
@@ -704,7 +701,7 @@ def _calculus_trial(ctx: Context, rng: np.random.Generator,
             * np.exp(2j * np.pi * rng.random(len(ctx.space)))
         )
         ops.append(multiplier.build(m, ctx.omega, ctx.theta, validate=False))
-    report = multiplier.compose(*ops, tol=tol)
+    report = multiplier.compose(*ops)
     return report.residual, report.asserted
 
 
@@ -713,11 +710,10 @@ def _suite_calculus(config: ExperimentConfig, ctx: Context, seed: int, out: Path
     failures = []
     rng = np.random.default_rng(seed)
     results = []
-    dual_pair = multiplier.is_dual_pair(ctx.omega, ctx.theta)
     for _ in range(10):
-        residual, asserted = _calculus_trial(ctx, rng, tol)
+        residual, dual_pair = _calculus_trial(ctx, rng)
         results.append(residual)
-        if asserted and residual > tol:
+        if dual_pair and residual > tol:
             failures.append(f"calculus residual {residual:.3e} on dual pair")
     data = {
         "dual_pair": dual_pair,
@@ -729,11 +725,7 @@ def _suite_calculus(config: ExperimentConfig, ctx: Context, seed: int, out: Path
 
 def _suite_invert(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     failures = []
-    op = ctx.operator
-    try:
-        report = multiplier.invert(op)
-    except FrameLabError as exc:
-        return {"error": str(exc)}, [f"invert: {exc}"]
+    report = multiplier.invert(ctx.operator)
     if report.bound_satisfied is False:
         failures.append("inverse bound violated")
     if (report.reciprocal_residual is not None
@@ -799,9 +791,9 @@ def _suite_density(config: ExperimentConfig, ctx: Context, seed: int, out: Path)
         failures.append(f"density certificate: {report.reason}")
     split1, split2 = multiplier.split_symbol(ctx.symbol)
     split_ok = (
-        np.allclose(split1 + split2, ctx.symbol.values, atol=1e-14)
-        and np.all(np.abs(split2) >= 1.0)
-        and np.max(np.abs(split1)) <= 3.0 + 1e-12
+        np.max(np.abs(split1 + split2 - ctx.symbol.values)) <= multiplier.SPLIT_TOL
+        and np.min(np.abs(split2)) >= multiplier.SPLIT_FLOOR
+        and np.max(np.abs(split1)) <= multiplier.SPLIT_BOUND + multiplier.ROUNDING_TOL
     )
     if not split_ok:
         failures.append("symbol split postconditions violated")
@@ -871,13 +863,23 @@ SUITES = {name: globals()[f"_suite_{name}"] for name in SUITE_ORDER}
 
 # -- runner -------------------------------------------------------------------------
 
-def _report_dir(name: str) -> Path:
-    """Create the report directory; a path that cannot be one is a ConfigError."""
+def _report_dir(config: ExperimentConfig) -> Path:
+    """Create the report directory; a directory that cannot hold every report
+    the run writes is a ConfigError, raised before any report is written."""
+    name = config.output_dir
+    out = Path(name)
+    reports = [f"{suite}.json" for suite in config.suites] + ["summary.json"]
+    if "sweep" in config.suites:
+        reports.append("sweep.csv")
     try:
-        Path(name).mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
+        blocked = [out / r for r in reports
+                   if (out / r).exists() and not (out / r).is_file()]
     except OSError as exc:
         raise ConfigError("output_dir", f"cannot create {name}: {exc.strerror}") from None
-    return Path(name)
+    if blocked:
+        raise ConfigError("output_dir", f"report path {blocked[0]} is not a file")
+    return out
 
 
 def run(config_path, out_dir=None, tol=None, seed=None,
@@ -918,7 +920,7 @@ def run(config_path, out_dir=None, tol=None, seed=None,
     try:
         config = parse_config(raw)
         ctx = build_context(config) if _needs_context(config.suites) else None
-        out = _report_dir(config.output_dir)
+        out = _report_dir(config)
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -51,6 +51,25 @@ NORM_FLOOR = 0.9  # each weighted-delta sweep norm reaches NORM_FLOOR * L
 
 # -- pairing oracle ------------------------------------------------------------
 
+def _pairing_residual(weights: np.ndarray, left: np.ndarray, right: np.ndarray,
+                      apply: Callable[[np.ndarray], np.ndarray],
+                      trials: int, seed: int) -> float:
+    """Worst |<apply(f), g> - sum_j weights_j (left f)_j conj((right g)_j)|
+    over random normalized coefficient pairs (f, g)."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    rng = np.random.default_rng(seed)
+    k = left.shape[1]
+    worst = 0.0
+    for _ in range(trials):
+        f = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        g = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        f, g = f / np.linalg.norm(f), g / np.linalg.norm(g)
+        direct = complex(np.sum(weights * (left @ f) * np.conj(right @ g)))
+        worst = max(worst, abs(np.vdot(g, apply(f)) - direct))
+    return float(worst)
+
+
 def brute_force_pairing(op: MultiplierOperator, trials: int = 100,
                         seed: int = 0) -> float:
     """Worst deviation of the dense pairing from the defining weighted sum.
@@ -59,42 +78,15 @@ def brute_force_pairing(op: MultiplierOperator, trials: int = 100,
     through the dense matrix against  sum_j w_j m_j <f, omega_j>
     conj(<g, theta_j>)  evaluated directly from the tables.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
-    k = op.dim
-    w, m = op.space.weights, op.symbol.values
-    worst = 0.0
-    for _ in range(trials):
-        f = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        g = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        f, g = f / np.linalg.norm(f), g / np.linalg.norm(g)
-        dense_side = np.vdot(g, op.dense @ f)
-        direct = complex(
-            np.sum(w * m * (op.omega.table @ f) * np.conj(op.theta.table @ g))
-        )
-        worst = max(worst, abs(dense_side - direct))
-    return float(worst)
+    return _pairing_residual(op.space.weights * op.symbol.values, op.omega.table,
+                             op.theta.table, lambda f: op.dense @ f, trials, seed)
 
 
 def duality_residual(omega: DistributionMap, theta: DistributionMap,
                      trials: int = 100, seed: int = 0) -> float:
     """Worst deviation of sum_j w_j <f, theta_j> <omega_j, g> from <f, g>."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
-    k = omega.dim
-    w = omega.space.weights
-    worst = 0.0
-    for _ in range(trials):
-        f = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        g = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        f, g = f / np.linalg.norm(f), g / np.linalg.norm(g)
-        pairing = complex(
-            np.sum(w * (theta.table @ f) * np.conj(omega.table @ g))
-        )
-        worst = max(worst, abs(pairing - np.vdot(g, f)))
-    return float(worst)
+    return _pairing_residual(omega.space.weights, theta.table, omega.table,
+                             lambda f: f, trials, seed)
 
 
 # -- discrete reduction oracle ----------------------------------------------------

@@ -37,12 +37,10 @@ WINDOW_SUPPORT_TOL = 1e-12  # a window's support: samples of modulus above it
 class Classification(enum.Enum):
     """Strength classes of a map, weakest to strongest.
 
-    At finite scale every table is a bounded Bessel map, so NOT_BESSEL is
-    never produced by :func:`diagnose`; it exists for sweep verdicts and
-    report vocabularies.  The degenerate zero map reports as BESSEL.
+    At finite scale every table is a bounded Bessel map; the degenerate
+    zero map reports as BESSEL.
     """
 
-    NOT_BESSEL = "not_bessel"
     BESSEL = "bessel"
     BOUNDED_BESSEL = "bounded_bessel"
     FRAME = "frame"

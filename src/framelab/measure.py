@@ -9,7 +9,6 @@ so almost-everywhere statements become pointwise statements.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -91,29 +90,6 @@ class SampledMeasureSpace:
         if not np.allclose(gaps, gaps[0], rtol=SPACING_RTOL, atol=SPACING_ATOL):
             raise UnsupportedSpaceError("grid spacing is not uniform")
         return float(gaps[0])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind.value,
-                "points": self.points.tolist(),
-                "weights": self.weights.tolist(),
-                "extent": self.extent,
-                "periodic": self.periodic,
-            },
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "SampledMeasureSpace":
-        data = json.loads(text)
-        return SampledMeasureSpace(
-            points=data["points"],
-            weights=data["weights"],
-            kind=SpaceKind(data["kind"]),
-            extent=float(data["extent"]),
-            periodic=bool(data.get("periodic", False)),
-        )
 
 
 def same_grid(a: SampledMeasureSpace, b: SampledMeasureSpace) -> bool:

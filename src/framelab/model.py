@@ -236,29 +236,3 @@ def transform_matrix(space: SampledMeasureSpace, inverse: bool = False) -> np.nd
         dual_w = dual_grid(space).weights
         return np.exp(2j * np.pi * np.outer(space.points, freqs)) * dual_w[None, :]
     return np.exp(-2j * np.pi * np.outer(freqs, space.points)) * space.weights[None, :]
-
-
-def _require_uniform_periodic(model: ModelSpace):
-    if not model.space.periodic:
-        raise UnsupportedSpaceError(
-            "transform requires a model on a uniform periodic grid"
-        )
-    _ = model.space.spacing  # rejects non-uniform grids
-
-
-def dft(model: ModelSpace, values) -> np.ndarray:
-    """Weighted forward transform of a sample vector, on the dual grid."""
-    _require_uniform_periodic(model)
-    v = np.asarray(values, dtype=complex)
-    if v.shape != (model.ambient_dim,):
-        raise ShapeMismatchError(f"expected {model.ambient_dim} samples")
-    return transform_matrix(model.space) @ v
-
-
-def idft(model: ModelSpace, values) -> np.ndarray:
-    """Inverse of :func:`dft`; dft(idft(x)) = x to machine precision."""
-    _require_uniform_periodic(model)
-    v = np.asarray(values, dtype=complex)
-    if v.shape != (model.ambient_dim,):
-        raise ShapeMismatchError(f"expected {model.ambient_dim} samples")
-    return transform_matrix(model.space, inverse=True) @ v

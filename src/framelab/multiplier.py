@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,8 +40,11 @@ from .measure import (
 from .model import RANK_RTOL, TestFunction
 
 RESIDUAL_TOL = 1e-10  # largest residual allowed for an exact identity
-BOUND_TOL = 1e-8  # slack of the Riesz lower bound and of the dual-pair test
-NONVANISHING_TOL = 1e-12  # a symbol value of modulus at or below it vanishes
+ROUNDING_TOL = 1e-12  # largest residual of a matrix that only rounding separates
+BOUND_TOL = 1e-8  # slack of a frame or Riesz bound and of the dual-pair test
+SPLIT_FLOOR = 1.0  # split_symbol keeps |m2| at or above it
+SPLIT_BOUND = 3.0  # split_symbol keeps |m1| at or below it
+SPLIT_TOL = 1e-14  # largest |m1 + m2 - m| a split may leave
 
 
 # -- symbols -------------------------------------------------------------------
@@ -53,13 +56,21 @@ class Symbol:
     values: np.ndarray
     ess_sup: float
     min_modulus: float
-    nonvanishing: bool
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
 
     def __len__(self) -> int:
         return len(self.values)
+
+    def vanishing_points(self) -> tuple:
+        """The one vanishing rule: m vanishes where |m| <= RANK_RTOL * ess_sup|m|."""
+        small = np.abs(self.values) <= RANK_RTOL * self.ess_sup
+        return tuple(int(j) for j in np.flatnonzero(small))
+
+    @property
+    def nonvanishing(self) -> bool:
+        return not self.vanishing_points()
 
 
 def make_symbol(space: SampledMeasureSpace, values) -> Symbol:
@@ -71,12 +82,10 @@ def make_symbol(space: SampledMeasureSpace, values) -> Symbol:
         raise ShapeMismatchError(f"symbol needs {len(space)} values")
     if not np.all(np.isfinite(values)):
         raise ValueError("symbol values must be finite")
-    min_modulus = float(np.min(np.abs(values)))
     return Symbol(
         values=values,
         ess_sup=ess_sup(space, values),
-        min_modulus=min_modulus,
-        nonvanishing=min_modulus > NONVANISHING_TOL,
+        min_modulus=float(np.min(np.abs(values))),
     )
 
 
@@ -97,9 +106,10 @@ def product_symbol(space: SampledMeasureSpace, m1: Symbol, m2: Symbol) -> Symbol
 def split_symbol(m: Symbol) -> tuple[np.ndarray, np.ndarray]:
     """Split m = m1 + m2 with m1 bounded and |m2| >= 1 everywhere.
 
-    Where |m| > 1 take (0, m); elsewhere take (m + 2, -2), so |m1| <= 3.
+    Where |m| > 1 take (0, m); elsewhere take (m + 2, -2), so |m1| <= 3:
+    SPLIT_FLOOR and SPLIT_BOUND name the two limits.
     """
-    big = np.abs(m.values) > 1.0
+    big = np.abs(m.values) > SPLIT_FLOOR
     m1 = np.where(big, 0.0, m.values + 2.0)
     m2 = np.where(big, m.values, -2.0)
     return m1, m2
@@ -251,20 +261,15 @@ class CompositionReport:
     """Product of two multipliers against the multiplier of the product symbol."""
 
     residual: float
-    dual_pair: bool
     asserted: bool
-    # The dense matrices are for callers, not for reports.
-    product_dense: np.ndarray = field(metadata={"report": False})
-    built_dense: np.ndarray = field(metadata={"report": False})
 
 
-def compose(op1: MultiplierOperator, op2: MultiplierOperator,
-            tol: float = RESIDUAL_TOL) -> CompositionReport:
-    """Compare dense(op1) @ dense(op2) with the multiplier of m1 * m2.
+def compose(op1: MultiplierOperator, op2: MultiplierOperator) -> CompositionReport:
+    """Measure ||dense(op1) @ dense(op2) - M_{m1 m2}||_F.
 
-    The identity is asserted only when both operators share a dual pair of
-    maps with a square table (the symbolic-calculus regime); otherwise the
-    difference is measured and reported without judgement.
+    The identity is asserted, by the caller, only when both operators share
+    a dual pair of maps with a square table (the symbolic-calculus regime);
+    otherwise the difference measures how far the pair is from dual.
     """
     if op1.omega is not op2.omega and not np.array_equal(op1.omega.table,
                                                          op2.omega.table):
@@ -272,21 +277,11 @@ def compose(op1: MultiplierOperator, op2: MultiplierOperator,
     if op1.theta is not op2.theta and not np.array_equal(op1.theta.table,
                                                          op2.theta.table):
         raise GridMismatchError("composition requires operators on the same maps")
-    product = op1.dense @ op2.dense
     m12 = product_symbol(op1.space, op1.symbol, op2.symbol)
     built = build(m12, op1.omega, op1.theta, validate=False).dense
-    residual = float(np.linalg.norm(product - built))
-    dual = is_dual_pair(op1.omega, op1.theta)
-    if dual and residual > tol * max(1.0, float(np.linalg.norm(built))):
-        raise InconsistencyError(
-            f"symbol calculus failed on a dual pair: residual {residual:.3e}"
-        )
     return CompositionReport(
-        residual=residual,
-        dual_pair=dual,
-        asserted=dual,
-        product_dense=product,
-        built_dense=built,
+        residual=float(np.linalg.norm(op1.dense @ op2.dense - built)),
+        asserted=is_dual_pair(op1.omega, op1.theta),
     )
 
 
@@ -314,19 +309,17 @@ def invert(op: MultiplierOperator) -> InverseReport:
     condition number of a weighted table), sigma_min / sigma_max exceeds
     RANK_RTOL, so injectivity is guaranteed and its failure raises.  When
     both maps are Riesz bases and |m| >= C > 0, the smallest singular value
-    must reach sqrt(A_theta * A_omega) * C; and for a dual pair the inverse
-    must agree with the multiplier of 1/m.  These are the sufficient
-    conditions of Stoeva & Balazs, "Invertibility of multipliers", ACHA 33
-    (2012).
+    must reach sqrt(A_theta * A_omega) * C (``bound_satisfied``); and for a
+    dual pair the inverse must agree with the multiplier of 1/m
+    (``reciprocal_residual``); the caller judges both.  These are the
+    sufficient conditions of Stoeva & Balazs, "Invertibility of
+    multipliers", ACHA 33 (2012).
     """
     m = op.symbol
     sigma = op.singular_values
     sigma_min, sigma_max = float(sigma[-1]), float(sigma[0])
     injective = op.injective
     inverse_norm = 1.0 / sigma_min if injective else float("inf")
-    vanishing = tuple(
-        int(j) for j in np.flatnonzero(np.abs(m.values) <= NONVANISHING_TOL)
-    )
 
     d_omega = diagnose(op.omega)
     d_theta = diagnose(op.theta)
@@ -345,11 +338,6 @@ def invert(op: MultiplierOperator) -> InverseReport:
             and m.min_modulus > 0):
         lower_bound = math.sqrt(d_theta.lower * d_omega.lower) * m.min_modulus
         bound_satisfied = sigma_min >= lower_bound - BOUND_TOL
-        if not bound_satisfied:
-            raise InconsistencyError(
-                f"sigma_min {sigma_min:.6e} below the Riesz lower bound "
-                f"{lower_bound:.6e}"
-            )
 
     reciprocal_residual = None
     if injective and m.nonvanishing and is_dual_pair(op.omega, op.theta):
@@ -364,7 +352,7 @@ def invert(op: MultiplierOperator) -> InverseReport:
         lower_bound=lower_bound,
         bound_satisfied=bound_satisfied,
         reciprocal_residual=reciprocal_residual,
-        vanishing_points=vanishing,
+        vanishing_points=m.vanishing_points(),
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 from pathlib import Path
@@ -213,15 +214,24 @@ class TestRun:
         ("output_dir", {"output_dir": 5}),
         ("output_dir", {"output_dir": str(DATA / "list_families.txt")}),
         ("output_dir", {"output_dir": str(DATA / "list_families.txt" / "out")}),
+        # a report path that is a directory: a suite report, the summary
+        # and the sweep data
+        ("output_dir", {"output_dir": "blocked/diagnose"}),
+        ("output_dir", {"output_dir": "blocked/summary"}),
+        ("output_dir", {"output_dir": "blocked/sweep",
+                        "suites": ["diagnose", "sweep"]}),
     ])
     def test_bad_values_are_validation_errors(self, tmp_path, monkeypatch, capsys,
                                               field, patch):
         monkeypatch.chdir(tmp_path)
+        for name in ("diagnose.json", "summary.json", "sweep.csv"):
+            (tmp_path / "blocked" / Path(name).stem / name).mkdir(parents=True)
         config = write_config(tmp_path, "cfg.json", {**PARSEVAL_CONFIG, **patch})
+        before = sorted(tmp_path.rglob("*"))
         out = None if "output_dir" in patch else tmp_path / "out"
         assert run(config, out_dir=out) == EXIT_VALIDATION
         assert f"invalid config: {field}" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [config]  # no report written
+        assert sorted(tmp_path.rglob("*")) == before  # no report written
 
     @pytest.mark.parametrize("field, section", [
         ("quartet.n", {"quartet": {"n": ["x"]}}),
@@ -357,6 +367,73 @@ class TestRun:
         data = load_report(out, "invert")["data"]
         assert data["injective"] is False
         assert data["sigma_min"] == pytest.approx(5e-11)
+
+    def test_tiny_constant_symbol_does_not_vanish(self, tmp_path):
+        # 1e-13 everywhere is small but not small against ess_sup|m|, so
+        # the reciprocal check runs on this dual pair.
+        config = write_config(tmp_path, "cfg.json", {
+            "space": {"family": "counting", "n": 3},
+            "model": {"family": "raw_samples"},
+            "omega": {"family": "delta"},
+            "symbol": {"family": "constant", "value": 1e-13},
+            "suites": ["invert"],
+            "seed": 1,
+        })
+        out = tmp_path / "out"
+        assert run(config, out_dir=out) == EXIT_OK
+        data = load_report(out, "invert")["data"]
+        assert data["injective"] is True
+        assert data["vanishing_points"] == []
+        assert data["reciprocal_residual"] == 0.0
+
+    def test_riesz_bound_violation_fails_the_invert_suite(self, tmp_path,
+                                                          monkeypatch):
+        build = multiplier.build
+
+        def corrupted(*args, **kwargs):  # only the context's validated operator
+            op = build(*args, **kwargs)
+            if kwargs.get("validate", True):
+                op = dataclasses.replace(op, dense=np.diag([2.0, 1.0, 5.0]))
+            return op
+
+        monkeypatch.setattr(multiplier, "build", corrupted)
+        (tmp_path / "symbol.csv").write_text("0,2,0\n1,3,0\n2,5,0\n")
+        config = write_config(tmp_path, "cfg.json", {
+            "space": {"family": "counting", "n": 3},
+            "model": {"family": "raw_samples"},
+            "omega": {"family": "delta"},
+            "symbol": {"family": "csv", "path": str(tmp_path / "symbol.csv")},
+            "suites": ["invert"],
+            "seed": 1,
+        })
+        out = tmp_path / "out"
+        assert run(config, out_dir=out) == EXIT_ASSERTION
+        report = load_report(out, "invert")
+        assert "inverse bound violated" in report["failures"]
+        assert report["data"]["bound_satisfied"] is False
+
+    def test_ill_conditioned_calculus_reports_every_residual(self, tmp_path):
+        # a 48 x 48 table of condition number 1e4 and its canonical dual:
+        # each composition misses the calculus gate by orders of magnitude
+        rng = np.random.default_rng(3)
+        u, v = (np.linalg.qr(rng.standard_normal((48, 48))
+                             + 1j * rng.standard_normal((48, 48)))[0]
+                for _ in range(2))
+        table = u @ np.diag(3 * np.geomspace(1, 1e4, 48)) @ v
+        config = write_config(tmp_path, "cfg.json", {
+            "omega": {"family": "discrete",
+                      "vectors": [[[z.real, z.imag] for z in row] for row in table]},
+            "theta": {"family": "canonical_dual"},
+            "suites": ["calculus"],
+            "seed": 1,
+        })
+        out = tmp_path / "out"
+        assert run(config, out_dir=out) == EXIT_ASSERTION
+        report = load_report(out, "calculus")
+        assert report["data"]["dual_pair"] is True
+        assert len(report["data"]["residuals"]) == 10
+        assert len(report["failures"]) == 10
+        assert all(f.startswith("calculus residual") for f in report["failures"])
 
     def test_suites_share_one_validated_operator(self, tmp_path, monkeypatch):
         validated = []
@@ -508,11 +585,10 @@ def test_every_family_builds_from_a_minimal_config(tmp_path, monkeypatch,
         assert isinstance(built, kind)
 
 
-def test_reports_leave_out_what_is_not_a_field_or_is_marked():
+def test_reports_leave_out_what_is_not_a_field():
     space = measure.counting(2)
     mdl = model.make_model(space, model.RawSamples())
     delta = maps.delta_frame(mdl, space)
     op = multiplier.build(multiplier.make_symbol(space, [1.0, 2.0]), delta, delta)
-    assert set(_jsonify(multiplier.compose(op, op))) == {
-        "residual", "dual_pair", "asserted"}
+    assert set(_jsonify(multiplier.compose(op, op))) == {"residual", "asserted"}
     assert "condition_number" not in _jsonify(maps.diagnose(delta))

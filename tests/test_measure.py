@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -108,17 +106,6 @@ class TestSpaceInvariants:
     def test_total_measure(self):
         assert periodic_unit_grid(8).total_measure == pytest.approx(1.0)
         assert fourier_grid(9).total_measure == pytest.approx(3.0)
-
-    def test_json_roundtrip(self):
-        space = symmetric_grid(9, 4.0)
-        restored = SampledMeasureSpace.from_json(space.to_json())
-        assert same_grid(space, restored)
-        assert restored.kind is SpaceKind.QUADRATURE
-        assert restored.extent == 4.0
-
-    def test_json_is_plain_data(self):
-        payload = json.loads(periodic_unit_grid(4).to_json())
-        assert set(payload) == {"kind", "points", "weights", "extent", "periodic"}
 
 
 def unit_grids(ns):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -36,6 +37,7 @@ from framelab import (
     symmetric_grid_family,
     weighted_delta_frame,
 )
+from framelab.multiplier import RESIDUAL_TOL
 from conftest import random_bounded_symbol, riesz_dual_pair
 
 
@@ -55,6 +57,13 @@ class TestSymbol:
     def test_non_finite_values_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             make_symbol(counting(3), [1.0, bad, 2.0])
+
+    def test_vanishing_is_relative_to_the_essential_supremum(self):
+        tiny = make_symbol(counting(3), [1e-13] * 3)
+        assert tiny.nonvanishing and tiny.vanishing_points() == ()
+        dip = make_symbol(counting(3), [1.0, 5e-11, 1.0])
+        assert not dip.nonvanishing and dip.vanishing_points() == (1,)
+        assert make_symbol(counting(2), [0.0, 0.0]).vanishing_points() == (0, 1)
 
 
 class TestBuild:
@@ -165,7 +174,7 @@ class TestCompose:
         op2 = build(make_symbol(space, (3, 4)), delta, delta)
         report = compose(op1, op2)
         assert report.asserted
-        assert np.allclose(report.product_dense, np.diag([3.0, 8.0]))
+        assert np.allclose(op1.dense @ op2.dense, np.diag([3.0, 8.0]))
         assert report.residual < 1e-12
 
     def test_riesz_dual_pair_calculus(self, rng):
@@ -197,14 +206,28 @@ class TestCompose:
         with pytest.raises(GridMismatchError):
             compose(op1, op2)
 
+    def test_failing_dual_pair_is_measured_not_raised(self):
+        # theta = I + 1e-9 E passes the dual-pair test, but the calculus
+        # residual ~7e-9 is above RESIDUAL_TOL; compose reports, the caller
+        # judges.
+        space, model, delta = on_basis_setup(2)
+        theta = DistributionMap(table=np.eye(2) + 1e-9 * np.fliplr(np.eye(2)),
+                                space=space, model=model)
+        op1 = build(make_symbol(space, (1, 2)), delta, theta, validate=False)
+        op2 = build(make_symbol(space, (3, 4)), delta, theta, validate=False)
+        assert "tol" not in inspect.signature(compose).parameters
+        report = compose(op1, op2)
+        assert report.asserted
+        assert report.residual > RESIDUAL_TOL
+
     def test_adjoint_of_product_is_reversed_product_of_adjoints(self, rng):
         omega, theta = riesz_dual_pair(5, rng)
         op1 = build(random_bounded_symbol(omega.space, rng), omega, theta,
                     validate=False)
         op2 = build(random_bounded_symbol(omega.space, rng), omega, theta,
                     validate=False)
-        product = compose(op1, op2).product_dense
-        reversed_product = compose(adjoint(op2), adjoint(op1)).product_dense
+        product = op1.dense @ op2.dense
+        reversed_product = adjoint(op2).dense @ adjoint(op1).dense
         assert np.linalg.norm(product.conj().T - reversed_product) < 1e-10
 
 
@@ -267,6 +290,20 @@ class TestInvert:
         corrupted = dataclasses.replace(op, dense=np.diag([2.0, 0.0, 5.0]))
         with pytest.raises(InconsistencyError):
             invert(corrupted)
+
+    def test_riesz_bound_violation_is_reported_not_raised(self):
+        op = diag_operator((2, 3, 5))
+        corrupted = dataclasses.replace(op, dense=np.diag([2.0, 1.0, 5.0]))
+        report = invert(corrupted)
+        assert report.lower_bound == pytest.approx(2.0)
+        assert report.sigma_min == pytest.approx(1.0)
+        assert report.bound_satisfied is False
+
+    def test_tiny_constant_symbol_has_no_vanishing_points(self):
+        report = invert(diag_operator((1e-13, 1e-13, 1e-13)))
+        assert report.injective
+        assert report.vanishing_points == ()
+        assert report.reciprocal_residual == 0.0
 
 
 class TestDecompositionCache:
