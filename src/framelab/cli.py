@@ -98,14 +98,14 @@ def _jsonify(value):
 _REQUIRED = object()
 
 
-def _need(cfg: dict, field: str, kind, default=_REQUIRED):
-    """Read ``cfg[field]`` with the reader ``kind``; bad input is a ConfigError."""
+def _need(cfg: dict, field: str, read, default=_REQUIRED):
+    """Read ``cfg[field]`` with the reader ``read``; bad input is a ConfigError."""
     if field not in cfg:
         if default is _REQUIRED:
             raise ConfigError(field, "missing required parameter")
         return default
     try:
-        return kind(cfg[field])
+        return read(cfg[field])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(field, str(exc)) from None
 
@@ -155,12 +155,12 @@ def _whole(minimum: int):
 _count = _whole(1)
 
 
-def _nonempty_list(kind):
-    """Reader of a nonempty JSON list whose entries ``kind`` converts."""
+def _nonempty_list(read_entry):
+    """Reader of a nonempty JSON list whose entries ``read_entry`` converts."""
     def read(value):
         if not isinstance(value, list) or not value:
             raise ValueError(f"must be a nonempty list, got {value!r}")
-        return [kind(v) for v in value]
+        return [read_entry(v) for v in value]
     return read
 
 
@@ -291,6 +291,8 @@ def _step(space, low, high, at):
 
 
 def _reciprocal_safe(space, floor, ceil, seed):
+    if ceil < floor:
+        raise ConfigError("ceil", f"must be at least floor {floor!r}, got {ceil!r}")
     rng = np.random.default_rng(seed)
     modulus = rng.uniform(floor, ceil, len(space))
     return modulus * np.exp(2j * np.pi * rng.random(len(space)))
@@ -488,12 +490,13 @@ class ExperimentConfig:
     sweep_family: measure.RefinementFamily
 
 
-def _sweep_family(kind: str, l_values: list, ppu: int) -> measure.RefinementFamily:
-    """The grids a sweep of ``kind`` runs on, checked as the sweep checks them."""
-    if kind not in ("weighted_delta", "bounded_control"):
-        raise ConfigError("kind", f"unknown sweep kind {kind!r}")
+def _sweep_family(sweep_kind: str, l_values: list,
+                  ppu: int) -> measure.RefinementFamily:
+    """The grids a sweep of ``sweep_kind`` runs on, checked as the sweep checks them."""
+    if sweep_kind not in ("weighted_delta", "bounded_control"):
+        raise ConfigError("kind", f"unknown sweep kind {sweep_kind!r}")
     try:
-        if kind == "weighted_delta":
+        if sweep_kind == "weighted_delta":
             family = lab.weighted_delta_family(l_values, ppu)
         else:
             family = measure.symmetric_grid_family(

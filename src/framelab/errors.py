@@ -14,6 +14,10 @@ class ShapeMismatchError(FrameLabError):
     """An array argument does not match the expected length or shape."""
 
 
+class InvalidValueError(FrameLabError, ValueError):
+    """An input value is outside its domain: not finite, not positive, not distinct."""
+
+
 class EmptySpaceError(FrameLabError):
     """An operation requires a nonempty point set."""
 

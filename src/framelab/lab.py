@@ -261,7 +261,7 @@ def fourier_quartet_check(n: int, symbol_values, trials: int = 5,
         alternate = oracles(f, f_inv, f_fwd, m_fwd)  # direction flipped
         coeffs = from_samples(model, f)
         for key, op in ops.items():
-            got = to_samples(model, op.apply(coeffs))
+            got = to_samples(model, op.dense @ coeffs)
             residuals[key] = max(residuals[key],
                                  float(np.max(np.abs(got - expected[key]))))
             flipped[key] = max(flipped[key],

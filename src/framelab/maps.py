@@ -3,8 +3,9 @@
 A map assigns to each point x_j of a sampled measure space a functional on
 the test-function space D; the whole map is stored as the J x K table
 ``table[j, k] = <e_k, omega_{x_j}>`` of analysis values of the orthonormal
-basis.  Analysis of f with coefficients c is then ``table @ c``.  All frame
-diagnostics reduce to spectral data of the weighted table.
+basis.  Analysis of f with coefficients c is then ``table @ c``, and of a
+K x F family of witnesses ``table @ family``.  All frame diagnostics reduce
+to spectral data of the weighted table.
 """
 
 from __future__ import annotations
@@ -15,18 +16,18 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     GridMismatchError,
     InconsistencyError,
+    InvalidValueError,
     NotAFrameError,
     PreconditionError,
     ShapeMismatchError,
     UnsupportedSpaceError,
 )
 from .measure import SampledMeasureSpace, _frozen_array, counting, same_grid
-from .model import RANK_RTOL, ModelSpace, TestFunction, transform_matrix
+from .model import RANK_RTOL, ModelSpace, transform_matrix
 
 EIG_TOL = 1e-8  # classification slack: zero map, Parseval, tight
 BOUND_SLACK = 1e-10  # an analysis value may exceed its envelope by this much
@@ -82,7 +83,7 @@ class DistributionMap:
                 f"{len(self.space)} points x {self.model.dim} basis elements"
             )
         if not np.all(np.isfinite(table)):
-            raise ValueError("evaluation table must have finite entries")
+            raise InvalidValueError("evaluation table must have finite entries")
 
     @property
     def n_points(self) -> int:
@@ -91,11 +92,6 @@ class DistributionMap:
     @property
     def dim(self) -> int:
         return self.table.shape[1]
-
-    def analyze(self, f) -> np.ndarray:
-        """Analysis values <f, omega_{x_j}> for all j."""
-        c = f.coeffs if isinstance(f, TestFunction) else np.asarray(f, dtype=complex)
-        return self.table @ c
 
     def vectors(self) -> np.ndarray:
         """Rows of H coefficients: row j represents omega_{x_j} as an element of H."""
@@ -391,33 +387,32 @@ class OrthogonalityReport:
     reason: str = ""
 
 
-def _witness_analysis(omega: DistributionMap, family: Sequence[TestFunction],
+def _witness_analysis(omega: DistributionMap, family: np.ndarray,
                       support_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """One evaluation of a non-empty witness family, stacked as K x F coefficients.
+    """One evaluation of a non-empty K x F witness family.
 
     Returns the J x F analysis matrix (column f holds <f, omega_j>), its
     moduli, the support mask (moduli above ``support_tol``) and whether the
     family is total in D (full rank at relative tolerance RANK_RTOL).
     """
-    coeffs = np.array([f.coeffs for f in family]).T
-    sigma = np.linalg.svd(coeffs, compute_uv=False)
+    sigma = np.linalg.svd(family, compute_uv=False)
     total = bool(np.sum(sigma > RANK_RTOL * sigma[0]) == omega.dim)
-    analysis = omega.table @ coeffs
+    analysis = omega.table @ family
     values = np.abs(analysis)
     return analysis, values, values > support_tol, total
 
 
-def _orthogonality(omega: DistributionMap, family: Sequence[TestFunction],
+def _orthogonality(omega: DistributionMap, family: np.ndarray,
                    support_tol: float,
                    alpha: np.ndarray | None = None) -> OrthogonalityReport:
     """Support records of a non-empty family, with the envelope bound if alpha."""
     values, on, total = _witness_analysis(omega, family, support_tol)[1:]
-    violations = [None] * len(family)
+    violations = [None] * family.shape[1]
     if alpha is not None:
         excess = values - alpha[:, None]
         excess[~on] = -np.inf
         worst = np.argmax(excess, axis=0)
-        for i in np.flatnonzero(excess[worst, np.arange(len(family))] > BOUND_SLACK):
+        for i in np.flatnonzero(excess[worst, np.arange(len(worst))] > BOUND_SLACK):
             j = int(worst[i])
             violations[i] = (j, float(values[j, i]), float(alpha[j]))
     sizes = on.sum(axis=0)
@@ -442,16 +437,16 @@ def _orthogonality(omega: DistributionMap, family: Sequence[TestFunction],
                                reason=reason)
 
 
-def check_pseudo_orthogonal(omega: DistributionMap, family: Sequence[TestFunction],
+def check_pseudo_orthogonal(omega: DistributionMap, family: np.ndarray,
                             support_tol: float = SUPPORT_TOL) -> OrthogonalityReport:
-    """Certify a witness family for proper-support orthogonality.
+    """Certify a K x F witness family for proper-support orthogonality.
 
     Each witness must have analysis support on a strict subset of the points
     (the finite shadow of a bounded support set), and the family must be
     total in D.  This certifies a supplied witness; it does not search for
     one.
     """
-    if not family:
+    if family.shape[1] == 0:
         return OrthogonalityReport(
             passed=False, total=False, records=(), reason="empty witness family"
         )
@@ -459,22 +454,22 @@ def check_pseudo_orthogonal(omega: DistributionMap, family: Sequence[TestFunctio
 
 
 def check_hyper_orthogonal(omega: DistributionMap, alpha,
-                           family_builder: Callable[[np.ndarray], Sequence[TestFunction]],
+                           family_builder: Callable[[np.ndarray], np.ndarray],
                            support_tol: float = SUPPORT_TOL) -> OrthogonalityReport:
     """Certify a dominated witness family built for a positive envelope alpha.
 
-    The builder receives alpha sampled on the points and must return test
-    functions whose analysis values stay below alpha (up to ``BOUND_SLACK``)
-    on their support and vanish (below ``support_tol``) elsewhere, with the
-    family total in D.
+    The builder receives alpha sampled on the points and must return a K x F
+    family of test functions whose analysis values stay below alpha (up to
+    ``BOUND_SLACK``) on their support and vanish (below ``support_tol``)
+    elsewhere, with the family total in D.
     """
     alpha_values = np.asarray(alpha, dtype=float)
     if alpha_values.shape != (omega.n_points,):
         raise ShapeMismatchError("alpha must be sampled on the point set")
     if np.any(alpha_values <= 0.0):
         raise PreconditionError("alpha must be strictly positive on all points")
-    family = list(family_builder(alpha_values))
-    if not family:
+    family = family_builder(alpha_values)
+    if family.shape[1] == 0:
         return OrthogonalityReport(
             passed=False, total=False, records=(),
             reason="builder returned an empty witness family",
@@ -484,45 +479,34 @@ def check_hyper_orthogonal(omega: DistributionMap, alpha,
 
 # -- builtin witness families --------------------------------------------------
 
-def _project_columns(model: ModelSpace, values: np.ndarray) -> list[TestFunction]:
-    """H-orthogonal projections onto D of each column of an N x L sample block."""
-    coeffs = model.on_basis.conj().T @ (model.space.weights[:, None] * values)
-    return [TestFunction(c) for c in coeffs.T]
+def _project_columns(model: ModelSpace, values: np.ndarray) -> np.ndarray:
+    """K x L coefficients of the H-orthogonal projections onto D of the
+    columns of an N x L sample block."""
+    return model.on_basis.conj().T @ (model.space.weights[:, None] * values)
 
 
-def bump_family(model: ModelSpace, heights=None,
-                half_width: int = 0) -> list[TestFunction]:
-    """Indicator bumps around every grid point, optionally scaled per center.
+def bump_family(model: ModelSpace, heights=None) -> np.ndarray:
+    """Single-point spikes at every grid point, optionally scaled per point.
 
-    With ``half_width`` 0 each witness is a single-point spike; wider bumps
-    include the neighbouring points (clipped at the grid edges).  Heights
-    default to 1.  Exact (analysis supported only on the bump) when D spans
-    the whole sample space.
+    Heights default to 1.  Exact (analysis supported only on the spike) when
+    D spans the whole sample space.
     """
-    n = model.ambient_dim
     if heights is None:
-        heights = np.ones(n)
-    heights = np.asarray(heights, dtype=float)
-    index = np.arange(n)
-    within = np.abs(index[:, None] - index[None, :]) <= half_width
-    return _project_columns(model, within * heights[None, :])
+        heights = np.ones(model.ambient_dim)
+    return _project_columns(model, np.diag(np.asarray(heights, dtype=float)))
 
 
-def scaled_bump_family(model: ModelSpace, alpha_values,
-                       half_width: int = 0) -> list[TestFunction]:
-    """Bumps dominated by an envelope: height = min of alpha over the bump.
+def scaled_bump_family(model: ModelSpace, alpha_values) -> np.ndarray:
+    """Spikes dominated by an envelope: each height is alpha at its point.
 
-    Bumps live on the model grid, so only its first ``ambient_dim`` envelope
+    Spikes live on the model grid, so only its first ``ambient_dim`` envelope
     values are read.
     """
-    envelope = np.asarray(alpha_values, dtype=float)[:model.ambient_dim]
-    padded = np.pad(envelope, half_width, constant_values=np.inf)
-    heights = sliding_window_view(padded, 2 * half_width + 1).min(axis=1)
-    return bump_family(model, heights=heights, half_width=half_width)
+    return bump_family(model, np.asarray(alpha_values, dtype=float)[:model.ambient_dim])
 
 
 def band_limited_family(model: ModelSpace, space: SampledMeasureSpace,
-                        alpha_values=None) -> list[TestFunction]:
+                        alpha_values=None) -> np.ndarray:
     """Witnesses whose transform is a single frequency spike, per dual point.
 
     Suited to the exponential frame: the analysis of each witness is an

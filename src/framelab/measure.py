@@ -8,7 +8,6 @@ so almost-everywhere statements become pointwise statements.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -17,17 +16,13 @@ import numpy as np
 
 from .errors import (
     EmptySpaceError,
+    InvalidValueError,
     ScheduleError,
     ShapeMismatchError,
     UnsupportedSpaceError,
 )
 
 SPACING_RTOL, SPACING_ATOL = 1e-12, 1e-14  # gaps of a uniform grid, as np.allclose
-
-
-class SpaceKind(enum.Enum):
-    ATOMIC = "atomic"
-    QUADRATURE = "quadrature"
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -48,7 +43,6 @@ class SampledMeasureSpace:
 
     points: np.ndarray
     weights: np.ndarray
-    kind: SpaceKind
     extent: float
     periodic: bool = False
 
@@ -66,20 +60,16 @@ class SampledMeasureSpace:
         if len(points) == 0:
             raise EmptySpaceError("a measure space needs at least one point")
         if not np.all(np.isfinite(points)):
-            raise ValueError("all points must be finite")
+            raise InvalidValueError("all points must be finite")
         if not np.all(weights > 0.0):
-            raise ValueError("all weights must be strictly positive")
+            raise InvalidValueError("all weights must be strictly positive")
         if not np.all(np.isfinite(weights)):
-            raise ValueError("all weights must be finite")
+            raise InvalidValueError("all weights must be finite")
         if len(np.unique(points)) != len(points):
-            raise ValueError("points must be pairwise distinct")
+            raise InvalidValueError("points must be pairwise distinct")
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @property
-    def total_measure(self) -> float:
-        return float(np.sum(self.weights))
 
     @property
     def spacing(self) -> float:
@@ -115,7 +105,6 @@ def counting(n_or_points) -> SampledMeasureSpace:
     return SampledMeasureSpace(
         points=points,
         weights=np.ones(len(points)),
-        kind=SpaceKind.ATOMIC,
         extent=float(len(points)),
     )
 
@@ -126,7 +115,6 @@ def periodic_unit_grid(n: int) -> SampledMeasureSpace:
     return SampledMeasureSpace(
         points=np.arange(n) / n,
         weights=np.full(n, 1.0 / n),
-        kind=SpaceKind.QUADRATURE,
         extent=1.0,
         periodic=True,
     )
@@ -145,7 +133,6 @@ def fourier_grid(n: int) -> SampledMeasureSpace:
     return SampledMeasureSpace(
         points=np.arange(n) * step,
         weights=np.full(n, step),
-        kind=SpaceKind.QUADRATURE,
         extent=n * step,
         periodic=True,
     )
@@ -155,12 +142,11 @@ def symmetric_grid(n: int, half_width: float) -> SampledMeasureSpace:
     """Uniform grid of n points on [-L, L] including both endpoints."""
     n = int(n)
     if n < 2:
-        raise ValueError("symmetric grid needs at least 2 points")
+        raise InvalidValueError("symmetric grid needs at least 2 points")
     L = float(half_width)
     return SampledMeasureSpace(
         points=np.linspace(-L, L, n),
         weights=np.full(n, 2.0 * L / (n - 1)),
-        kind=SpaceKind.QUADRATURE,
         extent=L,
     )
 
@@ -168,8 +154,6 @@ def symmetric_grid(n: int, half_width: float) -> SampledMeasureSpace:
 # -- L2(X, mu) arithmetic ----------------------------------------------------
 
 def _as_values(space: SampledMeasureSpace, xi) -> np.ndarray:
-    if callable(xi):
-        xi = np.asarray([xi(x) for x in space.points])
     values = np.asarray(xi, dtype=complex)
     if values.shape != (len(space),):
         raise ShapeMismatchError(

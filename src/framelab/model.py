@@ -4,8 +4,9 @@ A model fixes an ambient coordinate space (raw samples on the grid of a
 :class:`~framelab.measure.SampledMeasureSpace`), whose positive weight
 vector w defines the H inner product of raw samples, <u, v> = sum_j w_j
 u_j conj(v_j), and a distinguished K-dimensional subspace D spanned by an
-H-orthonormalized basis.  Test functions are coefficient vectors over that
-basis.
+H-orthonormalized basis.  A test function is its coefficient vector over
+that basis, and a family of F test functions is the K x F matrix of their
+coefficient columns.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import numpy as np
 
 from .errors import (
     DegenerateBasisError,
+    InvalidValueError,
     ShapeMismatchError,
     UnsupportedSpaceError,
 )
-from .measure import SampledMeasureSpace, SpaceKind
+from .measure import SampledMeasureSpace
 
 RANK_RTOL = 1e-10  # singular values <= RANK_RTOL * the largest count as zero
 ORTHONORMAL_TOL = 1e-12  # largest |Q^H W Q - I| entry of an orthonormal basis
@@ -132,8 +134,8 @@ class ModelSpace:
             raise ShapeMismatchError("on_basis must have one row per sample point")
         gon = self.space.weights[:, None] * on
         defect = np.max(np.abs(on.conj().T @ gon - np.eye(on.shape[1])))
-        if defect > ORTHONORMAL_TOL:
-            raise ValueError(
+        if not defect <= ORTHONORMAL_TOL:  # a NaN defect fails too
+            raise InvalidValueError(
                 f"on_basis is not H-orthonormal (defect {defect:.3e})"
             )
         object.__setattr__(self, "d_basis", np.asarray(self.d_basis, dtype=complex))
@@ -174,36 +176,19 @@ def make_model(space: SampledMeasureSpace, family: BasisFamily) -> ModelSpace:
 
 # -- elements ----------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class TestFunction:
-    """Element of D as coefficients over the orthonormal basis."""
-
-    __test__ = False  # keep pytest from collecting the domain type
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if not np.all(np.isfinite(c)):
-            raise ValueError("test-function coefficients must be finite")
-        object.__setattr__(self, "coeffs", c)
+def to_samples(model: ModelSpace, coeffs: np.ndarray) -> np.ndarray:
+    """Raw sample values on the model grid of a test function's coefficients."""
+    return model.on_basis @ coeffs
 
 
-def _coeffs(f) -> np.ndarray:
-    return f.coeffs if isinstance(f, TestFunction) else np.asarray(f, dtype=complex)
-
-
-def to_samples(model: ModelSpace, f) -> np.ndarray:
-    """Raw sample values of a test function on the model grid."""
-    return model.on_basis @ _coeffs(f)
-
-
-def from_samples(model: ModelSpace, values) -> TestFunction:
-    """H-orthogonal projection of a sample vector onto D, as coefficients."""
+def from_samples(model: ModelSpace, values) -> np.ndarray:
+    """H-orthogonal projection of a finite sample vector onto D: its coefficients."""
     v = np.asarray(values, dtype=complex)
     if v.shape != (model.ambient_dim,):
         raise ShapeMismatchError(f"expected {model.ambient_dim} sample values")
-    return TestFunction(model.on_basis.conj().T @ (model.space.weights * v))
+    if not np.all(np.isfinite(v)):
+        raise InvalidValueError("sample values must be finite")
+    return model.on_basis.conj().T @ (model.space.weights * v)
 
 
 # -- discrete transform on periodic grids ------------------------------------
@@ -217,7 +202,6 @@ def dual_grid(space: SampledMeasureSpace) -> SampledMeasureSpace:
     return SampledMeasureSpace(
         points=np.arange(n) * step,
         weights=np.full(n, step),
-        kind=SpaceKind.QUADRATURE,
         extent=n * step,
         periodic=True,
     )

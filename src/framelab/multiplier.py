@@ -18,13 +18,14 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import (
     GridMismatchError,
     InconsistencyError,
+    InvalidValueError,
     ScheduleError,
     ShapeMismatchError,
     SingularOperatorError,
@@ -37,7 +38,7 @@ from .measure import (
     refine,
     same_grid,
 )
-from .model import RANK_RTOL, TestFunction
+from .model import RANK_RTOL
 
 RESIDUAL_TOL = 1e-10  # largest residual allowed for an exact identity
 ROUNDING_TOL = 1e-12  # largest residual of a matrix that only rounding separates
@@ -74,14 +75,12 @@ class Symbol:
 
 
 def make_symbol(space: SampledMeasureSpace, values) -> Symbol:
-    """Sample or wrap finite symbol values on a space and compute the metadata."""
-    if callable(values):
-        values = [values(x) for x in space.points]
+    """Wrap finite symbol values on a space and compute the metadata."""
     values = np.asarray(values, dtype=complex)
     if values.shape != (len(space),):
         raise ShapeMismatchError(f"symbol needs {len(space)} values")
     if not np.all(np.isfinite(values)):
-        raise ValueError("symbol values must be finite")
+        raise InvalidValueError("symbol values must be finite")
     return Symbol(
         values=values,
         ess_sup=ess_sup(space, values),
@@ -169,16 +168,6 @@ class MultiplierOperator:
             self.theta.table.conj().T,
         )
 
-    def apply(self, f) -> TestFunction:
-        c = f.coeffs if isinstance(f, TestFunction) else np.asarray(f, dtype=complex)
-        return TestFunction(self.dense @ c)
-
-    def pair(self, f, g) -> complex:
-        """<M f, g> through the dense matrix."""
-        cf = f.coeffs if isinstance(f, TestFunction) else np.asarray(f, dtype=complex)
-        cg = g.coeffs if isinstance(g, TestFunction) else np.asarray(g, dtype=complex)
-        return complex(np.vdot(cg, self.dense @ cf))
-
 
 def _check_factors(m: Symbol, omega: DistributionMap, theta: DistributionMap):
     if not same_grid(omega.space, theta.space):
@@ -211,7 +200,7 @@ def build(m: Symbol, omega: DistributionMap, theta: DistributionMap,
             f = rng.standard_normal(k) + 1j * rng.standard_normal(k)
             g = rng.standard_normal(k) + 1j * rng.standard_normal(k)
             direct = np.sum(wm * (omega.table @ f) * np.conj(theta.table @ g))
-            if abs(op.pair(f, g) - direct) > RESIDUAL_TOL * scale * k:
+            if abs(np.vdot(g, dense @ f) - direct) > RESIDUAL_TOL * scale * k:
                 raise InconsistencyError("dense matrix disagrees with its pairing")
     return op
 
@@ -427,10 +416,10 @@ class DensityReport:
 
 
 def density_certificate(omega: DistributionMap, theta: DistributionMap,
-                        m: Symbol, family: Sequence[TestFunction],
+                        m: Symbol, family: np.ndarray,
                         support_tol: float = SUPPORT_TOL,
                         tol: float = RESIDUAL_TOL) -> DensityReport:
-    """Certify the dense-domain bound on a proper-support witness family.
+    """Certify the dense-domain bound on a K x F proper-support witness family.
 
     For each witness f with analysis support X_f the norm of M f must stay
     below  sup_{X_f} |<f, omega_j>| * sqrt(B_theta) * ||m||_{L2(X_f)}; with
@@ -439,7 +428,7 @@ def density_certificate(omega: DistributionMap, theta: DistributionMap,
     from the factorization, as a column norm of E_theta^H (w * m * analysis)
     over the family's one analysis matrix; no operator is built.
     """
-    if not family:
+    if family.shape[1] == 0:
         return DensityReport(passed=False, total=False, records=(),
                              reason="empty witness family")
     _check_factors(m, omega, theta)
@@ -516,11 +505,12 @@ def _growth_sweep(family: RefinementFamily,
 def closure_domain_profile(
         family: RefinementFamily,
         builder: Callable[[SampledMeasureSpace], tuple[DistributionMap, Symbol]],
-        f_builder: Callable[[DistributionMap], TestFunction]) -> ClosureProfile:
-    """Sweep the weighted integral of |m * analysis(f)|^2 over a schedule."""
+        f_builder: Callable[[DistributionMap], np.ndarray]) -> ClosureProfile:
+    """Sweep the weighted integral of |m * analysis(f)|^2 over a schedule;
+    ``f_builder`` gives the coefficient vector of f on each step's model."""
     def integral(space: SampledMeasureSpace) -> float:
         omega, m = builder(space)
-        integrand = m.values * omega.analyze(f_builder(omega))
+        integrand = m.values * (omega.table @ f_builder(omega))
         return float(np.sum(space.weights * np.abs(integrand) ** 2))
 
     integrals, exponent, grows = _growth_sweep(family, integral)
@@ -541,16 +531,16 @@ class ClosabilityReport:
 
 
 def closability_check(omega: DistributionMap, theta: DistributionMap, m: Symbol,
-                      dual_family: Sequence[TestFunction],
+                      dual_family: np.ndarray,
                       trials: int = 20, seed: int = 0) -> ClosabilityReport:
     """Verify <M f, g> = <f, M' g> with M' the conjugate-symbol swap.
 
-    A total family of such g certifies a densely defined adjoint, the
+    A total K x F family of such g certifies a densely defined adjoint, the
     finite shadow of closability.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if not dual_family:
+    if dual_family.shape[1] == 0:
         return ClosabilityReport(passed=False, total=False, residual=float("inf"),
                                  reason="empty dual witness family")
     _check_factors(m, omega, theta)

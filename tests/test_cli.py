@@ -220,6 +220,9 @@ class TestRun:
         ("output_dir", {"output_dir": "blocked/summary"}),
         ("output_dir", {"output_dir": "blocked/sweep",
                         "suites": ["diagnose", "sweep"]}),
+        # a modulus range whose ceiling is below its floor
+        ("symbol.ceil", {"symbol": {"family": "reciprocal_safe", "floor": 1.0,
+                                    "ceil": 0.5, "seed": 3}}),
     ])
     def test_bad_values_are_validation_errors(self, tmp_path, monkeypatch, capsys,
                                               field, patch):
@@ -232,6 +235,27 @@ class TestRun:
         assert run(config, out_dir=out) == EXIT_VALIDATION
         assert f"invalid config: {field}" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before  # no report written
+
+    @pytest.mark.parametrize("patch, message", [
+        ({"space": {"family": "symmetric_grid", "n": 2, "half_width": 1e308}},
+         "all points must be finite"),
+        ({"space": {"family": "symmetric_grid", "n": 8, "half_width": 1.0},
+          "model": {"family": "gaussian_bumps", "centers": [-1.0, 1.0],
+                    "width": 1e-300}},
+         "on_basis is not H-orthonormal (defect nan)"),
+        ({"model": {"family": "raw_samples"},
+          "omega": {"family": "translated_window",
+                    "window": {"family": "gaussian_window", "width": 1e-300}}},
+         "evaluation table must have finite entries"),
+    ], ids=["grid-overflow", "bump-underflow", "window-underflow"])
+    def test_extreme_values_cannot_build_the_experiment(self, tmp_path, capsys,
+                                                        patch, message):
+        config = write_config(tmp_path, "cfg.json", {**PARSEVAL_CONFIG, **patch})
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert run(config, out_dir=out) == EXIT_VALIDATION
+        assert f"cannot build experiment: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, section", [
         ("quartet.n", {"quartet": {"n": ["x"]}}),

@@ -184,7 +184,7 @@ def reference_quartet_residuals(n, m, trials, seed):
         expected, alternate = oracles(f, False), oracles(f, True)
         coeffs = from_samples(model, f)
         for key, op in ops.items():
-            got = to_samples(model, op.apply(coeffs))
+            got = to_samples(model, op.dense @ coeffs)
             residuals[key] = max(residuals[key],
                                  float(np.max(np.abs(got - expected[key]))))
             flipped[key] = max(flipped[key],

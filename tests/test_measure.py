@@ -3,11 +3,11 @@ import pytest
 
 from framelab import (
     EmptySpaceError,
+    InvalidValueError,
     RefinementFamily,
     SampledMeasureSpace,
     ScheduleError,
     ShapeMismatchError,
-    SpaceKind,
     counting,
     ess_sup,
     fourier_grid,
@@ -54,6 +54,10 @@ class TestL2Inner:
         y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         assert l2_inner(space, x, y) == pytest.approx(np.vdot(y, x), abs=1e-14)
 
+    def test_values_on_x_are_arrays_not_callables(self):
+        with pytest.raises(TypeError):
+            l2_inner(counting(2), lambda x: x, (1, 1))
+
 
 class TestEssSup:
     def test_max_modulus(self):
@@ -77,13 +81,11 @@ class TestEssSup:
 class TestSpaceInvariants:
     def test_empty_space_rejected(self):
         with pytest.raises(EmptySpaceError):
-            SampledMeasureSpace(points=[], weights=[], kind=SpaceKind.ATOMIC,
-                                extent=0.0)
+            SampledMeasureSpace(points=[], weights=[], extent=0.0)
 
     def test_zero_weight_rejected(self):
-        with pytest.raises(ValueError, match="strictly positive"):
-            SampledMeasureSpace(points=[0.0, 1.0], weights=[1.0, 0.0],
-                                kind=SpaceKind.ATOMIC, extent=2.0)
+        with pytest.raises(InvalidValueError, match="strictly positive"):
+            SampledMeasureSpace(points=[0.0, 1.0], weights=[1.0, 0.0], extent=2.0)
 
     @pytest.mark.parametrize("points, weights, what", [
         ([0.0, np.nan], [1.0, 1.0], "points"),
@@ -91,21 +93,26 @@ class TestSpaceInvariants:
         ([0.0, 1.0], [1.0, np.inf], "weights"),
     ])
     def test_non_finite_entries_rejected(self, points, weights, what):
-        with pytest.raises(ValueError, match=f"{what} must be finite"):
-            SampledMeasureSpace(points=points, weights=weights,
-                                kind=SpaceKind.ATOMIC, extent=2.0)
+        with pytest.raises(InvalidValueError, match=f"{what} must be finite"):
+            SampledMeasureSpace(points=points, weights=weights, extent=2.0)
 
     def test_duplicate_points_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            SampledMeasureSpace(points=[1.0, 1.0], weights=[1.0, 1.0],
-                                kind=SpaceKind.ATOMIC, extent=2.0)
+        with pytest.raises(InvalidValueError, match="distinct"):
+            SampledMeasureSpace(points=[1.0, 1.0], weights=[1.0, 1.0], extent=2.0)
+
+    def test_symmetric_grid_values_are_typed_errors(self):
+        with pytest.raises(InvalidValueError, match="at least 2 points"):
+            symmetric_grid(1, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InvalidValueError, match="must be finite"):
+            symmetric_grid(2, 1e308)  # the span 2L overflows
 
     def test_counting_weights_are_unit(self):
         assert np.all(counting(7).weights == 1.0)
 
     def test_total_measure(self):
-        assert periodic_unit_grid(8).total_measure == pytest.approx(1.0)
-        assert fourier_grid(9).total_measure == pytest.approx(3.0)
+        assert periodic_unit_grid(8).weights.sum() == pytest.approx(1.0)
+        assert fourier_grid(9).weights.sum() == pytest.approx(3.0)
 
 
 def unit_grids(ns):

@@ -4,6 +4,8 @@ import pytest
 from framelab import (
     DegenerateBasisError,
     GaussianBumps,
+    InvalidValueError,
+    ModelSpace,
     RawSamples,
     ShapeMismatchError,
     Trigonometric,
@@ -61,6 +63,12 @@ class TestMakeModel:
     def test_too_many_frequencies_rejected(self):
         with pytest.raises(DegenerateBasisError):
             make_model(periodic_unit_grid(8), Trigonometric(max_degree=6))
+
+    @pytest.mark.parametrize("on_basis", [2 * np.eye(2), np.full((2, 2), np.nan)])
+    def test_non_orthonormal_basis_is_a_typed_error(self, on_basis):
+        space = counting(2)
+        with pytest.raises(InvalidValueError, match="not H-orthonormal"):
+            ModelSpace(space=space, d_basis=np.eye(2), on_basis=on_basis)
 
 
 class TestOrthonormalize:
@@ -136,6 +144,20 @@ class TestHInner:
         model = make_model(periodic_unit_grid(8), Trigonometric(max_degree=4))
         values = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         assert np.max(np.abs(to_samples(model, from_samples(model, values)) - values)) < 1e-12
+
+    def test_a_test_function_is_its_coefficient_vector(self, rng):
+        model = make_model(periodic_unit_grid(8), Trigonometric(max_degree=3))
+        values = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        coeffs = from_samples(model, values)
+        assert type(coeffs) is np.ndarray and coeffs.shape == (model.dim,)
+        expected = model.on_basis.conj().T @ (model.space.weights * values)
+        assert np.array_equal(coeffs, expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_samples_rejected(self, bad):
+        model = make_model(counting(3), RawSamples())
+        with pytest.raises(InvalidValueError, match="sample values must be finite"):
+            from_samples(model, [1.0, bad, 2.0])
 
 
 class TestTransform:

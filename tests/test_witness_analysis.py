@@ -31,12 +31,11 @@ from framelab import (
     density_certificate,
     diagnose,
     exponential_frame,
+    from_samples,
     make_model,
     make_symbol,
     periodic_unit_grid,
-    scaled_bump_family,
     symmetric_grid,
-    TestFunction,
     Trigonometric,
 )
 from framelab.maps import OrthogonalityReport, SupportRecord
@@ -50,9 +49,9 @@ NOISE = 64 * np.finfo(float).eps
 # -- the per-witness references ------------------------------------------------
 
 def _family_total(model, family, rank_tol):
-    if not family:
+    if not family.shape[1]:
         return False
-    coeffs = np.asarray([f.coeffs for f in family])
+    coeffs = family.T
     sigma = np.linalg.svd(coeffs, compute_uv=False)
     rank = int(np.sum(sigma > rank_tol * sigma[0])) if sigma[0] > 0 else 0
     return rank == model.dim
@@ -60,13 +59,13 @@ def _family_total(model, family, rank_tol):
 
 def _support_record(omega, f, index, support_tol, alpha, bound_slack,
                     max_support_fraction):
-    values = np.abs(omega.analyze(f))
+    values = np.abs(omega.table @ f)
     on = values > support_tol
     support_measure = float(np.sum(omega.space.weights[on]))
     if max_support_fraction is None:
         strict = int(np.sum(on)) < omega.n_points
     else:
-        strict = support_measure <= max_support_fraction * omega.space.total_measure
+        strict = support_measure <= max_support_fraction * omega.space.weights.sum()
     violation = None
     if alpha is not None and np.any(on):
         excess = values[on] - alpha[on]
@@ -88,14 +87,14 @@ def _support_record(omega, f, index, support_tol, alpha, bound_slack,
 
 def reference_orthogonality(omega, family, alpha=None, support_tol=1e-9):
     """The two checks' loop bodies; alpha None is the pseudo check."""
-    if not family:
+    if not family.shape[1]:
         reason = ("empty witness family" if alpha is None
                   else "builder returned an empty witness family")
         return OrthogonalityReport(passed=False, total=False, records=(),
                                    reason=reason)
     records = tuple(
         _support_record(omega, f, i, support_tol, alpha, 1e-10, None)
-        for i, f in enumerate(family)
+        for i, f in enumerate(family.T)
     )
     total = _family_total(omega.model, family, 1e-10)
     passed = total and all(r.passed for r in records)
@@ -112,20 +111,20 @@ def reference_orthogonality(omega, family, alpha=None, support_tol=1e-9):
 
 
 def reference_density(omega, theta, m, family, support_tol=1e-9, tol=1e-10):
-    if not family:
+    if not family.shape[1]:
         return DensityReport(passed=False, total=False, records=(),
                              reason="empty witness family")
     b_theta = diagnose(theta).upper
     op = build(m, omega, theta, validate=False)
     w = omega.space.weights
     records = []
-    for i, f in enumerate(family):
-        values = np.abs(omega.analyze(f))
+    for i, f in enumerate(family.T):
+        values = np.abs(omega.table @ f)
         on = values > support_tol
         c_f = float(values[on].max()) if np.any(on) else 0.0
         m_l2 = math.sqrt(float(np.sum(w[on] * np.abs(m.values[on]) ** 2)))
         bound = c_f * math.sqrt(b_theta) * m_l2
-        norm_mf = float(np.linalg.norm(op.dense @ f.coeffs))
+        norm_mf = float(np.linalg.norm(op.dense @ f))
         records.append(DensityRecord(
             index=i,
             support_size=int(np.sum(on)),
@@ -170,9 +169,28 @@ def sparse_random_map(j, k, rng):
 
 
 def sparse_family(k, count, rng):
-    return [TestFunction((rng.standard_normal(k) + 1j * rng.standard_normal(k))
-                         * (rng.random(k) < 0.3))
-            for _ in range(count)]
+    return np.column_stack([(rng.standard_normal(k) + 1j * rng.standard_normal(k))
+                            * (rng.random(k) < 0.3)
+                            for _ in range(count)])
+
+
+def banded_bumps(model, heights, half_width):
+    """K x N family of bumps over 2 * half_width + 1 points (clipped at the
+    grid edges), each projected onto D on its own."""
+    n = model.ambient_dim
+    columns = []
+    for c in range(n):
+        values = np.zeros(n)
+        values[max(0, c - half_width):c + half_width + 1] = heights[c]
+        columns.append(from_samples(model, values))
+    return np.column_stack(columns)
+
+
+def window_minima(alpha, half_width):
+    """Each bump's height under an envelope: alpha's minimum over the bump."""
+    n = len(alpha)
+    return np.array([alpha[max(0, c - half_width):c + half_width + 1].min()
+                     for c in range(n)])
 
 
 def delta_case():
@@ -180,8 +198,8 @@ def delta_case():
     space = symmetric_grid(16, 4.0)
     model = make_model(space, RawSamples())
     return (delta_frame(model, space),
-            lambda a=None: (bump_family(model, half_width=1) if a is None
-                            else scaled_bump_family(model, a, half_width=1)),
+            lambda a=None: banded_bumps(model, np.ones(16) if a is None
+                                        else window_minima(a, 1), 1),
             make_symbol(space, space.points.astype(complex)))
 
 
@@ -221,7 +239,7 @@ def test_grid_frames_match_the_loops(case):
     assert hyper.passed
     assert_same_report(hyper, reference_orthogonality(omega, builder(alpha), alpha,
                                                       support_tol=1e-8))
-    for family in (builder(), builder()[:3]):
+    for family in (builder(), builder()[:, :3]):
         assert_same_report(density_certificate(omega, omega, m, family),
                            reference_density(omega, omega, m, family))
 
@@ -230,25 +248,25 @@ def test_envelope_violation_and_empty_family_match_the_loops():
     space = symmetric_grid(9, 4.0)
     model = make_model(space, RawSamples())
     omega = delta_frame(model, space)
-    tall = bump_family(model, heights=np.linspace(0.5, 2.0, 9), half_width=1)
+    tall = banded_bumps(model, np.linspace(0.5, 2.0, 9), 1)
     alpha = np.ones(9)
     report = check_hyper_orthogonal(omega, alpha, lambda a: tall)
     assert report.reason == "envelope bound violated"
     assert_same_report(report, reference_orthogonality(omega, tall, alpha))
-    assert_same_report(check_hyper_orthogonal(omega, alpha, lambda a: []),
-                       reference_orthogonality(omega, [], alpha))
-    assert_same_report(check_pseudo_orthogonal(omega, []),
-                       reference_orthogonality(omega, []))
+    empty = np.zeros((9, 0), dtype=complex)
+    assert_same_report(check_hyper_orthogonal(omega, alpha, lambda a: empty),
+                       reference_orthogonality(omega, empty, alpha))
+    assert_same_report(check_pseudo_orthogonal(omega, empty),
+                       reference_orthogonality(omega, empty))
     m = make_symbol(space, np.ones(9))
-    assert_same_report(density_certificate(omega, omega, m, []),
-                       reference_density(omega, omega, m, []))
+    assert_same_report(density_certificate(omega, omega, m, empty),
+                       reference_density(omega, omega, m, empty))
 
 
 def test_no_per_witness_analysis_and_no_operator_build(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a witness check called analyze or build")
+        raise AssertionError("a witness check built an operator")
 
-    monkeypatch.setattr(DistributionMap, "analyze", refuse)
     monkeypatch.setattr(multiplier_module, "build", refuse)
     omega, builder, m = delta_case()
     alpha = 1.0 / (1.0 + omega.space.points ** 2)
