@@ -448,6 +448,18 @@ FAMILIES = {
 }
 
 
+def _read_family(group: str, cfg: dict, path: str) -> tuple[Callable, dict]:
+    """The builder of the member of ``group`` that ``cfg`` names, and its
+    typed parameters; a bad name or parameter is a ConfigError at ``path``."""
+    with _within(path):
+        family = _need(cfg, "family", _text)
+        if family not in FAMILIES[group]:
+            raise ConfigError("family", f"unknown {group[:-1]} family {family!r}")
+        params, _, builder = FAMILIES[group][family]
+        return builder, {name: _need(cfg, name, p.read, p.default)
+                         for name, p in params.items()}
+
+
 def build_family(group: str, cfg: dict, path: str, *args):
     """Build the member of ``group`` that ``cfg`` names from its typed parameters.
 
@@ -456,13 +468,9 @@ def build_family(group: str, cfg: dict, path: str, *args):
     building the analysis map itself) for frames.  A bad name or parameter
     is a ConfigError whose field starts with ``path``.
     """
+    builder, params = _read_family(group, cfg, path)
     with _within(path):
-        family = _need(cfg, "family", _text)
-        if family not in FAMILIES[group]:
-            raise ConfigError("family", f"unknown {group[:-1]} family {family!r}")
-        params, _, builder = FAMILIES[group][family]
-        return builder(*args, **{name: _need(cfg, name, p.read, p.default)
-                                 for name, p in params.items()})
+        return builder(*args, **params)
 
 
 def _implies_space(omega: dict) -> bool:
@@ -537,6 +545,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     implied = not context or _implies_space(omega)
     space = section("space", {} if implied else None)
     model_cfg = section("model", {} if implied else None)
+    theta = section("theta", {"family": "same"})
+    symbol = section("symbol", {"family": "constant", "value": 1.0})
+    # A section the run does not build is still read, if the config has it.
+    unbuilt = {"space": "spaces", "model": "models"} if implied else {}
+    if not context:
+        unbuilt.update(omega="frames", theta="frames", symbol="symbols")
+    for name, group in unbuilt.items():
+        if name in raw:
+            _read_family(group, raw[name], name)
 
     quartet = section("quartet", {})
     with _within("quartet"):
@@ -562,8 +579,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         space=space,
         model=model_cfg,
         omega=omega,
-        theta=section("theta", {"family": "same"}),
-        symbol=section("symbol", {"family": "constant", "value": 1.0}),
+        theta=theta,
+        symbol=symbol,
         suites=suites,
         tolerance=_need(raw, "tolerance", _positive, multiplier.RESIDUAL_TOL),
         seed=seed,
@@ -643,7 +660,7 @@ def _suite_dual(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     )
     if bound_dev > multiplier.BOUND_TOL:
         failures.append(f"dual bounds deviate by {bound_dev:.3e}")
-    back = maps.canonical_dual(dual)
+    back = maps._solve_dual(dual)  # not cached on the dual, so freed on return
     back_residual = float(np.max(np.abs(back.table - ctx.omega.table)))
     if back_residual > multiplier.RESIDUAL_TOL:
         failures.append(f"dual of dual residual {back_residual:.3e}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -66,7 +67,8 @@ FRAME_CLASSES = frozenset(
 class DistributionMap:
     """Evaluation table of a map from the point set into the dual of D.
 
-    The table is read-only, so the cached :attr:`spectrum` cannot go stale.
+    The table is read-only, so nothing cached on the map (its spectrum, its
+    canonical dual, its dual-pair verdicts) can go stale.
     """
 
     table: np.ndarray
@@ -111,6 +113,17 @@ class DistributionMap:
         weighted = np.sqrt(self.space.weights)[:, None] * self.table
         return (np.linalg.svd(weighted, compute_uv=False),
                 np.linalg.eigvalsh(self.frame_matrix()))
+
+    @functools.cached_property
+    def _dual(self) -> DistributionMap:
+        """The canonical dual, solved on first use; read it by :func:`canonical_dual`."""
+        return _solve_dual(self)
+
+    @functools.cached_property
+    def _dual_pair_verdicts(self) -> weakref.WeakKeyDictionary:
+        """``multiplier.is_dual_pair`` verdicts with this map as the analysis
+        side, keyed weakly by the synthesis map so as not to keep it alive."""
+        return weakref.WeakKeyDictionary()
 
 
 # -- builtin families ---------------------------------------------------------
@@ -297,8 +310,15 @@ def canonical_dual(omega: DistributionMap) -> DistributionMap:
     """Dual map theta with table = table(omega) @ S^{-1}.
 
     Satisfies the reconstruction pairing <f, g> = sum_j w_j <f, theta_j>
-    <omega_j, g> and has frame bounds (1/B, 1/A).  Requires a frame.
+    <omega_j, g> and has frame bounds (1/B, 1/A).  Requires a frame.  The
+    dual is solved once per map and cached on it, so every call on one map
+    returns the same object.
     """
+    return omega._dual
+
+
+def _solve_dual(omega: DistributionMap) -> DistributionMap:
+    """The canonical dual of ``omega``, solved anew and cached nowhere."""
     diag = diagnose(omega)
     if diag.classification not in FRAME_CLASSES:
         raise NotAFrameError(

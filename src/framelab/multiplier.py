@@ -235,14 +235,18 @@ def is_dual_pair(omega: DistributionMap, theta: DistributionMap) -> bool:
 
     That is exactly the reconstruction duality <f, g> = sum_j w_j
     <f, theta_j> <omega_j, g>; for a square table it makes the symbol
-    calculus exact.
+    calculus exact.  The verdict is decided once per pair and kept on
+    ``omega``, which holds ``theta`` only weakly.
     """
     if omega.n_points != omega.dim:
         return False
-    mixed = theta.table.conj().T @ (omega.space.weights[:, None] * omega.table)
-    return bool(
-        np.linalg.norm(mixed - np.eye(omega.dim)) <= BOUND_TOL * math.sqrt(omega.dim)
-    )
+    verdicts = omega._dual_pair_verdicts
+    if theta not in verdicts:
+        mixed = theta.table.conj().T @ (omega.space.weights[:, None] * omega.table)
+        verdicts[theta] = bool(
+            np.linalg.norm(mixed - np.eye(omega.dim)) <= BOUND_TOL * math.sqrt(omega.dim)
+        )
+    return verdicts[theta]
 
 
 @dataclass(frozen=True)

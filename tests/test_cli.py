@@ -14,8 +14,11 @@ from framelab.cli import (
     EXIT_VALIDATION,
     FAMILIES,
     _jsonify,
+    _suite_dual,
+    build_context,
     build_family,
     main,
+    parse_config,
     run,
 )
 
@@ -291,6 +294,70 @@ class TestRun:
                               {"suites": [suite], "seed": 3, **section})
         assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
         assert f"invalid config: {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, payload", [
+        ("space.family", {"suites": ["quartet"], "seed": 1,
+                          "quartet": {"n": [4], "symbols": 1},
+                          "symbol": {"family": "bogus"},
+                          "space": {"family": "torus"},
+                          "theta": {"family": "nope"}}),
+        ("symbol.value", {"suites": ["sweep"],
+                          "symbol": {"family": "constant", "value": "x"}}),
+        ("symbol.family", {"suites": ["quartet"], "seed": 1,
+                           "symbol": {"family": "bogus"}}),
+        ("omega.vectors", {"suites": ["sweep"],
+                           "omega": {"family": "discrete", "vectors": []}}),
+        ("model.max_degree", {"suites": ["sweep"],
+                              "model": {"family": "trigonometric"}}),
+        # a discrete omega implies the space and the model it is built on
+        ("space.n", {"suites": ["diagnose"],
+                     "omega": {"family": "discrete", "vectors": [[1], [2]]},
+                     "space": {"family": "counting", "n": 0}}),
+    ], ids=["quartet-only", "sweep-only", "symbol", "omega", "model", "implied"])
+    def test_unbuilt_sections_are_still_checked(self, tmp_path, monkeypatch,
+                                                capsys, field, payload):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, "cfg.json", payload)
+        before = sorted(tmp_path.rglob("*"))
+        assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
+        assert f"invalid config: {field}" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before  # no report written
+
+    def test_data_paths_resolve_against_the_working_directory(
+            self, tmp_path, monkeypatch, capsys):
+        config_dir, elsewhere = tmp_path / "config", tmp_path / "elsewhere"
+        config_dir.mkdir()
+        elsewhere.mkdir()
+        (config_dir / "table.csv").write_text("1,0\n0,1\n1,1\n")
+        config = write_config(config_dir, "cfg.json", {
+            "omega": {"family": "discrete", "vectors": "table.csv"},
+            "suites": ["diagnose"],
+        })
+        monkeypatch.chdir(elsewhere)
+        assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
+        assert "file does not exist: table.csv" in capsys.readouterr().err
+        monkeypatch.chdir(config_dir)
+        assert run(config, out_dir=tmp_path / "out") == EXIT_OK
+
+    def test_dual_suite_reuses_the_context_dual_and_keeps_no_second(
+            self, tmp_path, monkeypatch):
+        config = parse_config({
+            "space": {"family": "periodic_unit_grid", "n": 8},
+            "model": {"family": "raw_samples"},
+            "omega": {"family": "weighted_delta", "weight": [1, 2] * 4},
+            "theta": {"family": "canonical_dual"},
+            "suites": ["dual"], "seed": 1,
+        })
+        ctx = build_context(config)
+        assert maps.canonical_dual(ctx.omega) is ctx.theta
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *args: solves.append(1) or solve(*args))
+        data, failures = _suite_dual(config, ctx, 0, tmp_path)
+        assert failures == [] and data["dual_of_dual_residual"] < 1e-12
+        assert len(solves) == 1  # the dual of the dual only
+        assert "_dual" not in vars(ctx.theta)
 
     def test_family_seeds_accept_zero(self, tmp_path):
         config = write_config(tmp_path, "cfg.json", {

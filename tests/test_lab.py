@@ -203,6 +203,18 @@ class TestQuartetDefiningSums:
             assert np.array_equal(lab._direct_convolution(space, a, b),
                                   reference_convolution(space, a, b))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 128])
+    @pytest.mark.parametrize("rows", [1, 12])
+    def test_stacked_convolution_equals_double_loop_row_for_row(self, n, rows):
+        space = fourier_grid(n)
+        rng = np.random.default_rng(1000 * rows + n)
+        a = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+        b = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+        stacked = lab._direct_convolution(space, a, b)
+        assert stacked.shape == (rows, n)
+        for got, a_row, b_row in zip(stacked, a, b):
+            assert np.array_equal(got, reference_convolution(space, a_row, b_row))
+
     @pytest.mark.parametrize("n", [1, 8, 33])
     @pytest.mark.parametrize("inverse", [False, True])
     def test_kernel_transform_equals_defining_sum_bit_for_bit(self, n, inverse):

@@ -285,6 +285,18 @@ class TestCanonicalDual:
         with pytest.raises(NotAFrameError):
             canonical_dual(omega)
 
+    def test_dual_is_solved_once_per_map(self, rng, monkeypatch):
+        omega = random_overcomplete_map(9, 4, rng)
+        expected = np.linalg.solve(omega.frame_matrix().T, omega.table.T).T
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *args: calls.append(1) or solve(*args))
+        dual = canonical_dual(omega)
+        assert canonical_dual(omega) is dual
+        assert len(calls) == 1
+        assert np.array_equal(dual.table, expected)
+
 
 class TestRieszTransition:
     def test_self_transition_is_identity(self):

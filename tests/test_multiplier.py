@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import inspect
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -225,6 +227,29 @@ class TestCompose:
         report = compose(op1, op2)
         assert report.asserted
         assert report.residual > RESIDUAL_TOL
+
+    def test_dual_pair_verdict_is_decided_once_per_pair(self, rng, monkeypatch):
+        omega, theta = riesz_dual_pair(5, rng)
+        ops = [build(random_bounded_symbol(omega.space, rng), omega, theta,
+                     validate=False) for _ in range(2)]
+        identities = []  # np.eye is called only to compare the mixed matrix
+        eye = np.eye
+        monkeypatch.setattr(np, "eye", lambda *args: identities.append(1) or eye(*args))
+        assert all(compose(*ops).asserted for _ in range(10))
+        assert len(identities) == 1
+
+    def test_dual_pair_verdict_does_not_keep_the_synthesis_map_alive(self, rng):
+        omega, theta = riesz_dual_pair(4, rng)
+        # theta is omega's cached dual; only this test holds the copy
+        other = DistributionMap(table=theta.table, space=theta.space,
+                                model=theta.model)
+        assert is_dual_pair(omega, other)
+        assert other in omega._dual_pair_verdicts
+        ref = weakref.ref(other)
+        del other
+        gc.collect()
+        assert ref() is None
+        assert len(omega._dual_pair_verdicts) == 0
 
     def test_adjoint_of_product_is_reversed_product_of_adjoints(self, rng):
         omega, theta = riesz_dual_pair(5, rng)
