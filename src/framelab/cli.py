@@ -63,18 +63,26 @@ def _needs_context(suites) -> bool:
 
 # -- json helpers ---------------------------------------------------------------
 
+@functools.cache
+def _field_names(cls: type) -> tuple | None:
+    """Field names of a dataclass type, None for any other type."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+
+
 def _jsonify(value):
     """Recursively convert reports to deterministic JSON-compatible data.
 
     A dataclass becomes the dict of its fields; properties are not fields.
     """
+    if isinstance(value, (float, np.floating)):  # most leaves are floats
+        f = float(value)
+        return f if math.isfinite(f) else repr(f)
+    if value is None or type(value) in (str, bool, int):
+        return value
     if isinstance(value, enum.Enum):
         return value.value
     if isinstance(value, (np.complexfloating, complex)):
         return [float(np.real(value)), float(np.imag(value))]
-    if isinstance(value, (float, np.floating)):
-        f = float(value)
-        return f if np.isfinite(f) else repr(f)
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.bool_):
@@ -85,8 +93,9 @@ def _jsonify(value):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _jsonify(getattr(value, f.name)) for f in fields(value)}
+    names = _field_names(type(value))
+    if names is not None:
+        return {name: _jsonify(getattr(value, name)) for name in names}
     return value
 
 

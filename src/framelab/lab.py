@@ -7,7 +7,10 @@ products, transforms and circular convolutions from their defining sums.
 Independence means defining sums, never an FFT or a factored map: a
 transform is its kernel matrix applied to the weighted samples, and a
 circular convolution is accumulated term by term in index order, bit for
-bit as the scalar double loop would accumulate it.
+bit as the scalar double loop would accumulate it.  The randomized pairing
+oracles draw all their trials in one call and evaluate them as stacked
+defining sums, one product with a table per side; that is still the sum
+over the tables, not a factored path.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ from .multiplier import (
     RESIDUAL_TOL,
     MultiplierOperator,
     _growth_sweep,
+    _random_pairs,
+    _weighted_pairings,
     build,
     make_symbol,
     operator_norm,
@@ -55,19 +60,20 @@ def _pairing_residual(weights: np.ndarray, left: np.ndarray, right: np.ndarray,
                       apply: Callable[[np.ndarray], np.ndarray],
                       trials: int, seed: int) -> float:
     """Worst |<apply(f), g> - sum_j weights_j (left f)_j conj((right g)_j)|
-    over random normalized coefficient pairs (f, g)."""
+    over random normalized coefficient pairs (f, g).
+
+    The trials are drawn in one call and stacked as trials x K rows, and
+    ``apply`` maps such a block row by row.  The defining sum is taken
+    from the tables, one product per side, for all trials at once.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
-    k = left.shape[1]
-    worst = 0.0
-    for _ in range(trials):
-        f = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        g = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        f, g = f / np.linalg.norm(f), g / np.linalg.norm(g)
-        direct = complex(np.sum(weights * (left @ f) * np.conj(right @ g)))
-        worst = max(worst, abs(np.vdot(g, apply(f)) - direct))
-    return float(worst)
+    f, g = _random_pairs(seed, trials, left.shape[1])
+    f /= np.linalg.norm(f, axis=-1, keepdims=True)
+    g /= np.linalg.norm(g, axis=-1, keepdims=True)
+    direct = _weighted_pairings(weights, left, right, f, g)
+    paired = np.sum(np.conj(g) * apply(f), axis=-1)
+    return float(np.max(np.abs(paired - direct)))
 
 
 def brute_force_pairing(op: MultiplierOperator, trials: int = 100,
@@ -79,7 +85,7 @@ def brute_force_pairing(op: MultiplierOperator, trials: int = 100,
     conj(<g, theta_j>)  evaluated directly from the tables.
     """
     return _pairing_residual(op.space.weights * op.symbol.values, op.omega.table,
-                             op.theta.table, lambda f: op.dense @ f, trials, seed)
+                             op.theta.table, lambda f: f @ op.dense.T, trials, seed)
 
 
 def duality_residual(omega: DistributionMap, theta: DistributionMap,
@@ -114,7 +120,7 @@ def discrete_reduction_oracle(vectors: Sequence,
     map.  The two are the same arithmetic reached by different code, so they
     must agree to within a few ulps.
     """
-    vecs = np.asarray(list(vectors), dtype=complex)
+    vecs = np.asarray(vectors, dtype=complex)
     j, k = vecs.shape
     gram = np.zeros((k, k), dtype=complex)
     for row in vecs:  # explicit accumulation, no matmul shortcut

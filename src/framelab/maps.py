@@ -200,7 +200,7 @@ def translated_window_frame(model: ModelSpace, space: SampledMeasureSpace,
 def discrete_sequence_map(model: ModelSpace, vectors: Sequence,
                           space: SampledMeasureSpace | None = None) -> DistributionMap:
     """Bridge from a finite vector family in H to a map on counting measure."""
-    vecs = np.asarray(list(vectors), dtype=complex)
+    vecs = np.asarray(vectors, dtype=complex)
     if vecs.ndim != 2 or vecs.shape[1] != model.dim:
         raise ShapeMismatchError(
             f"need vectors of length {model.dim}, got array of shape {vecs.shape}"

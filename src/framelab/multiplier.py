@@ -178,6 +178,27 @@ def _check_factors(m: Symbol, omega: DistributionMap, theta: DistributionMap):
         raise ShapeMismatchError("symbol not sampled on the shared space")
 
 
+def _random_pairs(seed: int, trials: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of ``trials`` random complex pairs (f, g) as two trials x k
+    blocks, from one draw that yields Re f, Im f, Re g, Im g per trial."""
+    draws = np.random.default_rng(seed).standard_normal((trials, 4, k))
+    return draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
+
+
+def _weighted_pairings(weights: np.ndarray, left: np.ndarray, right: np.ndarray,
+                       f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_j weights_j (left f)_j conj((right g)_j) for each row pair (f, g).
+
+    One product per side; each row is summed along its contiguous last axis.
+    """
+    pairings = f @ left.T
+    pairings *= weights
+    right_g = g @ right.T
+    np.conj(right_g, out=right_g)
+    pairings *= right_g
+    return pairings.sum(axis=-1)
+
+
 def build(m: Symbol, omega: DistributionMap, theta: DistributionMap,
           validate: bool = True) -> MultiplierOperator:
     """Assemble the dense multiplier matrix for symbol m, analysis omega,
@@ -193,15 +214,12 @@ def build(m: Symbol, omega: DistributionMap, theta: DistributionMap,
     dense = theta.table.conj().T @ (wm[:, None] * omega.table)
     op = MultiplierOperator(dense=dense, omega=omega, theta=theta, symbol=m)
     if validate:
-        rng = np.random.default_rng(7)
-        k = omega.dim
-        scale = max(1.0, float(np.max(np.abs(dense))))
-        for _ in range(3):
-            f = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            g = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            direct = np.sum(wm * (omega.table @ f) * np.conj(theta.table @ g))
-            if abs(np.vdot(g, dense @ f) - direct) > RESIDUAL_TOL * scale * k:
-                raise InconsistencyError("dense matrix disagrees with its pairing")
+        f, g = _random_pairs(7, 3, omega.dim)
+        direct = _weighted_pairings(wm, omega.table, theta.table, f, g)
+        paired = np.sum(np.conj(g) * (f @ op.dense.T), axis=-1)
+        scale = max(1.0, float(np.max(np.abs(op.dense))))
+        if np.max(np.abs(paired - direct)) > RESIDUAL_TOL * scale * omega.dim:
+            raise InconsistencyError("dense matrix disagrees with its pairing")
     return op
 
 
@@ -383,19 +401,12 @@ def reconstruction_pair(op: MultiplierOperator, side: Side,
         new = DistributionMap(table=table, space=op.space, model=op.theta.model)
         left_map, right_map = partner, new
 
-    rng = np.random.default_rng(seed)
-    k = op.dim
-    worst = 0.0
-    w = op.space.weights
-    for _ in range(trials):
-        f = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        g = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        f, g = f / np.linalg.norm(f), g / np.linalg.norm(g)
-        pairing = np.sum(
-            w * (left_map.table @ f) * np.conj(right_map.table @ g)
-        )
-        worst = max(worst, abs(pairing - np.vdot(g, f)))
-    return new, float(worst)
+    f, g = _random_pairs(seed, trials, op.dim)
+    f /= np.linalg.norm(f, axis=-1, keepdims=True)
+    g /= np.linalg.norm(g, axis=-1, keepdims=True)
+    pairings = _weighted_pairings(op.space.weights, left_map.table,
+                                  right_map.table, f, g)
+    return new, float(np.max(np.abs(pairings - np.sum(np.conj(g) * f, axis=-1))))
 
 
 # -- density and closability --------------------------------------------------------
@@ -457,28 +468,9 @@ def density_certificate(omega: DistributionMap, theta: DistributionMap,
                          reason=reason)
 
 
-class DomainVerdict(enum.Enum):
-    CONVERGENT = "convergent"
-    DIVERGENT = "divergent"
-
-
-@dataclass(frozen=True)
-class ClosureProfile:
-    """Desk-scale proxy for membership of f in the closure domain.
-
-    Tracks I = sum_j w_j |m_j <f, omega_j>|^2 along a refinement schedule
-    and fits its growth exponent; a bounded integral means the function
-    stays inside the domain as the point set grows.
-    """
-
-    schedule: tuple
-    integrals: tuple
-    fitted_exponent: float
-    verdict: DomainVerdict
-
-
 GROWTH_THRESHOLD = 0.25  # a fitted growth exponent above it is growth
 MIN_SWEEP_STEPS = 3  # schedule steps a growth fit needs
+LOG_FLOOR = 1e-300  # a growth fit leaves out values at or below it (log guard)
 
 
 def _growth_exponent(schedule, values) -> float:
@@ -487,7 +479,7 @@ def _growth_exponent(schedule, values) -> float:
     abscissae = ls if len(set(ls)) > 1 else [n for n, _ in schedule]
     xs, ys = [], []
     for x, y in zip(abscissae, values):
-        if y > 1e-300:
+        if y > LOG_FLOOR:
             xs.append(math.log(x))
             ys.append(math.log(y))
     if len(xs) < 2:
@@ -504,26 +496,6 @@ def _growth_sweep(family: RefinementFamily,
     values = tuple(value(refine(family, step)) for step in range(len(family)))
     exponent = _growth_exponent(family.schedule, values)
     return values, exponent, exponent > GROWTH_THRESHOLD
-
-
-def closure_domain_profile(
-        family: RefinementFamily,
-        builder: Callable[[SampledMeasureSpace], tuple[DistributionMap, Symbol]],
-        f_builder: Callable[[DistributionMap], np.ndarray]) -> ClosureProfile:
-    """Sweep the weighted integral of |m * analysis(f)|^2 over a schedule;
-    ``f_builder`` gives the coefficient vector of f on each step's model."""
-    def integral(space: SampledMeasureSpace) -> float:
-        omega, m = builder(space)
-        integrand = m.values * (omega.table @ f_builder(omega))
-        return float(np.sum(space.weights * np.abs(integrand) ** 2))
-
-    integrals, exponent, grows = _growth_sweep(family, integral)
-    return ClosureProfile(
-        schedule=family.schedule,
-        integrals=integrals,
-        fitted_exponent=exponent,
-        verdict=DomainVerdict.DIVERGENT if grows else DomainVerdict.CONVERGENT,
-    )
 
 
 @dataclass(frozen=True)
@@ -588,9 +560,6 @@ __all__ = [
     "reconstruction_pair",
     "DensityReport",
     "density_certificate",
-    "DomainVerdict",
-    "ClosureProfile",
-    "closure_domain_profile",
     "ClosabilityReport",
     "closability_check",
 ]

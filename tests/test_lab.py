@@ -29,7 +29,15 @@ from framelab import (
     unboundedness_sweep,
     weighted_delta_sweep,
 )
-from conftest import random_bounded_symbol, riesz_dual_pair
+from conftest import (
+    TABLE_SHAPES,
+    TRIAL_COUNTS,
+    agrees_with_loop,
+    per_trial_pairing_residual,
+    random_bounded_symbol,
+    random_map,
+    riesz_dual_pair,
+)
 
 
 def diag_operator(values):
@@ -66,6 +74,33 @@ class TestDualityResidual:
         delta = delta_frame(make_model(space, RawSamples()), space)
         with pytest.raises(ValueError):
             duality_residual(delta, delta, trials=0)
+
+
+@pytest.mark.parametrize("trials", TRIAL_COUNTS)
+@pytest.mark.parametrize("j,k", TABLE_SHAPES)
+class TestStackedPairingOracles:
+    """The stacked oracles equal the per-trial loop on the same seed."""
+
+    def test_duality_residual_equals_per_trial_loop(self, rng, j, k, trials):
+        omega, theta = random_map(j, k, rng), random_map(j, k, rng)
+        stacked = duality_residual(omega, theta, trials=trials, seed=11)
+        reference = per_trial_pairing_residual(
+            omega.space.weights, theta.table, omega.table, lambda f: f, trials, 11)
+        assert reference > 1e-3  # not a dual pair
+        assert agrees_with_loop(stacked, reference)
+
+    def test_brute_force_pairing_equals_per_trial_loop(self, rng, j, k, trials):
+        omega, theta = random_map(j, k, rng), random_map(j, k, rng)
+        m = random_bounded_symbol(omega.space, rng)
+        op = build(m, omega, theta)
+        stray = op.dense + (rng.standard_normal((k, k)) / np.sqrt(k))
+        corrupted = dataclasses.replace(op, dense=stray)
+        stacked = brute_force_pairing(corrupted, trials=trials, seed=5)
+        reference = per_trial_pairing_residual(
+            omega.space.weights * m.values, omega.table, theta.table,
+            lambda f: stray @ f, trials, 5)
+        assert reference > 1e-3
+        assert agrees_with_loop(stacked, reference)
 
 
 class TestDiscreteReductionOracle:

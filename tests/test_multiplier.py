@@ -9,19 +9,16 @@ import pytest
 
 from framelab import (
     DistributionMap,
-    DomainVerdict,
     GridMismatchError,
     InconsistencyError,
     InvalidValueError,
     RawSamples,
-    ScheduleError,
     Side,
     SingularOperatorError,
     adjoint,
     build,
     bump_family,
     closability_check,
-    closure_domain_profile,
     compose,
     counting,
     delta_frame,
@@ -37,11 +34,19 @@ from framelab import (
     reconstruction_pair,
     split_symbol,
     symmetric_grid,
-    symmetric_grid_family,
     weighted_delta_frame,
 )
+from framelab import multiplier
 from framelab.multiplier import RESIDUAL_TOL
-from conftest import random_bounded_symbol, riesz_dual_pair
+from conftest import (
+    TABLE_SHAPES,
+    TRIAL_COUNTS,
+    agrees_with_loop,
+    per_trial_pairing_residual,
+    random_bounded_symbol,
+    random_map,
+    riesz_dual_pair,
+)
 
 
 def on_basis_setup(n=3):
@@ -121,6 +126,25 @@ class TestBuild:
             wm = space.weights * m.values
             reference = np.einsum("jl,j,jk->lk", np.conj(theta.table), wm, omega.table)
             assert np.linalg.norm(op.dense - reference) < 1e-12
+
+    @pytest.mark.parametrize("j,k", TABLE_SHAPES)
+    def test_validation_rejects_one_corrupted_dense_entry(self, rng, monkeypatch,
+                                                          j, k):
+        omega, theta = random_map(j, k, rng), random_map(j, k, rng)
+        m = random_bounded_symbol(omega.space, rng)
+        clean = build(m, omega, theta).dense
+        operator = multiplier.MultiplierOperator
+
+        def corrupted(dense, **parts):
+            dense = dense.copy()
+            dense[k - 1, 0] += 1e-3
+            return operator(dense=dense, **parts)
+
+        monkeypatch.setattr(multiplier, "MultiplierOperator", corrupted)
+        with pytest.raises(InconsistencyError, match="disagrees with its pairing"):
+            build(m, omega, theta)
+        unchecked = build(m, omega, theta, validate=False).dense
+        assert np.max(np.abs(unchecked - clean)) == pytest.approx(1e-3)
 
 
 class TestOperatorNorm:
@@ -417,6 +441,25 @@ class TestReconstructionPair:
         with pytest.raises(ValueError):
             reconstruction_pair(diag_operator(), Side.RIGHT, trials=0)
 
+    @pytest.mark.parametrize("side", list(Side))
+    @pytest.mark.parametrize("trials", TRIAL_COUNTS)
+    @pytest.mark.parametrize("j,k", TABLE_SHAPES)
+    def test_residual_equals_per_trial_loop(self, rng, j, k, trials, side):
+        omega, theta = random_map(j, k, rng), random_map(j, k, rng)
+        op = build(random_bounded_symbol(omega.space, rng), omega, theta,
+                   validate=False)
+        # A dense matrix that is not the pairing's, so the residual is O(1).
+        stray = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+                 ) / np.sqrt(2 * k)
+        new, stacked = reconstruction_pair(dataclasses.replace(op, dense=stray),
+                                           side, trials=trials, seed=3)
+        left, right = ((new.table, theta.table) if side is Side.RIGHT
+                       else (omega.table, new.table))
+        reference = per_trial_pairing_residual(omega.space.weights, left, right,
+                                               lambda f: f, trials, 3)
+        assert reference > 1e-3
+        assert agrees_with_loop(stacked, reference)
+
 
 class TestSplitSymbol:
     def test_mixed_values(self):
@@ -477,56 +520,6 @@ class TestDensityCertificate:
         )
         assert not report.passed
         assert not report.total
-
-
-class TestClosureDomainProfile:
-    def family(self):
-        return symmetric_grid_family([(33, 4.0), (65, 8.0), (129, 16.0), (257, 32.0)])
-
-    def builder(self, space):
-        model = make_model(space, RawSamples())
-        omega = delta_frame(model, space)
-        return omega, make_symbol(space, space.points.astype(complex))
-
-    def bounded_builder(self, space):
-        model = make_model(space, RawSamples())
-        omega = delta_frame(model, space)
-        return omega, make_symbol(space, np.ones(len(space)))
-
-    @staticmethod
-    def gaussian_f(omega):
-        from framelab import from_samples
-
-        return from_samples(omega.model, np.exp(-omega.space.points ** 2 / 2))
-
-    @staticmethod
-    def slow_decay_f(omega):
-        from framelab import from_samples
-
-        return from_samples(omega.model,
-                            1.0 / np.sqrt(1.0 + omega.space.points ** 2))
-
-    def test_decaying_function_converges(self):
-        profile = closure_domain_profile(self.family(), self.builder,
-                                         self.gaussian_f)
-        assert profile.verdict is DomainVerdict.CONVERGENT
-        assert abs(profile.fitted_exponent) < 0.25
-
-    def test_slow_tails_diverge(self):
-        profile = closure_domain_profile(self.family(), self.builder,
-                                         self.slow_decay_f)
-        assert profile.verdict is DomainVerdict.DIVERGENT
-        assert profile.fitted_exponent > 0.5
-
-    def test_bounded_symbol_always_converges(self):
-        profile = closure_domain_profile(self.family(), self.bounded_builder,
-                                         self.slow_decay_f)
-        assert profile.verdict is DomainVerdict.CONVERGENT
-
-    def test_short_schedule_rejected(self):
-        family = symmetric_grid_family([(33, 4.0), (65, 8.0)])
-        with pytest.raises(ScheduleError):
-            closure_domain_profile(family, self.builder, self.gaussian_f)
 
 
 class TestClosabilityCheck:
