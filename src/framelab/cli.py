@@ -134,10 +134,14 @@ def _text(value) -> str:
     return value
 
 
+def _number(value) -> bool:
+    """True for a JSON number; a boolean is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _real(value) -> float:
     """A finite JSON number; strings, booleans, NaN and infinities do not pass."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+    if not _number(value) or not math.isfinite(value):
         raise ValueError(f"must be a finite number, got {value!r}")
     return float(value)
 
@@ -174,16 +178,16 @@ def _nonempty_list(read_entry):
 
 
 def _complex(value) -> complex:
-    """A finite complex entry: a number, a pair [re, im] or a string 'a+bi'."""
+    """A finite complex entry: a number, a pair [re, im] or a string 'a+bi';
+    booleans do not pass."""
     if isinstance(value, str):
         try:
             z = complex(value.strip().replace(" ", "").replace("i", "j"))
         except ValueError:
             raise ValueError(f"cannot read complex entry {value!r}") from None
-    elif (isinstance(value, list) and len(value) == 2
-          and all(isinstance(x, (int, float)) for x in value)):
+    elif isinstance(value, list) and len(value) == 2 and all(map(_number, value)):
         z = complex(value[0], value[1])
-    elif isinstance(value, (int, float)):
+    elif _number(value):
         z = complex(value)
     else:
         raise ValueError(f"cannot read complex entry {value!r}")
@@ -521,9 +525,9 @@ def _sweep_family(sweep_kind: str, l_values: list,
             )
     except ScheduleError as exc:
         raise ConfigError("l_values", str(exc)) from None
-    if len(family) < multiplier.MIN_SWEEP_STEPS:
+    if len(family) < lab.MIN_SWEEP_STEPS:
         raise ConfigError("l_values", "a growth sweep needs at least "
-                          f"{multiplier.MIN_SWEEP_STEPS} schedule steps")
+                          f"{lab.MIN_SWEEP_STEPS} schedule steps")
     return family
 
 
@@ -812,12 +816,17 @@ def _suite_orthogonality(config: ExperimentConfig, ctx: Context, seed: int,
 
 def _suite_density(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     failures = []
+    family = _witness_family(config, ctx)
     report = multiplier.density_certificate(
-        ctx.omega, ctx.theta, ctx.symbol, _witness_family(config, ctx),
+        ctx.omega, ctx.theta, ctx.symbol, family,
         support_tol=config.support_tol, tol=config.tolerance,
     )
     if not report.passed:
         failures.append(f"density certificate: {report.reason}")
+    closability = multiplier.closability_check(ctx.omega, ctx.theta, ctx.symbol,
+                                               family)
+    if not closability.passed:
+        failures.append(f"closability: {closability.reason}")
     split1, split2 = multiplier.split_symbol(ctx.symbol)
     split_ok = (
         np.max(np.abs(split1 + split2 - ctx.symbol.values)) <= multiplier.SPLIT_TOL
@@ -826,7 +835,8 @@ def _suite_density(config: ExperimentConfig, ctx: Context, seed: int, out: Path)
     )
     if not split_ok:
         failures.append("symbol split postconditions violated")
-    return {**_jsonify(report), "split_ok": bool(split_ok)}, failures
+    return {**_jsonify(report), "closability": closability,
+            "split_ok": bool(split_ok)}, failures
 
 
 def _suite_sweep(config: ExperimentConfig, ctx: None, seed: int, out: Path):

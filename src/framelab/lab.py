@@ -16,12 +16,13 @@ over the tables, not a factored path.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InconsistencyError, UnsupportedSpaceError
+from .errors import InconsistencyError, ScheduleError, UnsupportedSpaceError
 from .maps import (
     DistributionMap,
     delta_frame,
@@ -35,14 +36,13 @@ from .measure import (
     SampledMeasureSpace,
     counting,
     fourier_grid,
+    symmetric_grid,
     symmetric_grid_family,
 )
 from .model import RANK_RTOL, RawSamples, from_samples, make_model, to_samples
 from .multiplier import (
-    GROWTH_THRESHOLD,
     RESIDUAL_TOL,
     MultiplierOperator,
-    _growth_sweep,
     _random_pairs,
     _weighted_pairings,
     build,
@@ -52,6 +52,9 @@ from .multiplier import (
 
 REDUCTION_TOL = 1e-14  # classical and table-path bounds agree to it * max(1, B)
 NORM_FLOOR = 0.9  # each weighted-delta sweep norm reaches NORM_FLOOR * L
+GROWTH_THRESHOLD = 0.25  # a fitted growth exponent above it is growth
+MIN_SWEEP_STEPS = 3  # schedule steps a growth fit needs
+LOG_FLOOR = 1e-300  # a growth fit leaves out values at or below it (log guard)
 
 
 # -- pairing oracle ------------------------------------------------------------
@@ -298,7 +301,7 @@ class GrowthVerdict(enum.Enum):
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Operator norms along a refinement schedule with a growth verdict."""
+    """Operator norms along a symmetric-grid schedule with a growth verdict."""
 
     schedule: tuple
     norms: tuple
@@ -313,17 +316,36 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
+def _growth_exponent(schedule, values) -> float:
+    """Log-log slope of values against L, or against n when L is fixed."""
+    ls = [L for _, L in schedule]
+    abscissae = ls if len(set(ls)) > 1 else [n for n, _ in schedule]
+    xs, ys = [], []
+    for x, y in zip(abscissae, values):
+        if y > LOG_FLOOR:
+            xs.append(math.log(x))
+            ys.append(math.log(y))
+    if len(xs) < 2:
+        return 0.0
+    return float(np.polyfit(xs, ys, 1)[0])
+
+
 def unboundedness_sweep(
         family: RefinementFamily,
         builder: Callable[[SampledMeasureSpace], MultiplierOperator]) -> SweepResult:
     """Operator norm per schedule step, growth fit, bounded/unbounded verdict."""
-    norms, growth, grows = _growth_sweep(
-        family, lambda space: operator_norm(builder(space)))
+    if len(family) < MIN_SWEEP_STEPS:
+        raise ScheduleError(
+            f"a growth sweep needs at least {MIN_SWEEP_STEPS} schedule steps")
+    norms = tuple(operator_norm(builder(symmetric_grid(n, L)))
+                  for n, L in family.schedule)
+    growth = _growth_exponent(family.schedule, norms)
     return SweepResult(
         schedule=family.schedule,
         norms=norms,
         fitted_growth=growth,
-        verdict=GrowthVerdict.UNBOUNDED if grows else GrowthVerdict.BOUNDED,
+        verdict=(GrowthVerdict.UNBOUNDED if growth > GROWTH_THRESHOLD
+                 else GrowthVerdict.BOUNDED),
         threshold=GROWTH_THRESHOLD,
     )
 

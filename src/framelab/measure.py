@@ -9,8 +9,8 @@ so almost-everywhere statements become pointwise statements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -177,18 +177,17 @@ def ess_sup(space: SampledMeasureSpace, xi) -> float:
     return float(np.max(np.abs(values)))
 
 
-# -- refinement families -----------------------------------------------------
+# -- symmetric-grid schedules ---------------------------------------------------
 
 @dataclass(frozen=True)
 class RefinementFamily:
-    """Deterministic generator of spaces along an (n, L) schedule.
+    """An (n, L) schedule of symmetric grids, ``symmetric_grid(n, L)`` per step.
 
     A desk-scale proxy for statements about unbounded point sets: sweep the
     schedule and watch how a quantity grows.
     """
 
-    generator: Callable[[int, float], SampledMeasureSpace]
-    schedule: tuple = field(default=())
+    schedule: tuple
 
     def __post_init__(self):
         schedule = tuple((int(n), float(L)) for n, L in self.schedule)
@@ -196,26 +195,12 @@ class RefinementFamily:
         ns = [n for n, _ in schedule]
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ScheduleError("schedule must be strictly increasing in n")
+        if any(n < 2 for n in ns):
+            raise ScheduleError("every symmetric grid needs at least 2 points")
 
     def __len__(self) -> int:
         return len(self.schedule)
 
 
-def refine(family: RefinementFamily, step: int) -> SampledMeasureSpace:
-    """Generate the space at one schedule step; identical calls agree."""
-    if not 0 <= step < len(family.schedule):
-        raise ScheduleError(
-            f"step {step} outside schedule of length {len(family.schedule)}"
-        )
-    n, L = family.schedule[step]
-    return family.generator(n, L)
-
-
 def symmetric_grid_family(schedule: Sequence[tuple]) -> RefinementFamily:
-    family = RefinementFamily(
-        generator=lambda n, L: symmetric_grid(n, L),
-        schedule=tuple(schedule),
-    )
-    if any(n < 2 for n, _ in family.schedule):
-        raise ScheduleError("every symmetric grid needs at least 2 points")
-    return family
+    return RefinementFamily(schedule)

@@ -18,7 +18,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,18 +25,11 @@ from .errors import (
     GridMismatchError,
     InconsistencyError,
     InvalidValueError,
-    ScheduleError,
     ShapeMismatchError,
     SingularOperatorError,
 )
 from .maps import SUPPORT_TOL, Classification, DistributionMap, _witness_analysis, diagnose
-from .measure import (
-    RefinementFamily,
-    SampledMeasureSpace,
-    ess_sup,
-    refine,
-    same_grid,
-)
+from .measure import SampledMeasureSpace, ess_sup, same_grid
 from .model import RANK_RTOL
 
 RESIDUAL_TOL = 1e-10  # largest residual allowed for an exact identity
@@ -466,36 +458,6 @@ def density_certificate(omega: DistributionMap, theta: DistributionMap,
     )
     return DensityReport(passed=passed, total=total, records=records,
                          reason=reason)
-
-
-GROWTH_THRESHOLD = 0.25  # a fitted growth exponent above it is growth
-MIN_SWEEP_STEPS = 3  # schedule steps a growth fit needs
-LOG_FLOOR = 1e-300  # a growth fit leaves out values at or below it (log guard)
-
-
-def _growth_exponent(schedule, values) -> float:
-    """Log-log slope of values against L, or against n when L is fixed."""
-    ls = [L for _, L in schedule]
-    abscissae = ls if len(set(ls)) > 1 else [n for n, _ in schedule]
-    xs, ys = [], []
-    for x, y in zip(abscissae, values):
-        if y > LOG_FLOOR:
-            xs.append(math.log(x))
-            ys.append(math.log(y))
-    if len(xs) < 2:
-        return 0.0
-    return float(np.polyfit(xs, ys, 1)[0])
-
-
-def _growth_sweep(family: RefinementFamily,
-                  value: Callable[[SampledMeasureSpace], float]) -> tuple[tuple, float, bool]:
-    """Values along a schedule, their fitted growth exponent, and whether it grows."""
-    if len(family) < MIN_SWEEP_STEPS:
-        raise ScheduleError(
-            f"a growth sweep needs at least {MIN_SWEEP_STEPS} schedule steps")
-    values = tuple(value(refine(family, step)) for step in range(len(family)))
-    exponent = _growth_exponent(family.schedule, values)
-    return values, exponent, exponent > GROWTH_THRESHOLD
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,10 @@ class TestRun:
         ("omega.weight", {"omega": {"family": "weighted_delta",
                                     "weight": ["abc"] + ["1"] * 15}}),
         ("symbol", {"symbol": {"family": "constant", "value": "nan"}}),
+        # a boolean is not a complex entry: bare, in a pair, in a table
+        ("symbol.value", {"symbol": {"family": "constant", "value": True}}),
+        ("symbol.value", {"symbol": {"family": "constant", "value": [True, False]}}),
+        ("omega.vectors", {"omega": {"family": "discrete", "vectors": [[True], [1]]}}),
         # one case per parameter kind of the family table
         ("space.n", {"space": {"family": "periodic_unit_grid", "n": 16.7}}),
         ("space.n", {"space": {"family": "periodic_unit_grid", "n": "16"}}),
@@ -502,6 +506,27 @@ class TestRun:
         report = load_report(out, "invert")
         assert "inverse bound violated" in report["failures"]
         assert report["data"]["bound_satisfied"] is False
+
+    def test_density_suite_reports_closability(self, tmp_path, monkeypatch):
+        # density is not randomized, so a config without a seed runs it
+        payload = {**PARSEVAL_CONFIG, "model": {"family": "raw_samples"},
+                   "suites": ["density"]}
+        del payload["seed"]
+        config = write_config(tmp_path, "cfg.json", payload)
+        out = tmp_path / "out"
+        assert run(config, out_dir=out) == EXIT_OK
+        closability = load_report(out, "density")["data"]["closability"]
+        assert closability["passed"] and closability["total"]
+        assert closability["residual"] <= multiplier.RESIDUAL_TOL
+
+        failing = multiplier.ClosabilityReport(
+            passed=False, total=False, residual=0.0,
+            reason="dual witness family is not total")
+        monkeypatch.setattr(multiplier, "closability_check", lambda *args: failing)
+        assert run(config, out_dir=out) == EXIT_ASSERTION
+        report = load_report(out, "density")
+        assert report["failures"] == ["closability: dual witness family is not total"]
+        assert report["data"]["closability"]["passed"] is False
 
     def test_ill_conditioned_calculus_reports_every_residual(self, tmp_path):
         # a 48 x 48 table of condition number 1e4 and its canonical dual:

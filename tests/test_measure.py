@@ -13,8 +13,6 @@ from framelab import (
     fourier_grid,
     l2_inner,
     periodic_unit_grid,
-    refine,
-    same_grid,
     symmetric_grid,
     symmetric_grid_family,
 )
@@ -115,38 +113,16 @@ class TestSpaceInvariants:
         assert fourier_grid(9).weights.sum() == pytest.approx(3.0)
 
 
-def unit_grids(ns):
-    return RefinementFamily(generator=lambda n, L: periodic_unit_grid(n),
-                            schedule=[(n, 1.0) for n in ns])
-
-
 class TestRefinement:
-    def test_unit_grid_step(self):
-        family = unit_grids([8, 16])
-        space = refine(family, 0)
-        assert len(space) == 8
-        assert np.allclose(space.weights, 1 / 8)
-
-    def test_counting_family_unit_weights(self):
-        family = RefinementFamily(generator=lambda n, L: counting(n),
-                                  schedule=[(4, 4.0), (8, 8.0), (16, 16.0)])
-        for step in range(3):
-            assert np.all(refine(family, step).weights == 1.0)
-
     def test_symmetric_grid_points(self):
         family = symmetric_grid_family([(9, 4.0), (17, 8.0)])
-        space = refine(family, 0)
+        space = symmetric_grid(*family.schedule[0])
         assert np.allclose(space.points, np.arange(-4, 5))
 
-    def test_refine_is_deterministic(self):
-        family = unit_grids([8, 16])
-        assert same_grid(refine(family, 1), refine(family, 1))
-
-    def test_step_out_of_range(self):
-        with pytest.raises(ScheduleError):
-            refine(unit_grids([8]), 1)
-
     def test_schedule_must_increase(self):
-        with pytest.raises(ScheduleError):
-            RefinementFamily(generator=lambda n, L: counting(n),
-                             schedule=[(8, 1.0), (8, 2.0)])
+        with pytest.raises(ScheduleError, match="strictly increasing"):
+            RefinementFamily(schedule=[(8, 1.0), (8, 2.0)])
+
+    def test_every_grid_needs_two_points(self):
+        with pytest.raises(ScheduleError, match="at least 2 points"):
+            symmetric_grid_family([(1, 0.1), (2, 0.2), (3, 0.3)])
