@@ -119,6 +119,14 @@ def _need(cfg: dict, field: str, read, default=_REQUIRED):
         raise ConfigError(field, str(exc)) from None
 
 
+def _declared(cfg: dict, names) -> None:
+    """Reject a key that ``names`` does not declare: a misspelt optional key
+    would otherwise leave its default in place unseen."""
+    for key in cfg:
+        if key not in names:
+            raise ConfigError(key, "unknown key")
+
+
 @contextlib.contextmanager
 def _within(path: str):
     """Prefix the field of any ConfigError raised in the block with ``path``."""
@@ -243,8 +251,17 @@ def _weight(value):
 
 
 def _window(value):
-    """Window samples, or the parameters of a Gaussian window as a dict."""
-    return value if isinstance(value, dict) else _complex_list(value)
+    """Window samples, or the parameters of a Gaussian window as a dict,
+    with None for a width or center that defaults from the space."""
+    if not isinstance(value, dict):
+        return _complex_list(value)
+    with _within("window"):
+        if _need(value, "family", _text, "gaussian_window") != "gaussian_window":
+            raise ConfigError("family", f"unknown window family {value['family']!r}")
+        _declared(value, ("family", "width", "center", "cutoff"))
+        return {"width": _need(value, "width", _positive, None),
+                "center": _need(value, "center", _real, None),
+                "cutoff": _need(value, "cutoff", _real, 1e-3)}
 
 
 # -- family table ----------------------------------------------------------------------
@@ -258,19 +275,18 @@ class Param(NamedTuple):
     default: object = _REQUIRED
 
 
-def _gaussian_window(space: measure.SampledMeasureSpace, cfg: dict) -> np.ndarray:
-    with _within("window"):
-        width = _need(cfg, "width", _positive, space.extent / 8.0)
-        center = _need(cfg, "center", _real, float(space.points[0]))
-        cut = _need(cfg, "cutoff", _real, 1e-3)
+def _gaussian_window(space: measure.SampledMeasureSpace, width, center,
+                     cutoff) -> np.ndarray:
+    width = space.extent / 8.0 if width is None else width
+    center = float(space.points[0]) if center is None else center
     values = np.exp(-((space.points - center) ** 2) / (2 * width ** 2))
-    values[values < cut] = 0.0  # truncate so the support is proper
+    values[values < cutoff] = 0.0  # truncate so the support is proper
     return values
 
 
 def _translated_window(mdl, space, analysis, window) -> maps.DistributionMap:
     if isinstance(window, dict):
-        window = _gaussian_window(space, window)
+        window = _gaussian_window(space, **window)
     return maps.translated_window_frame(mdl, space, window)
 
 
@@ -317,7 +333,7 @@ def _symbol_csv(space, path):
         try:
             for row in csv.reader(handle):
                 if row:
-                    x, re, im = (_real(float(cell)) for cell in row[:3])
+                    x, re, im = (_real(float(cell)) for cell in row)
                     points.append(x)
                     values.append(complex(re, im))
         except ValueError:
@@ -469,6 +485,7 @@ def _read_family(group: str, cfg: dict, path: str) -> tuple[Callable, dict]:
         if family not in FAMILIES[group]:
             raise ConfigError("family", f"unknown {group[:-1]} family {family!r}")
         params, _, builder = FAMILIES[group][family]
+        _declared(cfg, {"family", *params})
         return builder, {name: _need(cfg, name, p.read, p.default)
                          for name, p in params.items()}
 
@@ -540,6 +557,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(name, "must be a JSON object")
         return value
 
+    _declared(raw, ("space", "model", "omega", "theta", "symbol", "suites", "seed",
+                    "tolerance", "output_dir", "quartet", "sweep", "orthogonality"))
     suites = raw.get("suites")
     if not isinstance(suites, list) or not suites:
         raise ConfigError("suites", "must be a nonempty list")
@@ -570,6 +589,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     quartet = section("quartet", {})
     with _within("quartet"):
+        _declared(quartet, ("n", "symbols"))
         quartet_ns = _need(
             quartet, "n",
             lambda v: _nonempty_list(_count)(v if isinstance(v, list) else [v]),
@@ -578,15 +598,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
         quartet_symbols = _need(quartet, "symbols", _count, 5)
     sweep = section("sweep", {})
     with _within("sweep"):
+        _declared(sweep, ("kind", "l_values", "points_per_unit"))
         sweep_kind = _need(sweep, "kind", _text, "weighted_delta")
         sweep_family = _sweep_family(
             sweep_kind,
             _need(sweep, "l_values", _nonempty_list(_positive), [2.0, 4.0, 8.0, 16.0]),
             _need(sweep, "points_per_unit", _count, 8),
         )
+    orthogonality = section("orthogonality", {})
     with _within("orthogonality"):
-        support_tol = _need(section("orthogonality", {}), "support_tol", _positive,
-                            maps.SUPPORT_TOL)
+        _declared(orthogonality, ("support_tol",))
+        support_tol = _need(orthogonality, "support_tol", _positive, maps.SUPPORT_TOL)
 
     return ExperimentConfig(
         space=space,
@@ -823,10 +845,12 @@ def _suite_density(config: ExperimentConfig, ctx: Context, seed: int, out: Path)
     )
     if not report.passed:
         failures.append(f"density certificate: {report.reason}")
-    closability = multiplier.closability_check(ctx.omega, ctx.theta, ctx.symbol,
-                                               family)
-    if not closability.passed:
-        failures.append(f"closability: {closability.reason}")
+    residual = multiplier.closability_residual(ctx.omega, ctx.theta, ctx.symbol, family)
+    closable = report.total and residual <= multiplier.RESIDUAL_TOL
+    reason = "" if closable else (
+        "pairing mismatch" if report.total else "dual witness family is not total")
+    if not closable:
+        failures.append(f"closability: {reason}")
     split1, split2 = multiplier.split_symbol(ctx.symbol)
     split_ok = (
         np.max(np.abs(split1 + split2 - ctx.symbol.values)) <= multiplier.SPLIT_TOL
@@ -835,8 +859,9 @@ def _suite_density(config: ExperimentConfig, ctx: Context, seed: int, out: Path)
     )
     if not split_ok:
         failures.append("symbol split postconditions violated")
-    return {**_jsonify(report), "closability": closability,
-            "split_ok": bool(split_ok)}, failures
+    return {**_jsonify(report), "split_ok": bool(split_ok),
+            "closability": {"passed": closable, "total": report.total,
+                            "residual": residual, "reason": reason}}, failures
 
 
 def _suite_sweep(config: ExperimentConfig, ctx: None, seed: int, out: Path):

@@ -499,12 +499,6 @@ def check_hyper_orthogonal(omega: DistributionMap, alpha,
 
 # -- builtin witness families --------------------------------------------------
 
-def _project_columns(model: ModelSpace, values: np.ndarray) -> np.ndarray:
-    """K x L coefficients of the H-orthogonal projections onto D of the
-    columns of an N x L sample block."""
-    return model.on_basis.conj().T @ (model.space.weights[:, None] * values)
-
-
 def bump_family(model: ModelSpace, heights=None) -> np.ndarray:
     """Single-point spikes at every grid point, optionally scaled per point.
 
@@ -513,7 +507,8 @@ def bump_family(model: ModelSpace, heights=None) -> np.ndarray:
     """
     if heights is None:
         heights = np.ones(model.ambient_dim)
-    return _project_columns(model, np.diag(np.asarray(heights, dtype=float)))
+    # Spike i projects onto D as conj(row i of on_basis) * w_i * height_i.
+    return model.on_basis.conj().T * (model.space.weights * np.asarray(heights, float))
 
 
 def scaled_bump_family(model: ModelSpace, alpha_values) -> np.ndarray:
@@ -536,7 +531,7 @@ def band_limited_family(model: ModelSpace, space: SampledMeasureSpace,
     inverse = transform_matrix(space, inverse=True)
     if alpha_values is not None:
         inverse = inverse * np.asarray(alpha_values, float)[None, :]
-    return _project_columns(model, inverse)
+    return model.on_basis.conj().T @ (model.space.weights[:, None] * inverse)
 
 
 __all__ = [

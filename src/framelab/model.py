@@ -121,12 +121,11 @@ def orthonormalize(columns: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ModelSpace:
-    """Sampled triple: coordinates for H plus an orthonormal basis of D."""
+    """Sampled triple: coordinates for H, an orthonormal basis of D, its family."""
 
     space: SampledMeasureSpace
-    d_basis: np.ndarray
     on_basis: np.ndarray
-    family: str = "custom"
+    family: BasisFamily
 
     def __post_init__(self):
         on = np.asarray(self.on_basis, dtype=complex)
@@ -138,7 +137,6 @@ class ModelSpace:
             raise InvalidValueError(
                 f"on_basis is not H-orthonormal (defect {defect:.3e})"
             )
-        object.__setattr__(self, "d_basis", np.asarray(self.d_basis, dtype=complex))
         object.__setattr__(self, "on_basis", on)
 
     @property
@@ -153,25 +151,21 @@ class ModelSpace:
     def summary(self) -> dict:
         """Report data: dimensions, family, conditioning of the raw basis."""
         root = np.sqrt(self.space.weights)
-        sigma = np.linalg.svd(root[:, None] * self.d_basis, compute_uv=False)
+        raw = _raw_columns(self.space, self.family)
+        sigma = np.linalg.svd(root[:, None] * raw, compute_uv=False)
         condition = float(sigma[0] / sigma[-1]) if sigma[-1] > 0 else float("inf")
         return {
             "ambient_dim": self.ambient_dim,
             "dim": self.dim,
-            "family": self.family,
+            "family": type(self.family).__name__,
             "d_basis_condition": condition,
         }
 
 
 def make_model(space: SampledMeasureSpace, family: BasisFamily) -> ModelSpace:
     """Build a model with the L2(X, mu) inner product and the given basis."""
-    raw = _raw_columns(space, family)
-    return ModelSpace(
-        space=space,
-        d_basis=raw,
-        on_basis=orthonormalize(raw, space.weights),
-        family=type(family).__name__,
-    )
+    on_basis = orthonormalize(_raw_columns(space, family), space.weights)
+    return ModelSpace(space=space, on_basis=on_basis, family=family)
 
 
 # -- elements ----------------------------------------------------------------

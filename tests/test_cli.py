@@ -14,6 +14,7 @@ from framelab.cli import (
     EXIT_VALIDATION,
     FAMILIES,
     _jsonify,
+    _suite_density,
     _suite_dual,
     build_context,
     build_family,
@@ -230,6 +231,21 @@ class TestRun:
         # a modulus range whose ceiling is below its floor
         ("symbol.ceil", {"symbol": {"family": "reciprocal_safe", "floor": 1.0,
                                     "ceil": 0.5, "seed": 3}}),
+        # keys that nothing declares, which would leave a default in place
+        ("symbol.flor", {"symbol": {"family": "reciprocal_safe", "flor": 0.001,
+                                    "seed": 3}}),
+        ("space.size", {"space": {"family": "periodic_unit_grid", "n": 16,
+                                  "size": 8}}),
+        ("omega.weight", {"omega": {"family": "delta", "weight": "coordinate"}}),
+        ("tolerence", {"tolerence": 1e-8}),
+        ("sed", {"sed": 3}),
+        ("omega.window.family", {"omega": {"family": "translated_window",
+                                           "window": {"family": "hann",
+                                                      "widht": 0.1}}}),
+        ("omega.window.widht", {"omega": {"family": "translated_window",
+                                          "window": {"family": "gaussian_window",
+                                                     "widht": 0.1}}}),
+        ("orthogonality.support_tl", {"orthogonality": {"support_tl": 1e-6}}),
     ])
     def test_bad_values_are_validation_errors(self, tmp_path, monkeypatch, capsys,
                                               field, patch):
@@ -290,6 +306,9 @@ class TestRun:
         ("sweep.l_values", {"sweep": {"l_values": [0.01, 0.2, 0.3]}}),
         ("sweep.l_values", {"sweep": {"kind": "bounded_control",
                                       "l_values": [0.5, 1, 2]}}),
+        # keys that nothing declares
+        ("quartet.symbol", {"quartet": {"symbol": 1}}),
+        ("sweep.ppu", {"sweep": {"ppu": 4}}),
     ])
     def test_bad_quartet_and_sweep_values_are_validation_errors(
             self, tmp_path, capsys, field, section):
@@ -317,7 +336,16 @@ class TestRun:
         ("space.n", {"suites": ["diagnose"],
                      "omega": {"family": "discrete", "vectors": [[1], [2]]},
                      "space": {"family": "counting", "n": 0}}),
-    ], ids=["quartet-only", "sweep-only", "symbol", "omega", "model", "implied"])
+        ("symbol.flor", {"suites": ["sweep"],
+                         "symbol": {"family": "reciprocal_safe", "flor": 0.1}}),
+        ("omega.window.widht", {"suites": ["sweep"],
+                                "omega": {"family": "translated_window",
+                                          "window": {"widht": 0.1}}}),
+        ("omega.window.width", {"suites": ["sweep"],
+                                "omega": {"family": "translated_window",
+                                          "window": {"width": "x"}}}),
+    ], ids=["quartet-only", "sweep-only", "symbol", "omega", "model", "implied",
+            "undeclared", "window-key", "window-value"])
     def test_unbuilt_sections_are_still_checked(self, tmp_path, monkeypatch,
                                                 capsys, field, payload):
         monkeypatch.chdir(tmp_path)
@@ -434,6 +462,19 @@ class TestRun:
         dense = as_complex_matrix(mult["data"]["dense"])
         assert np.allclose(dense, np.diag([2.0, 3.0]))
 
+    @pytest.mark.parametrize("rows", ["0,2,0\n1,3,0,99\n", "0,2,0\n1,3\n"])
+    def test_symbol_csv_rows_are_exactly_point_re_im(self, tmp_path, capsys, rows):
+        (tmp_path / "symbol.csv").write_text(rows)
+        config = write_config(tmp_path, "cfg.json", {
+            "space": {"family": "counting", "n": 2},
+            "model": {"family": "raw_samples"},
+            "omega": {"family": "delta"},
+            "symbol": {"family": "csv", "path": str(tmp_path / "symbol.csv")},
+            "suites": ["diagnose"],
+        })
+        assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
+        assert ("invalid config: symbol.path: rows must be point,re,im numbers"
+                in capsys.readouterr().err)
 
     def test_custom_table_must_match_space_and_model(self, tmp_path, capsys):
         (tmp_path / "frame.csv").write_text("1,0\n0,1\n1,1\n")
@@ -519,14 +560,35 @@ class TestRun:
         assert closability["passed"] and closability["total"]
         assert closability["residual"] <= multiplier.RESIDUAL_TOL
 
-        failing = multiplier.ClosabilityReport(
-            passed=False, total=False, residual=0.0,
-            reason="dual witness family is not total")
-        monkeypatch.setattr(multiplier, "closability_check", lambda *args: failing)
+        with monkeypatch.context() as patch:
+            patch.setattr(multiplier, "closability_residual", lambda *args: 1.0)
+            assert run(config, out_dir=out) == EXIT_ASSERTION
+        report = load_report(out, "density")
+        assert report["failures"] == ["closability: pairing mismatch"]
+        assert report["data"]["closability"] == {
+            "passed": False, "total": True, "residual": 1.0,
+            "reason": "pairing mismatch"}
+
+        bump_family = maps.bump_family
+        monkeypatch.setattr(maps, "bump_family", lambda mdl: bump_family(mdl)[:, :3])
         assert run(config, out_dir=out) == EXIT_ASSERTION
         report = load_report(out, "density")
-        assert report["failures"] == ["closability: dual witness family is not total"]
+        assert report["failures"] == ["density certificate: witness family is not total",
+                                      "closability: dual witness family is not total"]
         assert report["data"]["closability"]["passed"] is False
+        assert report["data"]["closability"]["total"] is False
+
+    def test_density_suite_decomposes_its_family_once(self, tmp_path, monkeypatch):
+        config = parse_config({**PARSEVAL_CONFIG, "suites": ["density"]})
+        ctx = build_context(config)
+        maps.diagnose(ctx.theta)  # the spectrum, which the diagnose suite caches
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+        data, failures = _suite_density(config, ctx, 0, tmp_path)
+        assert len(calls) == 1  # the witness family's totality, shared by both checks
+        assert failures == []
 
     def test_ill_conditioned_calculus_reports_every_residual(self, tmp_path):
         # a 48 x 48 table of condition number 1e4 and its canonical dual:

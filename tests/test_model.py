@@ -68,7 +68,7 @@ class TestMakeModel:
     def test_non_orthonormal_basis_is_a_typed_error(self, on_basis):
         space = counting(2)
         with pytest.raises(InvalidValueError, match="not H-orthonormal"):
-            ModelSpace(space=space, d_basis=np.eye(2), on_basis=on_basis)
+            ModelSpace(space=space, on_basis=on_basis, family=RawSamples())
 
 
 class TestOrthonormalize:
