@@ -219,15 +219,53 @@ def _existing_path(value) -> Path:
     return path
 
 
-def _table_csv(value) -> np.ndarray:
-    """The complex table of a CSV file, one row per nonempty line."""
-    with _existing_path(value).open(newline="") as handle:
-        rows = [[_complex(cell) for cell in row] for row in csv.reader(handle) if row]
+def _csv_lines(handle):
+    """The lines of a CSV file that are not blank or whitespace only."""
+    return (line for line in handle if not line.isspace())
+
+
+def _spaceless(handle):
+    """The lines of a CSV file without spaces, 'i' read as 'j'.
+
+    Dropping the spaces leaves csv's split of a line as it was unless a
+    space stands before a quote, which opens no quoted cell; such a line
+    raises ValueError instead."""
+    for line in _csv_lines(handle):
+        if ' "' in line:
+            raise ValueError("a space before a quote")
+        yield line.replace(" ", "").replace("i", "j")
+
+
+def _table_cells(path: Path) -> np.ndarray:
+    """The table of a CSV file read cell by cell through _complex, which
+    names the first cell it cannot read or that is not finite."""
+    with path.open(newline="") as handle:
+        rows = [[_complex(cell) for cell in row]
+                for row in csv.reader(_csv_lines(handle))]
     if not rows:
         raise ValueError("CSV table is empty")
     if len({len(row) for row in rows}) != 1:
         raise ValueError("CSV rows differ in length")
     return np.asarray(rows, dtype=complex)
+
+
+def _table_csv(value) -> np.ndarray:
+    """The complex table of a CSV file, one row per line that is not blank
+    or whitespace only.
+
+    Whole rows go through complex() and the table is checked for finite
+    entries once; a file this fast path cannot read is read again by
+    _table_cells, which returns the same table or names the fault."""
+    path = _existing_path(value)
+    try:
+        with path.open(newline="") as handle:
+            rows = [list(map(complex, row)) for row in csv.reader(_spaceless(handle))]
+        table = np.asarray(rows, dtype=complex)
+        if table.ndim == 2 and np.isfinite(table).all():
+            return table
+    except ValueError:
+        pass
+    return _table_cells(path)
 
 
 def _vectors(value) -> np.ndarray:
@@ -410,7 +448,8 @@ FAMILIES = {
                 mdl, space, weight),
         ),
         "translated_window": (
-            {"window": Param("[complex] | {family: gaussian_window, width, center}",
+            {"window": Param("[complex] | "
+                             "{family: gaussian_window, width, center, cutoff}",
                              _window)},
             "circular translates of a window on a uniform grid",
             _translated_window,

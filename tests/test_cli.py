@@ -16,6 +16,7 @@ from framelab.cli import (
     _jsonify,
     _suite_density,
     _suite_dual,
+    _table_csv,
     build_context,
     build_family,
     main,
@@ -770,3 +771,65 @@ def test_reports_leave_out_what_is_not_a_field():
     op = multiplier.build(multiplier.make_symbol(space, [1.0, 2.0]), delta, delta)
     assert set(_jsonify(multiplier.compose(op, op))) == {"residual", "asserted"}
     assert "condition_number" not in _jsonify(maps.diagnose(delta))
+
+
+def test_table_csv_reads_a_written_table_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(5)
+    table = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    table[0, :3] = [complex(-0.0, 0.0), complex(0.0, -0.0),
+                    complex(5e-324, -1.7976931348623157e308)]
+    # the format perfbench/workloads.py writes the benchmark table in
+    lines = (",".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row) for row in table)
+    (tmp_path / "table.csv").write_text("\n".join(lines) + "\n")
+    read = _table_csv(str(tmp_path / "table.csv"))
+    assert read.dtype == complex and read.shape == (6, 4)
+    assert np.array_equal(read.view(np.uint64), table.view(np.uint64))
+
+
+@pytest.mark.parametrize("text, expected", [
+    (b"1 + 2i,3\n4,5\n", [[1 + 2j, 3], [4, 5]]),
+    (b" 0 , 1\n2,3\n", [[0, 1], [2, 3]]),
+    (b'"1 + 2i","3"\n4,"5"\n', [[1 + 2j, 3], [4, 5]]),
+    (b"1,2i\r\n-i,4\r\n", [[1, 2j], [-1j, 4]]),
+    (b"1.5,-2.5e-3\n7,0\n", [[1.5, -2.5e-3], [7, 0]]),
+    (b"\t1\t,2\n(3+4j),4j\n", [[1, 2], [3 + 4j, 4j]]),
+    (b"\n1,2\n\n3,4\n\n", [[1, 2], [3, 4]]),
+], ids=["spaced", "padded", "quoted", "crlf", "real-only", "tabs-parens", "blank-lines"])
+def test_table_csv_accepts(tmp_path, text, expected):
+    (tmp_path / "table.csv").write_bytes(text)
+    read = _table_csv(str(tmp_path / "table.csv"))
+    assert read.dtype == complex
+    assert np.array_equal(read, np.asarray(expected, dtype=complex))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,2\n3,1+2k\n", "cannot read complex entry '1+2k'"),
+    # the message shows the cell as the file writes it
+    ("1,2\n3, 1 + 2k \n", "cannot read complex entry ' 1 + 2k '"),
+    ("1,nan\n3,4\n", "entries must be finite"),
+    ("1,1e999\n3,4\n", "entries must be finite"),
+    # 'i' reads as 'j', so 'inf' is no number
+    ("1,inf\n3,4\n", "cannot read complex entry 'inf'"),
+    ("", "CSV table is empty"),
+    ("\n\n", "CSV table is empty"),
+    ("1,2\n3\n", "CSV rows differ in length"),
+    # a space before a quote keeps the quote in the cell
+    ('1, "2"\n3,4\n', "cannot read complex entry ' \"2\"'"),
+    # of two faults the first cell read is named
+    ("1,nan\n3\n", "entries must be finite"),
+], ids=["unreadable", "unreadable-spaced", "nan", "overflow", "inf", "empty",
+        "blank-only", "ragged", "space-before-quote", "nan-and-ragged"])
+def test_table_csv_faults_are_validation_errors(tmp_path, capsys, text, message):
+    (tmp_path / "table.csv").write_text(text)
+    config = write_config(tmp_path, "cfg.json", {
+        "omega": {"family": "discrete", "vectors": str(tmp_path / "table.csv")},
+        "suites": ["diagnose"],
+    })
+    assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
+    assert f"invalid config: omega.vectors: {message}\n" in capsys.readouterr().err
+
+
+def test_table_csv_skips_whitespace_only_lines(tmp_path):
+    (tmp_path / "table.csv").write_text("1,2\n   \n\t \n3,4\n  \n")
+    read = _table_csv(str(tmp_path / "table.csv"))
+    assert np.array_equal(read, np.asarray([[1, 2], [3, 4]], dtype=complex))

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import framelab
 from framelab import (
     EmptySpaceError,
     InvalidValueError,
@@ -94,9 +100,29 @@ class TestSpaceInvariants:
         with pytest.raises(InvalidValueError, match=f"{what} must be finite"):
             SampledMeasureSpace(points=points, weights=weights, extent=2.0)
 
-    def test_duplicate_points_rejected(self):
+    @pytest.mark.parametrize("points", [
+        [1.0, 1.0],
+        [0.0, -0.0],
+        [3.0, 1.0, 2.0, 1.0],
+        [-2.0, 5.0, 0.5, 7.0, -2.0],
+    ])
+    def test_duplicate_points_rejected(self, points):
         with pytest.raises(InvalidValueError, match="distinct"):
-            SampledMeasureSpace(points=[1.0, 1.0], weights=[1.0, 1.0], extent=2.0)
+            SampledMeasureSpace(points=points, weights=[1.0] * len(points), extent=9.0)
+
+    def test_unsorted_distinct_points_accepted(self):
+        space = SampledMeasureSpace(points=[2.0, -1.0, 0.5], weights=[1.0] * 3,
+                                    extent=3.0)
+        assert list(space.points) == [2.0, -1.0, 0.5]
+
+    def test_building_a_space_does_not_import_numpy_ma(self):
+        # importing numpy.ma adds to every cold run, and np.unique imports it
+        code = ("import sys, framelab; framelab.measure.counting(3); "
+                "print('numpy.ma' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(framelab.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, check=True, env=env)
+        assert result.stdout.strip() == "False"
 
     def test_symmetric_grid_values_are_typed_errors(self):
         with pytest.raises(InvalidValueError, match="at least 2 points"):
