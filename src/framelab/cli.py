@@ -17,6 +17,7 @@ import enum
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
@@ -185,12 +186,17 @@ def _nonempty_list(read_entry):
     return read
 
 
+# The imaginary unit 'i' of a string entry: an 'i' that no letter follows,
+# so that the 'i' of 'inf' and 'infinity' is left as it is.
+_IMAGINARY_I = r"i(?![A-Za-z])"
+
+
 def _complex(value) -> complex:
     """A finite complex entry: a number, a pair [re, im] or a string 'a+bi';
     booleans do not pass."""
     if isinstance(value, str):
         try:
-            z = complex(value.strip().replace(" ", "").replace("i", "j"))
+            z = complex(re.sub(_IMAGINARY_I, "j", value.strip().replace(" ", "")))
         except ValueError:
             raise ValueError(f"cannot read complex entry {value!r}") from None
     elif isinstance(value, list) and len(value) == 2 and all(map(_number, value)):
@@ -898,7 +904,7 @@ def _suite_density(config: ExperimentConfig, ctx: Context, seed: int, out: Path)
     )
     if not split_ok:
         failures.append("symbol split postconditions violated")
-    return {**_jsonify(report), "split_ok": bool(split_ok),
+    return {**vars(report), "split_ok": bool(split_ok),
             "closability": {"passed": closable, "total": report.total,
                             "residual": residual, "reason": reason}}, failures
 
@@ -929,18 +935,17 @@ def _suite_quartet(config: ExperimentConfig, ctx: None, seed: int, out: Path):
     rng = np.random.default_rng(seed)
     reports = []
     for n in config.quartet_ns:
-        for _ in range(config.quartet_symbols):
-            values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            report = lab.fourier_quartet_check(n, values, trials=3,
-                                               seed=seed, tol=config.tolerance)
-            reports.append(report)
-            if not report.passed:
-                bad = {k: v for k, v in report.residuals.items()
-                       if v > config.tolerance}
-                failures.append(
-                    f"quartet n={n} members {sorted(bad)} failed; "
-                    f"flipped convention passes: {report.flipped_passes}"
-                )
+        values = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                  for _ in range(config.quartet_symbols)]
+        reports.extend(lab.fourier_quartet_check(n, values, trials=3, seed=seed,
+                                                 tol=config.tolerance))
+    for report in reports:
+        if not report.passed:
+            bad = {k: v for k, v in report.residuals.items() if v > config.tolerance}
+            failures.append(
+                f"quartet n={report.n} members {sorted(bad)} failed; "
+                f"flipped convention passes: {report.flipped_passes}"
+            )
     return {"reports": reports}, failures
 
 

@@ -39,10 +39,18 @@ from .measure import (
     symmetric_grid,
     symmetric_grid_family,
 )
-from .model import RANK_RTOL, RawSamples, from_samples, make_model, to_samples
+from .model import (
+    RANK_RTOL,
+    ModelSpace,
+    RawSamples,
+    from_samples,
+    make_model,
+    to_samples,
+)
 from .multiplier import (
     RESIDUAL_TOL,
     MultiplierOperator,
+    Symbol,
     _random_pairs,
     _weighted_pairings,
     build,
@@ -214,7 +222,8 @@ class QuartetReport:
 
 
 def fourier_quartet_check(n: int, symbol_values, trials: int = 5,
-                          seed: int = 0, tol: float = RESIDUAL_TOL) -> QuartetReport:
+                          seed: int = 0, tol: float = RESIDUAL_TOL
+                          ) -> QuartetReport | tuple[QuartetReport, ...]:
     """Check the four multipliers of the point/frequency pair on one grid.
 
     Uses the self-dual grid, where analysis with the exponential family is
@@ -228,21 +237,30 @@ def fourier_quartet_check(n: int, symbol_values, trials: int = 5,
     where ``_fwd``/``_inv`` are the forward/inverse weighted transforms.
     If a member misses the tolerance, the report says whether it passes with
     the transform direction flipped, which pins down a convention mismatch.
-    Each direction's transform kernel is built once per call and applied to
-    the symbol and to every trial's ``f`` before the next one is built, so
-    at most one n x n kernel is alive, and none once the operators exist.
-    The 4 * trials convolutions of the expected and the flipped members run
-    as one stacked pass, and one delta and one exponential frame serve all
-    four operators.
+
+    ``symbol_values`` is one n-vector, which gives one QuartetReport, or an
+    S x n stack of symbols, which gives a tuple of S reports in row order,
+    each equal bit for bit to the report of its row alone; every symbol is
+    checked against the same ``trials`` random samples.  The grid, the model,
+    the samples and their transforms, one delta and one exponential frame
+    serve the whole stack.  Each direction's transform kernel is built once
+    per call and applied to every symbol and every sample before the next
+    one is built, so at most one n x n kernel is alive, and none once the
+    operators exist.  The S * 4 * trials convolutions of the expected and
+    the flipped members run as one stacked pass.  Each symbol's four
+    operators are built in turn, and only one operator is alive at a time.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     space = fourier_grid(n)
     model = make_model(space, RawSamples())
-    m = np.asarray(symbol_values, dtype=complex)
-    if m.shape != (n,):
+    values = np.asarray(symbol_values, dtype=complex)
+    if values.ndim not in (1, 2) or values.shape[-1] != n:
         raise UnsupportedSpaceError(f"symbol must be sampled on the {n}-point grid")
-    sym = make_symbol(space, m)
+    stack = values.reshape(-1, n)
+    if not len(stack):
+        raise ValueError("need at least one symbol")
+    symbols = [make_symbol(space, m) for m in stack]
     w = space.weights
     rng = np.random.default_rng(seed)
     samples = []
@@ -252,39 +270,60 @@ def fourier_quartet_check(n: int, symbol_values, trials: int = 5,
 
     def transforms(inverse: bool):
         kernel = _transform_kernel(space, inverse=inverse)
-        return kernel @ (w * m), [kernel @ (w * f) for f in samples]
+        return [kernel @ (w * m) for m in stack], [kernel @ (w * f) for f in samples]
 
-    m_fwd, f_fwds = transforms(inverse=False)
-    m_inv, f_invs = transforms(inverse=True)
-    trial_data = list(zip(samples, f_fwds, f_invs))
-    # Per trial: "de" and "ee" as expected, then with the direction flipped.
+    m_fwds, f_fwds = transforms(inverse=False)
+    m_invs, f_invs = transforms(inverse=True)
+    trial_data = [(f, f_fwd, f_inv, from_samples(model, f))
+                  for f, f_fwd, f_inv in zip(samples, f_fwds, f_invs)]
+    # Per symbol and trial: "de" and "ee" as expected, then with the
+    # direction flipped.
     convolved = _direct_convolution(
         space,
-        np.array([m_inv, m_inv, m_fwd, m_fwd] * trials),
-        np.array([g for f, f_fwd, f_inv in trial_data for g in (f_inv, f, f_fwd, f)]),
-    ).reshape(trials, 4, n)
+        np.array([a for m_fwd, m_inv in zip(m_fwds, m_invs)
+                  for a in [m_inv, m_inv, m_fwd, m_fwd] * trials]),
+        np.array([b for f, f_fwd, f_inv, _ in trial_data
+                  for b in (f_inv, f, f_fwd, f)] * len(stack)),
+    ).reshape(len(stack), trials, 4, n)
 
     delta, exponential = delta_frame(model, space), exponential_frame(model, space)
-    ops = {"dd": build(sym, delta, delta), "de": build(sym, delta, exponential),
-           "ed": build(sym, exponential, delta),
-           "ee": build(sym, exponential, exponential)}
-    residuals = {key: 0.0 for key in ops}
-    flipped = {key: 0.0 for key in ops}
-    for (f, f_fwd, f_inv), (de, ee, de_flipped, ee_flipped) in zip(trial_data,
-                                                                    convolved):
-        expected = {"dd": m * f, "de": de, "ed": m * f_fwd, "ee": ee}
-        alternate = {"dd": m * f, "de": de_flipped, "ed": m * f_inv, "ee": ee_flipped}
-        coeffs = from_samples(model, f)
-        for key, op in ops.items():
-            got = to_samples(model, op.dense @ coeffs)
+    members = {"dd": (delta, delta), "de": (delta, exponential),
+               "ed": (exponential, delta), "ee": (exponential, exponential)}
+    reports = tuple(_quartet_report(sym, model, members, trial_data, rows, tol)
+                    for sym, rows in zip(symbols, convolved))
+    return reports[0] if values.ndim == 1 else reports
+
+
+def _quartet_report(sym: Symbol, model: ModelSpace, members: dict, trial_data,
+                    convolved: np.ndarray, tol: float) -> QuartetReport:
+    """One symbol's report: each member's operator against its expected and
+    its direction-flipped action on every trial sample.
+
+    The operators are built in member order, and each is freed before the
+    next one is built.
+    """
+    m = sym.values
+    targets = [({"dd": m * f, "de": de, "ed": m * f_fwd, "ee": ee},
+                {"dd": m * f, "de": de_flipped, "ed": m * f_inv, "ee": ee_flipped})
+               for (f, f_fwd, f_inv, _), (de, ee, de_flipped, ee_flipped)
+               in zip(trial_data, convolved)]
+
+    def samples_of(omega: DistributionMap, theta: DistributionMap) -> list:
+        op = build(sym, omega, theta)
+        return [to_samples(model, op.dense @ coeffs) for *_, coeffs in trial_data]
+
+    residuals, flipped = {}, {}
+    for key, (omega, theta) in members.items():
+        residuals[key] = flipped[key] = 0.0
+        for got, (expected, alternate) in zip(samples_of(omega, theta), targets):
             residuals[key] = max(residuals[key],
                                  float(np.max(np.abs(got - expected[key]))))
             flipped[key] = max(flipped[key],
                                float(np.max(np.abs(got - alternate[key]))))
     passed = all(r <= tol for r in residuals.values())
-    flipped_passes = {key: flipped[key] <= tol for key in ops}
+    flipped_passes = {key: flipped[key] <= tol for key in members}
     return QuartetReport(
-        n=n,
+        n=len(m),
         residuals=residuals,
         passed=passed,
         convention="analysis of the exponential family is the forward transform",

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framelab import InconsistencyError, maps, measure, model, multiplier
+from framelab import InconsistencyError, lab, maps, measure, model, multiplier
 from framelab.cli import (
     EXIT_ASSERTION,
     EXIT_OK,
@@ -168,6 +168,28 @@ class TestRun:
         report = load_report(out, "quartet")
         assert report["passed"]
         assert len(report["data"]["reports"]) == 4
+
+    def test_quartet_checks_each_grid_once(self, tmp_path, monkeypatch):
+        calls = {"make_model": [], "fourier_quartet_check": []}
+        for name in calls:
+            original = getattr(lab, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name].append(args[0] if _name == "fourier_quartet_check"
+                                    else len(args[0]))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(lab, name, counted)
+        config = write_config(tmp_path, "cfg.json", {
+            "suites": ["quartet"],
+            "seed": 9,
+            "quartet": {"n": [4, 8], "symbols": 3},
+        })
+        out = tmp_path / "out"
+        assert run(config, out_dir=out) == EXIT_OK
+        assert calls == {"make_model": [4, 8], "fourier_quartet_check": [4, 8]}
+        reports = load_report(out, "quartet")["data"]["reports"]
+        assert [r["n"] for r in reports] == [4, 4, 4, 8, 8, 8]
 
     def test_quartet_and_sweep_config_needs_no_omega(self, tmp_path):
         config = write_config(tmp_path, "cfg.json", {
@@ -808,8 +830,9 @@ def test_table_csv_accepts(tmp_path, text, expected):
     ("1,2\n3, 1 + 2k \n", "cannot read complex entry ' 1 + 2k '"),
     ("1,nan\n3,4\n", "entries must be finite"),
     ("1,1e999\n3,4\n", "entries must be finite"),
-    # 'i' reads as 'j', so 'inf' is no number
-    ("1,inf\n3,4\n", "cannot read complex entry 'inf'"),
+    # only an 'i' that ends a number reads as 'j'
+    ("1,inf\n3,4\n", "entries must be finite"),
+    ("1,2\n-infinity,4\n", "entries must be finite"),
     ("", "CSV table is empty"),
     ("\n\n", "CSV table is empty"),
     ("1,2\n3\n", "CSV rows differ in length"),
@@ -817,8 +840,8 @@ def test_table_csv_accepts(tmp_path, text, expected):
     ('1, "2"\n3,4\n', "cannot read complex entry ' \"2\"'"),
     # of two faults the first cell read is named
     ("1,nan\n3\n", "entries must be finite"),
-], ids=["unreadable", "unreadable-spaced", "nan", "overflow", "inf", "empty",
-        "blank-only", "ragged", "space-before-quote", "nan-and-ragged"])
+], ids=["unreadable", "unreadable-spaced", "nan", "overflow", "inf", "infinity",
+        "empty", "blank-only", "ragged", "space-before-quote", "nan-and-ragged"])
 def test_table_csv_faults_are_validation_errors(tmp_path, capsys, text, message):
     (tmp_path / "table.csv").write_text(text)
     config = write_config(tmp_path, "cfg.json", {
@@ -827,6 +850,17 @@ def test_table_csv_faults_are_validation_errors(tmp_path, capsys, text, message)
     })
     assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
     assert f"invalid config: omega.vectors: {message}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["inf", "-Infinity", "1+infi"])
+def test_json_string_infinity_is_not_finite(tmp_path, capsys, entry):
+    config = write_config(tmp_path, "cfg.json", {
+        "omega": {"family": "discrete", "vectors": [[1, 2], [entry, 4]]},
+        "suites": ["diagnose"],
+    })
+    assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
+    assert "invalid config: omega.vectors: entries must be finite\n" in (
+        capsys.readouterr().err)
 
 
 def test_table_csv_skips_whitespace_only_lines(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from framelab import (
     InconsistencyError,
     RawSamples,
     ScheduleError,
+    UnsupportedSpaceError,
     brute_force_pairing,
     build,
     coordinate_multiplier,
@@ -273,6 +275,56 @@ class TestQuartetDefiningSums:
         source = inspect.getsource(lab)
         assert "fft" not in source
         assert "transform_matrix" not in source
+
+
+def random_symbols(rng, s, n):
+    return rng.standard_normal((s, n)) + 1j * rng.standard_normal((s, n))
+
+
+def traced_peak(call):
+    call()  # first-call allocations are not the oracle's
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStackedQuartet:
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_stack_reports_equal_single_calls(self, n):
+        stack = random_symbols(np.random.default_rng(n), 3, n)
+        reports = fourier_quartet_check(n, stack, trials=3, seed=n)
+        assert isinstance(reports, tuple) and len(reports) == 3
+        for report, m in zip(reports, stack):
+            alone = fourier_quartet_check(n, m, trials=3, seed=n)
+            assert report.n == alone.n == n
+            assert report.residuals == alone.residuals
+            assert report.flipped_passes == alone.flipped_passes
+            assert report.passed == alone.passed
+
+    def test_one_row_stack_is_a_one_report_tuple(self):
+        m = random_symbols(np.random.default_rng(1), 1, 8)
+        (report,) = fourier_quartet_check(8, m, trials=2, seed=1)
+        assert report == fourier_quartet_check(8, m[0], trials=2, seed=1)
+
+    @pytest.mark.parametrize("values", [np.ones((3, 7)), np.ones((2, 3, 8)),
+                                        np.ones(7), np.ones(0)],
+                             ids=["short-rows", "three-axes", "short-vector", "empty-vector"])
+    def test_rows_not_n_long_are_unsupported(self, values):
+        with pytest.raises(UnsupportedSpaceError):
+            fourier_quartet_check(8, values, trials=1)
+
+    def test_empty_stack_is_rejected(self):
+        with pytest.raises(ValueError):
+            fourier_quartet_check(8, np.ones((0, 8)), trials=1)
+
+    def test_four_symbols_keep_one_symbols_peak(self):
+        stack = random_symbols(np.random.default_rng(128), 4, 128)
+        one = traced_peak(lambda: fourier_quartet_check(128, stack[0], trials=3))
+        four = traced_peak(lambda: fourier_quartet_check(128, stack, trials=3))
+        assert four <= 1.25 * one
 
 
 class TestUnboundednessSweep:
