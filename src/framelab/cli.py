@@ -791,9 +791,8 @@ def _suite_multiplier(config: ExperimentConfig, ctx: Context, seed: int, out: Pa
     return data, failures
 
 
-def _calculus_trial(ctx: Context, rng: np.random.Generator) -> tuple[float, bool]:
-    """(residual, asserted) of composing the multipliers of two random
-    symbols; the trial's matrices are freed when it returns."""
+def _calculus_trial(ctx: Context, rng: np.random.Generator) -> multiplier.CompositionReport:
+    """Compose the multipliers of two random symbols, from their factors."""
     ops = []
     for _ in range(2):
         m = multiplier.make_symbol(
@@ -801,24 +800,29 @@ def _calculus_trial(ctx: Context, rng: np.random.Generator) -> tuple[float, bool
             * np.exp(2j * np.pi * rng.random(len(ctx.space)))
         )
         ops.append(multiplier.build(m, ctx.omega, ctx.theta, validate=False))
-    report = multiplier.compose(*ops)
-    return report.residual, report.asserted
+    return multiplier.compose(*ops)
 
 
 def _suite_calculus(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
+    """The residual is asserted on dual pairs; the factored gap on every pair."""
     tol = config.tolerance
     failures = []
     rng = np.random.default_rng(seed)
-    results = []
-    for _ in range(10):
-        residual, dual_pair = _calculus_trial(ctx, rng)
-        results.append(residual)
-        if dual_pair and residual > tol:
-            failures.append(f"calculus residual {residual:.3e} on dual pair")
+    reports = [_calculus_trial(ctx, rng) for _ in range(10)]
+    for report in reports:
+        if report.asserted and report.residual > tol:
+            failures.append(f"calculus residual {report.residual:.3e} on dual pair")
+        if report.factored_gap > multiplier.ROUNDING_TOL:
+            failures.append(f"calculus factored gap {report.factored_gap:.3e}")
+    residuals = [report.residual for report in reports]
+    gaps = [report.factored_gap for report in reports]
     data = {
-        "dual_pair": dual_pair,
-        "residuals": results,
-        "worst_residual": max(results),
+        "dual_pair": reports[-1].asserted,
+        "residuals": residuals,
+        "worst_residual": max(residuals),
+        "factored_gaps": gaps,
+        "worst_factored_gap": max(gaps),
+        "duality_defect": multiplier.duality_defect(ctx.omega, ctx.theta),
     }
     return data, failures
 

@@ -38,6 +38,7 @@ BOUND_TOL = 1e-8  # slack of a frame or Riesz bound and of the dual-pair test
 SPLIT_FLOOR = 1.0  # split_symbol keeps |m2| at or above it
 SPLIT_BOUND = 3.0  # split_symbol keeps |m1| at or below it
 SPLIT_TOL = 1e-14  # largest |m1 + m2 - m| a split may leave
+_PROBES = 8  # columns of the +-1 probe block of the symbol calculus
 
 
 # -- symbols -------------------------------------------------------------------
@@ -110,21 +111,25 @@ def split_symbol(m: Symbol) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class MultiplierOperator:
-    """Dense coefficient matrix of a multiplier plus its building blocks.
+    """A multiplier as its building blocks: maps omega, theta and a symbol.
 
-    ``dense`` is a read-only view, and its singular values, injectivity and
-    inverse are each computed at most once, on first use.
+    ``dense``, the K x K coefficient matrix, is formed on first read and is
+    read-only; its singular values, injectivity and inverse are each
+    computed at most once, on first use.  An operator that is only composed
+    or adjoined never forms it.
     """
 
-    dense: np.ndarray
     omega: DistributionMap
     theta: DistributionMap
     symbol: Symbol
 
-    def __post_init__(self):
-        dense = np.asarray(self.dense, dtype=complex).view()
+    @functools.cached_property
+    def dense(self) -> np.ndarray:
+        """E_theta^H diag(w * m) E_omega, read-only."""
+        wm = self.space.weights * self.symbol.values
+        dense = self.theta.table.conj().T @ (wm[:, None] * self.omega.table)
         dense.flags.writeable = False
-        object.__setattr__(self, "dense", dense)
+        return dense
 
     @functools.cached_property
     def singular_values(self) -> np.ndarray:
@@ -150,7 +155,7 @@ class MultiplierOperator:
 
     @property
     def dim(self) -> int:
-        return self.dense.shape[0]
+        return self.omega.dim
 
     def factored(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(analysis table, diagonal w*m, synthesis adjoint table)."""
@@ -177,6 +182,35 @@ def _random_pairs(seed: int, trials: int, k: int) -> tuple[np.ndarray, np.ndarra
     return draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
 
 
+@functools.lru_cache(maxsize=32)
+def _validation_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``build``'s three pairs on K coefficients, drawn once per K; read-only."""
+    pairs = _random_pairs(7, 3, k)
+    for block in pairs:
+        block.flags.writeable = False
+    return pairs
+
+
+@functools.lru_cache(maxsize=32)
+def _probe_block(n: int) -> np.ndarray:
+    """Fixed n x _PROBES Rademacher (+-1) block from seed 7, drawn once per n;
+    read-only.
+
+    E||D X||_F^2 = _PROBES ||D||_F^2 for every matrix D, so
+    ||D X||_F / sqrt(_PROBES) estimates ||D||_F: Freivalds (1977) for
+    product verification, Halko, Martinsson & Tropp, SIAM Rev. 53 (2011),
+    section 4.3, for the error of such estimates.
+    """
+    block = 2.0 * np.random.default_rng(7).integers(0, 2, (n, _PROBES)) - 1.0
+    block.flags.writeable = False
+    return block
+
+
+def _synthesize(theta: DistributionMap, y: np.ndarray) -> np.ndarray:
+    """E_theta^H y, as conj(E_theta^T conj(y)): no copy of E_theta^H."""
+    return np.conj(theta.table.T @ np.conj(y))
+
+
 def _weighted_pairings(weights: np.ndarray, left: np.ndarray, right: np.ndarray,
                        f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """sum_j weights_j (left f)_j conj((right g)_j) for each row pair (f, g).
@@ -193,21 +227,20 @@ def _weighted_pairings(weights: np.ndarray, left: np.ndarray, right: np.ndarray,
 
 def build(m: Symbol, omega: DistributionMap, theta: DistributionMap,
           validate: bool = True) -> MultiplierOperator:
-    """Assemble the dense multiplier matrix for symbol m, analysis omega,
-    synthesis theta.
+    """The multiplier of symbol m with analysis omega and synthesis theta.
 
     The two maps must share their space and model.  When ``validate`` is on,
-    the defining pairing is checked on a few deterministic random pairs
-    against the direct weighted sum; disagreement raises, since the two are
-    the same computation in different association orders.
+    the dense matrix is formed and the defining pairing is checked on a few
+    deterministic random pairs against the direct weighted sum; disagreement
+    raises, since the two are the same computation in different association
+    orders.  Without it no K x K matrix is formed.
     """
     _check_factors(m, omega, theta)
-    wm = omega.space.weights * m.values
-    dense = theta.table.conj().T @ (wm[:, None] * omega.table)
-    op = MultiplierOperator(dense=dense, omega=omega, theta=theta, symbol=m)
+    op = MultiplierOperator(omega=omega, theta=theta, symbol=m)
     if validate:
-        f, g = _random_pairs(7, 3, omega.dim)
-        direct = _weighted_pairings(wm, omega.table, theta.table, f, g)
+        f, g = _validation_pairs(omega.dim)
+        direct = _weighted_pairings(omega.space.weights * m.values, omega.table,
+                                    theta.table, f, g)
         paired = np.sum(np.conj(g) * (f @ op.dense.T), axis=-1)
         scale = max(1.0, float(np.max(np.abs(op.dense))))
         if np.max(np.abs(paired - direct)) > RESIDUAL_TOL * scale * omega.dim:
@@ -264,15 +297,24 @@ class CompositionReport:
     """Product of two multipliers against the multiplier of the product symbol."""
 
     residual: float
+    factored_gap: float
     asserted: bool
 
 
 def compose(op1: MultiplierOperator, op2: MultiplierOperator) -> CompositionReport:
-    """Measure ||dense(op1) @ dense(op2) - M_{m1 m2}||_F.
+    """Measure M_{m1} M_{m2} - M_{m1 m2} on the fixed K x _PROBES probe block X.
+
+    With A = E_theta^H, B = E_omega and w the weights, each multiplier acts
+    from its factors, M_m X = A (w m * B X), so no K x K matrix is formed.
+    ``residual`` is ||(M1 M2 - M12) X||_F / sqrt(_PROBES), an estimate of the
+    Frobenius residual.  The defect factors exactly as
+    A diag(w m1) (G - I) diag(m2) B with G = B A diag(w); ``factored_gap``
+    is the distance between the direct difference and that factored defect,
+    relative to ||M1 M2 X||_F, which only rounding makes nonzero on any pair.
 
     The identity is asserted, by the caller, only when both operators share
     a dual pair of maps with a square table (the symbolic-calculus regime);
-    otherwise the difference measures how far the pair is from dual.
+    otherwise the residual measures how far the pair is from dual.
     """
     if op1.omega is not op2.omega and not np.array_equal(op1.omega.table,
                                                          op2.omega.table):
@@ -281,11 +323,37 @@ def compose(op1: MultiplierOperator, op2: MultiplierOperator) -> CompositionRepo
                                                          op2.theta.table):
         raise GridMismatchError("composition requires operators on the same maps")
     m12 = product_symbol(op1.space, op1.symbol, op2.symbol)
-    built = build(m12, op1.omega, op1.theta, validate=False).dense
+    b, theta = op1.omega.table, op1.theta
+    w = op1.space.weights[:, None]
+    m1, m2 = op1.symbol.values[:, None], op2.symbol.values[:, None]
+    bx = b @ _probe_block(op1.dim)
+    m2x = _synthesize(theta, w * m2 * bx)
+    m1m2x = _synthesize(theta, w * m1 * (b @ m2x))
+    direct = m1m2x - _synthesize(theta, w * m12.values[:, None] * bx)
+    z = m2 * bx
+    defect = _synthesize(theta, w * m1 * (b @ _synthesize(theta, w * z) - z))
+    gap = float(np.linalg.norm(direct - defect))
+    scale = float(np.linalg.norm(m1m2x))
     return CompositionReport(
-        residual=float(np.linalg.norm(op1.dense @ op2.dense - built)),
+        residual=float(np.linalg.norm(direct)) / math.sqrt(_PROBES),
+        factored_gap=gap / scale if scale else gap,
         asserted=is_dual_pair(op1.omega, op1.theta),
     )
+
+
+def duality_defect(omega: DistributionMap, theta: DistributionMap) -> float:
+    """Probe estimate of ||G - I||_F, G = E_omega E_theta^H diag(w), on the
+    fixed J x _PROBES block; no J x J matrix is formed.
+
+    With A = E_theta^H and B = E_omega,
+    M_{m1} M_{m2} - M_{m1 m2} = A diag(w m1) (G - I) diag(m2) B, so G - I is
+    what keeps the calculus from being exact: it is zero up to rounding on
+    a square dual pair, and sqrt(J - K) on an overcomplete canonical pair
+    on counting measure, where G is a rank-K orthogonal projection.
+    """
+    y = _probe_block(omega.n_points)
+    gy = omega.table @ _synthesize(theta, omega.space.weights[:, None] * y)
+    return float(np.linalg.norm(gy - y)) / math.sqrt(_PROBES)
 
 
 # -- invertibility ----------------------------------------------------------------
@@ -502,6 +570,7 @@ __all__ = [
     "is_dual_pair",
     "CompositionReport",
     "compose",
+    "duality_defect",
     "InverseReport",
     "invert",
     "Side",

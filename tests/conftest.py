@@ -1,5 +1,7 @@
 """Shared builders for seeded random frames and dual pairs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,15 @@ def random_bounded_symbol(space, rng, lo=0.2, hi=2.0):
     modulus = rng.uniform(lo, hi, len(space))
     phase = np.exp(2j * np.pi * rng.random(len(space)))
     return make_symbol(space, modulus * phase)
+
+
+def with_dense(op, dense):
+    """A copy of ``op`` whose dense matrix is ``dense``, not its factors'
+    product: a fault for the oracles to catch.  It fills the cache that
+    ``MultiplierOperator.dense`` reads first."""
+    faulty = dataclasses.replace(op)
+    vars(faulty)["dense"] = np.asarray(dense, dtype=complex)
+    return faulty
 
 
 @pytest.fixture

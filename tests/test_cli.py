@@ -1,6 +1,7 @@
 import dataclasses
 import filecmp
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from framelab.cli import (
     parse_config,
     run,
 )
+from conftest import with_dense
 
 DATA = Path(__file__).parent / "data"
 
@@ -51,6 +53,20 @@ PARSEVAL_CONFIG = {
     "seed": 7,
     "tolerance": 1e-10,
 }
+
+
+def overcomplete_config(tmp_path, j, k, suites):
+    """A random J x K `discrete` table, read from CSV, with its canonical dual."""
+    rng = np.random.default_rng(j * k)
+    table = rng.standard_normal((j, k)) + 1j * rng.standard_normal((j, k))
+    (tmp_path / "table.csv").write_text("".join(
+        ",".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row) + "\n" for row in table))
+    return write_config(tmp_path, "cfg.json", {
+        "omega": {"family": "discrete", "vectors": str(tmp_path / "table.csv")},
+        "theta": {"family": "canonical_dual"},
+        "suites": suites,
+        "seed": 1,
+    })
 
 
 class TestRun:
@@ -552,7 +568,7 @@ class TestRun:
         def corrupted(*args, **kwargs):  # only the context's validated operator
             op = build(*args, **kwargs)
             if kwargs.get("validate", True):
-                op = dataclasses.replace(op, dense=np.diag([2.0, 1.0, 5.0]))
+                op = with_dense(op, np.diag([2.0, 1.0, 5.0]))
             return op
 
         monkeypatch.setattr(multiplier, "build", corrupted)
@@ -635,6 +651,58 @@ class TestRun:
         assert len(report["data"]["residuals"]) == 10
         assert len(report["failures"]) == 10
         assert all(f.startswith("calculus residual") for f in report["failures"])
+
+    def test_calculus_asserts_and_passes_on_an_overcomplete_768x96_table(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(overcomplete_config(tmp_path, 768, 96, ["calculus"]),
+                   out_dir=out) == EXIT_OK
+        data = load_report(out, "calculus")["data"]
+        assert data["dual_pair"] is False
+        assert min(data["residuals"]) > 1.0  # far from dual, and not asserted
+        assert len(data["factored_gaps"]) == 10
+        assert data["worst_factored_gap"] == max(data["factored_gaps"])
+        assert data["worst_factored_gap"] <= multiplier.ROUNDING_TOL
+        defect = math.sqrt(768 - 96)
+        assert defect / 1.25 <= data["duality_defect"] <= 1.25 * defect
+
+    def test_calculus_reads_zero_on_a_square_delta_dual_pair(self, tmp_path):
+        config = write_config(tmp_path, "cfg.json", {
+            "space": {"family": "periodic_unit_grid", "n": 16},
+            "model": {"family": "raw_samples"},
+            "omega": {"family": "delta"},
+            "theta": {"family": "canonical_dual"},
+            "suites": ["calculus"],
+            "seed": 1,
+        })
+        out = tmp_path / "out"
+        assert run(config, out_dir=out) == EXIT_OK
+        data = load_report(out, "calculus")["data"]
+        assert data["dual_pair"] is True
+        assert data["residuals"] == data["factored_gaps"] == [0.0] * 10
+        assert data["duality_defect"] == 0.0
+
+    def test_calculus_residual_is_asserted_on_a_pair_judged_dual(self, tmp_path,
+                                                                  monkeypatch):
+        monkeypatch.setattr(multiplier, "is_dual_pair", lambda omega, theta: True)
+        out = tmp_path / "out"
+        assert run(overcomplete_config(tmp_path, 12, 4, ["calculus"]),
+                   out_dir=out) == EXIT_ASSERTION
+        report = load_report(out, "calculus")
+        assert report["data"]["dual_pair"] is True
+        assert len(report["failures"]) == 10
+        assert all(f.startswith("calculus residual") for f in report["failures"])
+
+    def test_a_factored_gap_above_rounding_fails_calculus_on_any_pair(
+            self, tmp_path, monkeypatch):
+        compose = multiplier.compose
+        monkeypatch.setattr(multiplier, "compose", lambda *ops: dataclasses.replace(
+            compose(*ops), factored_gap=1e-6))
+        out = tmp_path / "out"
+        assert run(overcomplete_config(tmp_path, 12, 4, ["calculus"]),
+                   out_dir=out) == EXIT_ASSERTION
+        report = load_report(out, "calculus")
+        assert report["data"]["dual_pair"] is False
+        assert report["failures"] == ["calculus factored gap 1.000e-06"] * 10
 
     def test_suites_share_one_validated_operator(self, tmp_path, monkeypatch):
         validated = []
@@ -791,7 +859,8 @@ def test_reports_leave_out_what_is_not_a_field():
     mdl = model.make_model(space, model.RawSamples())
     delta = maps.delta_frame(mdl, space)
     op = multiplier.build(multiplier.make_symbol(space, [1.0, 2.0]), delta, delta)
-    assert set(_jsonify(multiplier.compose(op, op))) == {"residual", "asserted"}
+    assert set(_jsonify(multiplier.compose(op, op))) == {"residual", "factored_gap",
+                                                         "asserted"}
     assert "condition_number" not in _jsonify(maps.diagnose(delta))
 
 

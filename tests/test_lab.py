@@ -39,6 +39,7 @@ from conftest import (
     random_bounded_symbol,
     random_map,
     riesz_dual_pair,
+    with_dense,
 )
 
 
@@ -62,7 +63,7 @@ class TestBruteForcePairing:
         op = diag_operator((2, 3, 5))
         corrupted_dense = op.dense.copy()
         corrupted_dense[0, 0] += 0.01
-        corrupted = dataclasses.replace(op, dense=corrupted_dense)
+        corrupted = with_dense(op, corrupted_dense)
         assert brute_force_pairing(corrupted, trials=50, seed=3) > 1e-3
 
     def test_needs_at_least_one_trial(self):
@@ -96,7 +97,7 @@ class TestStackedPairingOracles:
         m = random_bounded_symbol(omega.space, rng)
         op = build(m, omega, theta)
         stray = op.dense + (rng.standard_normal((k, k)) / np.sqrt(k))
-        corrupted = dataclasses.replace(op, dense=stray)
+        corrupted = with_dense(op, stray)
         stacked = brute_force_pairing(corrupted, trials=trials, seed=5)
         reference = per_trial_pairing_residual(
             omega.space.weights * m.values, omega.table, theta.table,

