@@ -575,16 +575,12 @@ class ExperimentConfig:
 
 def _sweep_family(sweep_kind: str, l_values: list,
                   ppu: int) -> measure.RefinementFamily:
-    """The grids a sweep of ``sweep_kind`` runs on, checked as the sweep checks them."""
+    """The grids a sweep runs on, checked as the sweep checks them; both
+    kinds run on the grids of ``lab.weighted_delta_family``."""
     if sweep_kind not in ("weighted_delta", "bounded_control"):
         raise ConfigError("kind", f"unknown sweep kind {sweep_kind!r}")
     try:
-        if sweep_kind == "weighted_delta":
-            family = lab.weighted_delta_family(l_values, ppu)
-        else:
-            family = measure.symmetric_grid_family(
-                tuple((ppu * int(L) + 1, float(L)) for L in l_values)
-            )
+        family = lab.weighted_delta_family(l_values, ppu)
     except ScheduleError as exc:
         raise ConfigError("l_values", str(exc)) from None
     if len(family) < lab.MIN_SWEEP_STEPS:
@@ -716,7 +712,14 @@ def _suite_seed(root_seed: int | None, suite: str) -> int:
 #
 # Every suite is called as suite(config, ctx, seed, out) and returns (data,
 # failures); ctx is None for a suite that does not need a context, and out
-# is the report directory.
+# is the report directory.  A gate passes only when value <= limit, so a
+# NaN fails it.
+
+def _gate(failures: list, label: str, value: float, limit: float) -> None:
+    """Append ``label`` and ``value`` to ``failures`` unless value <= limit."""
+    if not value <= limit:
+        failures.append(f"{label} {value:.3e}")
+
 
 def _suite_diagnose(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     return {
@@ -732,18 +735,16 @@ def _suite_dual(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     diag = maps.diagnose(ctx.omega)
     dual = maps.canonical_dual(ctx.omega)
     residual = lab.duality_residual(ctx.omega, dual, trials=100, seed=seed)
-    if residual > tol:
+    if not residual <= tol:
         failures.append(f"duality residual {residual:.3e} above {tol:.1e}")
     d_dual = maps.diagnose(dual)
     bound_dev = max(
         abs(d_dual.lower - 1.0 / diag.upper), abs(d_dual.upper - 1.0 / diag.lower)
     )
-    if bound_dev > multiplier.BOUND_TOL:
-        failures.append(f"dual bounds deviate by {bound_dev:.3e}")
+    _gate(failures, "dual bounds deviate by", bound_dev, multiplier.BOUND_TOL)
     back = maps._solve_dual(dual)  # not cached on the dual, so freed on return
     back_residual = float(np.max(np.abs(back.table - ctx.omega.table)))
-    if back_residual > multiplier.RESIDUAL_TOL:
-        failures.append(f"dual of dual residual {back_residual:.3e}")
+    _gate(failures, "dual of dual residual", back_residual, multiplier.RESIDUAL_TOL)
     data = {
         "duality_residual": residual,
         "dual_bounds": [d_dual.lower, d_dual.upper],
@@ -761,23 +762,20 @@ def _suite_multiplier(config: ExperimentConfig, ctx: Context, seed: int, out: Pa
     analysis, diag_wm, synthesis = op.factored()
     refactored = (synthesis * diag_wm[None, :]) @ analysis
     fact_residual = float(np.linalg.norm(op.dense - refactored))
-    if fact_residual > multiplier.ROUNDING_TOL:
-        failures.append(f"factorization residual {fact_residual:.3e}")
+    _gate(failures, "factorization residual", fact_residual, multiplier.ROUNDING_TOL)
     norm = multiplier.operator_norm(op)
     bound = multiplier.norm_bound(op)
-    if norm > bound + multiplier.RESIDUAL_TOL:
+    if not norm <= bound + multiplier.RESIDUAL_TOL:
         failures.append(f"norm {norm:.6e} above bound {bound:.6e}")
     pairing = lab.brute_force_pairing(op, trials=100, seed=seed)
-    if pairing > config.tolerance:
-        failures.append(f"pairing residual {pairing:.3e}")
+    _gate(failures, "pairing residual", pairing, config.tolerance)
     adj = multiplier.adjoint(op)
     adj_residual = float(np.max(np.abs(adj.dense - op.dense.conj().T)))
-    if adj_residual > multiplier.ROUNDING_TOL:
-        failures.append(f"adjoint residual {adj_residual:.3e}")
+    _gate(failures, "adjoint residual", adj_residual, multiplier.ROUNDING_TOL)
     invol = multiplier.adjoint(adj)
     invol_residual = float(np.max(np.abs(invol.dense - op.dense)))
-    if invol_residual > multiplier.ROUNDING_TOL:
-        failures.append(f"adjoint involution residual {invol_residual:.3e}")
+    _gate(failures, "adjoint involution residual", invol_residual,
+          multiplier.ROUNDING_TOL)
     data = {
         "factorization_residual": fact_residual,
         "operator_norm": norm,
@@ -810,10 +808,10 @@ def _suite_calculus(config: ExperimentConfig, ctx: Context, seed: int, out: Path
     rng = np.random.default_rng(seed)
     reports = [_calculus_trial(ctx, rng) for _ in range(10)]
     for report in reports:
-        if report.asserted and report.residual > tol:
+        if report.asserted and not report.residual <= tol:
             failures.append(f"calculus residual {report.residual:.3e} on dual pair")
-        if report.factored_gap > multiplier.ROUNDING_TOL:
-            failures.append(f"calculus factored gap {report.factored_gap:.3e}")
+        _gate(failures, "calculus factored gap", report.factored_gap,
+              multiplier.ROUNDING_TOL)
     residuals = [report.residual for report in reports]
     gaps = [report.factored_gap for report in reports]
     data = {
@@ -832,11 +830,9 @@ def _suite_invert(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     report = multiplier.invert(ctx.operator)
     if report.bound_satisfied is False:
         failures.append("inverse bound violated")
-    if (report.reciprocal_residual is not None
-            and report.reciprocal_residual > config.tolerance):
-        failures.append(
-            f"reciprocal-symbol residual {report.reciprocal_residual:.3e}"
-        )
+    if report.reciprocal_residual is not None:
+        _gate(failures, "reciprocal-symbol residual", report.reciprocal_residual,
+              config.tolerance)
     return report, failures
 
 
@@ -849,10 +845,8 @@ def _suite_reconstruct(config: ExperimentConfig, ctx: Context, seed: int, out: P
     tau, res_left = multiplier.reconstruction_pair(
         op, multiplier.Side.LEFT, trials=50, seed=seed
     )
-    if res_right > config.tolerance:
-        failures.append(f"right reconstruction residual {res_right:.3e}")
-    if res_left > config.tolerance:
-        failures.append(f"left reconstruction residual {res_left:.3e}")
+    _gate(failures, "right reconstruction residual", res_right, config.tolerance)
+    _gate(failures, "left reconstruction residual", res_left, config.tolerance)
     return {
         "right_residual": res_right,
         "left_residual": res_left,
@@ -945,7 +939,8 @@ def _suite_quartet(config: ExperimentConfig, ctx: None, seed: int, out: Path):
                                                  tol=config.tolerance))
     for report in reports:
         if not report.passed:
-            bad = {k: v for k, v in report.residuals.items() if v > config.tolerance}
+            bad = {k: v for k, v in report.residuals.items()
+                   if not v <= config.tolerance}
             failures.append(
                 f"quartet n={report.n} members {sorted(bad)} failed; "
                 f"flipped convention passes: {report.flipped_passes}"
@@ -957,8 +952,7 @@ def _suite_oracle(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     failures = []
     op = ctx.operator
     residual = lab.brute_force_pairing(op, trials=100, seed=seed)
-    if residual > config.tolerance:
-        failures.append(f"brute-force pairing residual {residual:.3e}")
+    _gate(failures, "brute-force pairing residual", residual, config.tolerance)
     data = {"pairing_residual": residual}
     if config.omega.get("family") == "discrete":
         comparison = lab.discrete_reduction_oracle(np.conj(ctx.omega.table))

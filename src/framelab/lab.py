@@ -415,7 +415,7 @@ def norm_floor_misses(result: SweepResult) -> list[str]:
     """One message per step whose norm stays below NORM_FLOOR * L."""
     return [f"norm {norm:.3e} below {NORM_FLOOR}*L at L={L}"
             for (_, L), norm in zip(result.schedule, result.norms)
-            if norm < NORM_FLOOR * L]
+            if not norm >= NORM_FLOOR * L]
 
 
 def weighted_delta_sweep(l_values: Sequence[float] = (2.0, 4.0, 8.0, 16.0),

@@ -100,8 +100,12 @@ class DistributionMap:
         return np.conj(self.table)
 
     def frame_matrix(self) -> np.ndarray:
-        """K x K frame operator on D coefficients."""
-        return self.table.conj().T @ (self.space.weights[:, None] * self.table)
+        """K x K frame operator on D coefficients; InvalidValueError when its
+        entries overflow, so that no decomposition runs on them."""
+        gram = self.table.conj().T @ (self.space.weights[:, None] * self.table)
+        if not np.isfinite(gram).all():
+            raise InvalidValueError("frame matrix overflows: entries must be finite")
+        return gram
 
     @functools.cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -398,13 +402,29 @@ class SupportRecord:
 
 
 @dataclass(frozen=True)
-class OrthogonalityReport:
-    """Witness-family verdict for pseudo/hyper orthogonality."""
+class WitnessReport:
+    """Verdict on a witness family: the orthogonality checks and the
+    density certificate each return one, with their own records."""
 
     passed: bool
     total: bool
     records: tuple
     reason: str = ""
+
+
+_EMPTY_FAMILY = WitnessReport(passed=False, total=False, records=(),
+                              reason="empty witness family")
+
+
+def _witness_verdict(total: bool, records: tuple, reason: str) -> WitnessReport:
+    """The one witness-family verdict: a family passes when it is total and
+    every record passes.  A family that is not total fails for that reason;
+    otherwise ``reason`` is the check's own reason for a failed record."""
+    passed = total and all(r.passed for r in records)
+    if not total:
+        reason = "witness family is not total"
+    return WitnessReport(passed=passed, total=total, records=records,
+                         reason="" if passed else reason)
 
 
 def _witness_analysis(omega: DistributionMap, family: np.ndarray,
@@ -424,7 +444,7 @@ def _witness_analysis(omega: DistributionMap, family: np.ndarray,
 
 def _orthogonality(omega: DistributionMap, family: np.ndarray,
                    support_tol: float,
-                   alpha: np.ndarray | None = None) -> OrthogonalityReport:
+                   alpha: np.ndarray | None = None) -> WitnessReport:
     """Support records of a non-empty family, with the envelope bound if alpha."""
     values, on, total = _witness_analysis(omega, family, support_tol)[1:]
     violations = [None] * family.shape[1]
@@ -444,21 +464,12 @@ def _orthogonality(omega: DistributionMap, family: np.ndarray,
         SupportRecord(i, size, measure, sup, off, strict, violation,
                       passed=strict and violation is None)
         for i, (size, measure, sup, off, strict, violation) in enumerate(columns))
-    passed = total and all(r.passed for r in records)
-    if passed:
-        reason = ""
-    elif not total:
-        reason = "witness family is not total"
-    elif any(violations):
-        reason = "envelope bound violated"
-    else:
-        reason = "support is not proper"
-    return OrthogonalityReport(passed=passed, total=total, records=records,
-                               reason=reason)
+    return _witness_verdict(total, records, "envelope bound violated"
+                            if any(violations) else "support is not proper")
 
 
 def check_pseudo_orthogonal(omega: DistributionMap, family: np.ndarray,
-                            support_tol: float = SUPPORT_TOL) -> OrthogonalityReport:
+                            support_tol: float = SUPPORT_TOL) -> WitnessReport:
     """Certify a K x F witness family for proper-support orthogonality.
 
     Each witness must have analysis support on a strict subset of the points
@@ -467,15 +478,13 @@ def check_pseudo_orthogonal(omega: DistributionMap, family: np.ndarray,
     one.
     """
     if family.shape[1] == 0:
-        return OrthogonalityReport(
-            passed=False, total=False, records=(), reason="empty witness family"
-        )
+        return _EMPTY_FAMILY
     return _orthogonality(omega, family, support_tol)
 
 
 def check_hyper_orthogonal(omega: DistributionMap, alpha,
                            family_builder: Callable[[np.ndarray], np.ndarray],
-                           support_tol: float = SUPPORT_TOL) -> OrthogonalityReport:
+                           support_tol: float = SUPPORT_TOL) -> WitnessReport:
     """Certify a dominated witness family built for a positive envelope alpha.
 
     The builder receives alpha sampled on the points and must return a K x F
@@ -486,14 +495,11 @@ def check_hyper_orthogonal(omega: DistributionMap, alpha,
     alpha_values = np.asarray(alpha, dtype=float)
     if alpha_values.shape != (omega.n_points,):
         raise ShapeMismatchError("alpha must be sampled on the point set")
-    if np.any(alpha_values <= 0.0):
+    if not np.all(alpha_values > 0.0):  # NaN is not positive either
         raise PreconditionError("alpha must be strictly positive on all points")
     family = family_builder(alpha_values)
     if family.shape[1] == 0:
-        return OrthogonalityReport(
-            passed=False, total=False, records=(),
-            reason="builder returned an empty witness family",
-        )
+        return _EMPTY_FAMILY
     return _orthogonality(omega, family, support_tol, alpha_values)
 
 
@@ -541,7 +547,7 @@ __all__ = [
     "FrameDiagnostics",
     "TransitionReport",
     "SupportRecord",
-    "OrthogonalityReport",
+    "WitnessReport",
     "delta_frame",
     "exponential_frame",
     "weighted_delta_frame",

@@ -171,10 +171,7 @@ def l2_inner(space: SampledMeasureSpace, xi, eta) -> complex:
 
 def ess_sup(space: SampledMeasureSpace, xi) -> float:
     """Largest modulus over the (all positive-weight) points."""
-    values = _as_values(space, xi)
-    if len(values) == 0:
-        raise EmptySpaceError("essential supremum of an empty space")
-    return float(np.max(np.abs(values)))
+    return float(np.max(np.abs(_as_values(space, xi))))
 
 
 # -- symmetric-grid schedules ---------------------------------------------------

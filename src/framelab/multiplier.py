@@ -28,7 +28,8 @@ from .errors import (
     ShapeMismatchError,
     SingularOperatorError,
 )
-from .maps import SUPPORT_TOL, Classification, DistributionMap, _witness_analysis, diagnose
+from .maps import (SUPPORT_TOL, _EMPTY_FAMILY, Classification, DistributionMap,
+                   WitnessReport, _witness_analysis, _witness_verdict, diagnose)
 from .measure import SampledMeasureSpace, ess_sup, same_grid
 from .model import RANK_RTOL
 
@@ -39,6 +40,8 @@ SPLIT_FLOOR = 1.0  # split_symbol keeps |m2| at or above it
 SPLIT_BOUND = 3.0  # split_symbol keeps |m1| at or below it
 SPLIT_TOL = 1e-14  # largest |m1 + m2 - m| a split may leave
 _PROBES = 8  # columns of the +-1 probe block of the symbol calculus
+CLOSABILITY_TRIALS = 20  # random unit f that closability_residual pairs
+CLOSABILITY_SEED = 0  # seed of those f
 
 
 # -- symbols -------------------------------------------------------------------
@@ -53,9 +56,6 @@ class Symbol:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
-
-    def __len__(self) -> int:
-        return len(self.values)
 
     def vanishing_points(self) -> tuple:
         """The one vanishing rule: m vanishes where |m| <= RANK_RTOL * ess_sup|m|."""
@@ -243,7 +243,7 @@ def build(m: Symbol, omega: DistributionMap, theta: DistributionMap,
                                     theta.table, f, g)
         paired = np.sum(np.conj(g) * (f @ op.dense.T), axis=-1)
         scale = max(1.0, float(np.max(np.abs(op.dense))))
-        if np.max(np.abs(paired - direct)) > RESIDUAL_TOL * scale * omega.dim:
+        if not np.max(np.abs(paired - direct)) <= RESIDUAL_TOL * scale * omega.dim:
             raise InconsistencyError("dense matrix disagrees with its pairing")
     return op
 
@@ -482,18 +482,10 @@ class DensityRecord:
     passed: bool
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    passed: bool
-    total: bool
-    records: tuple
-    reason: str = ""
-
-
 def density_certificate(omega: DistributionMap, theta: DistributionMap,
                         m: Symbol, family: np.ndarray,
                         support_tol: float = SUPPORT_TOL,
-                        tol: float = RESIDUAL_TOL) -> DensityReport:
+                        tol: float = RESIDUAL_TOL) -> WitnessReport:
     """Certify the dense-domain bound on a K x F proper-support witness family.
 
     For each witness f with analysis support X_f the norm of M f must stay
@@ -504,8 +496,7 @@ def density_certificate(omega: DistributionMap, theta: DistributionMap,
     over the family's one analysis matrix; no operator is built.
     """
     if family.shape[1] == 0:
-        return DensityReport(passed=False, total=False, records=(),
-                             reason="empty witness family")
+        return _EMPTY_FAMILY
     _check_factors(m, omega, theta)
     b_theta = diagnose(theta).upper
     analysis, values, on, total = _witness_analysis(omega, family, support_tol)
@@ -520,25 +511,19 @@ def density_certificate(omega: DistributionMap, theta: DistributionMap,
     columns = (on.sum(axis=0), c_f, m_l2, bound, norm_mf, norm_mf <= bound + tol)
     records = tuple(DensityRecord(i, *row) for i, row in
                     enumerate(zip(*(column.tolist() for column in columns))))
-    passed = total and all(r.passed for r in records)
-    reason = "" if passed else (
-        "witness family is not total" if not total else "bound violated"
-    )
-    return DensityReport(passed=passed, total=total, records=records,
-                         reason=reason)
+    return _witness_verdict(total, records, "bound violated")
 
 
 def closability_residual(omega: DistributionMap, theta: DistributionMap, m: Symbol,
-                         family: np.ndarray, trials: int = 20, seed: int = 0) -> float:
+                         family: np.ndarray) -> float:
     """Worst gap of <M f, g> = <f, M' g>, M' the conjugate-symbol swap, over
-    random unit f and the columns g of a K x F family.
+    CLOSABILITY_TRIALS random unit f (seed CLOSABILITY_SEED) and the columns
+    g of a K x F family.
 
     A total family of such g with no gap certifies a densely defined
     adjoint, the finite shadow of closability; the caller judges both.  An
     empty family has nothing to pair and gives 0.0.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
     if family.shape[1] == 0:
         return 0.0
     _check_factors(m, omega, theta)
@@ -547,7 +532,8 @@ def closability_residual(omega: DistributionMap, theta: DistributionMap, m: Symb
     weighted = theta.table @ family
     np.conj(weighted, out=weighted)
     weighted *= (omega.space.weights * m.values)[:, None]
-    draws = np.random.default_rng(seed).standard_normal((trials, 2, omega.dim))
+    draws = np.random.default_rng(CLOSABILITY_SEED).standard_normal(
+        (CLOSABILITY_TRIALS, 2, omega.dim))
     f = (draws[:, 0] + 1j * draws[:, 1]).T
     f /= np.linalg.norm(f, axis=0)
     lhs = weighted.T @ (omega.table @ f)  # <M f, g>, one row per g
@@ -575,7 +561,6 @@ __all__ = [
     "invert",
     "Side",
     "reconstruction_pair",
-    "DensityReport",
     "density_certificate",
     "closability_residual",
 ]

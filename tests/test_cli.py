@@ -216,6 +216,31 @@ class TestRun:
         })
         assert run(config, out_dir=tmp_path / "out") == EXIT_OK
 
+    def test_bounded_control_sweep_runs_on_the_weighted_delta_grids(self, tmp_path):
+        config = write_config(tmp_path, "cfg.json", {
+            "suites": ["sweep"],
+            "sweep": {"kind": "bounded_control", "l_values": [2.5, 5, 10]},
+        })
+        out = tmp_path / "out"
+        assert run(config, out_dir=out) == EXIT_OK
+        report = load_report(out, "sweep")
+        assert report["data"]["verdict"] == "bounded"
+        assert report["data"]["schedule"] == [[21, 2.5], [41, 5.0], [81, 10.0]]
+        assert report["data"]["norms"] == pytest.approx([1.0, 1.0, 1.0])
+
+    def test_bounded_control_sweep_fails_on_an_unbounded_verdict(self, tmp_path,
+                                                                 monkeypatch):
+        monkeypatch.setattr(lab, "GROWTH_THRESHOLD", -1.0)
+        config = write_config(tmp_path, "cfg.json", {
+            "suites": ["sweep"],
+            "sweep": {"kind": "bounded_control", "l_values": [2, 4, 8]},
+        })
+        out = tmp_path / "out"
+        assert run(config, out_dir=out) == EXIT_ASSERTION
+        report = load_report(out, "sweep")
+        assert report["data"]["verdict"] == "unbounded"
+        assert report["failures"] == ["expected a bounded verdict"]
+
     def test_top_level_list_is_a_parse_error(self, tmp_path, capsys):
         config = write_config(tmp_path, "cfg.json", [PARSEVAL_CONFIG])
         assert run(config, out_dir=tmp_path / "out") == EXIT_PARSE
@@ -340,11 +365,11 @@ class TestRun:
         ("sweep.l_values", {"sweep": {"l_values": [0.01, 0.02, 0.03]}}),
         ("sweep.l_values", {"sweep": {"l_values": [2, 4]}}),
         ("sweep.l_values", {"sweep": {"kind": "bounded_control",
-                                      "l_values": [2.2, 2.6, 3.5]}}),
+                                      "l_values": [2, 4]}}),
         # a first step of one grid point
         ("sweep.l_values", {"sweep": {"l_values": [0.01, 0.2, 0.3]}}),
         ("sweep.l_values", {"sweep": {"kind": "bounded_control",
-                                      "l_values": [0.5, 1, 2]}}),
+                                      "l_values": [0.01, 0.02, 0.03]}}),
         # keys that nothing declares
         ("quartet.symbol", {"quartet": {"symbol": 1}}),
         ("sweep.ppu", {"sweep": {"ppu": 4}}),
@@ -720,6 +745,52 @@ class TestRun:
         })
         assert run(config, out_dir=tmp_path / "out") == EXIT_OK
         assert len(validated) == 1
+
+    def test_a_nan_residual_fails_its_gate(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(lab, "brute_force_pairing", lambda *args, **kwargs: math.nan)
+        config = write_config(tmp_path, "cfg.json", {
+            **PARSEVAL_CONFIG, "suites": ["multiplier", "oracle"],
+        })
+        out = tmp_path / "out"
+        assert run(config, out_dir=out) == EXIT_ASSERTION
+        assert load_report(out, "multiplier")["failures"] == ["pairing residual nan"]
+        assert load_report(out, "oracle")["failures"] == [
+            "brute-force pairing residual nan"]
+
+    def test_an_overflowing_multiplier_fails_its_suites(self, tmp_path):
+        e = 1e5
+        config = write_config(tmp_path, "cfg.json", {
+            "omega": {"family": "discrete", "vectors": [
+                [e, 0, 0, 0], [0, e, 0, 0], [0, 0, e, 0], [0, 0, 0, e],
+                [e, e, 0, 0], [0, 0, e, e]]},
+            "theta": {"family": "same"},
+            "symbol": {"family": "constant", "value": 1e300},
+            "suites": ["multiplier", "oracle"],
+            "seed": 1,
+        })
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert run(config, out_dir=out) == EXIT_ASSERTION
+        for suite in ("multiplier", "oracle"):
+            assert load_report(out, suite)["passed"] is False
+
+    def test_an_overflowing_frame_matrix_is_a_validation_error(self, tmp_path,
+                                                                capsys):
+        e = 1e155
+        config = write_config(tmp_path, "cfg.json", {
+            "omega": {"family": "discrete", "vectors": [
+                [e, 0, 0, 0], [0, e, 0, 0], [0, 0, e, 0], [0, 0, 0, e],
+                [e, e, 0, 0], [0, 0, e, e]]},
+            "theta": {"family": "canonical_dual"},
+            "suites": ["diagnose"],
+        })
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert run(config, out_dir=out) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: cannot build experiment: frame matrix overflows: "
+            "entries must be finite\n")
+        assert not out.exists()
 
     def test_operator_build_error_fails_each_suite_that_reads_it(
             self, tmp_path, monkeypatch):

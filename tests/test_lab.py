@@ -344,6 +344,11 @@ class TestUnboundednessSweep:
         with pytest.raises(InconsistencyError, match="weighted-delta norm 3.500e"):
             weighted_delta_sweep((2.0, 4.0, 8.0))
 
+    def test_a_nan_norm_misses_the_floor(self):
+        nan = dataclasses.replace(weighted_delta_sweep((2.0, 4.0, 8.0)),
+                                  norms=(2.0, float("nan"), 8.0))
+        assert lab.norm_floor_misses(nan) == ["norm nan below 0.9*L at L=4.0"]
+
     def test_bounded_control(self):
         family = symmetric_grid_family([(17, 2.0), (33, 4.0), (65, 8.0)])
 

@@ -188,6 +188,13 @@ class TestDiscreteSequenceMap:
         assert diag.upper == pytest.approx(1.0)
         assert diag.classification is Classification.GELFAND_BASIS
 
+    def test_repeated_orthonormal_basis_is_tight(self):
+        model = make_model(counting(2), RawSamples())
+        diag = diagnose(discrete_sequence_map(model, [(1, 0), (0, 1), (1, 0), (0, 1)]))
+        assert diag.lower == pytest.approx(2.0)
+        assert diag.upper == pytest.approx(2.0)
+        assert diag.classification is Classification.TIGHT
+
     def test_rank_deficient_family_is_not_total(self):
         model = make_model(counting(2), RawSamples())
         diag = diagnose(discrete_sequence_map(model, [(1, 0), (2, 0)]))
@@ -250,6 +257,15 @@ class TestSpectrumCache:
         table = np.array([[1, 0], [np.nan, 1], [0, 1]], dtype=complex)
         with pytest.raises(InvalidValueError, match="finite entries"):
             DistributionMap(table=table, space=counting(3), model=model)
+
+    def test_overflowing_frame_matrix_is_a_typed_error(self):
+        model = make_model(counting(2), RawSamples())
+        omega = discrete_sequence_map(model, [(1e155, 0), (0, 1e155), (1e155, 1e155)])
+        with np.errstate(all="ignore"), pytest.raises(InvalidValueError,
+                                                      match="frame matrix overflows"):
+            diagnose(omega)
+        with np.errstate(all="ignore"), pytest.raises(InvalidValueError):
+            canonical_dual(omega)
 
 
 class TestCanonicalDual:
@@ -450,3 +466,12 @@ class TestHyperOrthogonality:
         with pytest.raises(PreconditionError):
             check_hyper_orthogonal(omega, np.zeros(8),
                                    lambda a: bump_family(omega.model))
+
+    def test_a_nan_alpha_is_not_positive(self):
+        model, space = unit_grid_setup(8)
+        omega = delta_frame(model, space)
+        alpha = np.ones(8)
+        alpha[3] = np.nan
+        with pytest.raises(PreconditionError):
+            check_hyper_orthogonal(omega, alpha,
+                                   lambda a: scaled_bump_family(omega.model, a))

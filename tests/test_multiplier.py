@@ -152,6 +152,14 @@ class TestBuild:
         unchecked = build(m, omega, theta, validate=False).dense
         assert np.max(np.abs(unchecked - clean)) == pytest.approx(1e-3)
 
+    def test_validation_rejects_an_overflowing_dense_matrix(self):
+        model = make_model(counting(2), RawSamples())
+        omega = DistributionMap(table=1e5 * np.array([[1, 0], [0, 1], [1, 1]]),
+                                space=counting(3), model=model)
+        m = make_symbol(omega.space, np.full(3, 1e300))
+        with np.errstate(all="ignore"), pytest.raises(InconsistencyError):
+            build(m, omega, omega)  # the pairing residual is NaN, which fails
+
     def test_validated_builds_on_one_k_draw_their_pairs_once(self, rng, monkeypatch):
         multiplier._validation_pairs.cache_clear()
         draws = []
@@ -633,9 +641,3 @@ class TestClosabilityResidual:
         residual = closability_residual(delta, delta, make_symbol(space, np.ones(3)),
                                         np.zeros((3, 0)))
         assert residual == 0.0
-
-    def test_needs_at_least_one_trial(self):
-        space, model, delta = on_basis_setup(3)
-        with pytest.raises(ValueError):
-            closability_residual(delta, delta, make_symbol(space, np.ones(3)),
-                                 bump_family(model), trials=0)

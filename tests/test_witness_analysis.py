@@ -38,8 +38,8 @@ from framelab import (
     symmetric_grid,
     Trigonometric,
 )
-from framelab.maps import OrthogonalityReport, SupportRecord
-from framelab.multiplier import RESIDUAL_TOL, DensityRecord, DensityReport
+from framelab.maps import SupportRecord, WitnessReport
+from framelab.multiplier import RESIDUAL_TOL, DensityRecord
 from conftest import random_bounded_symbol
 
 REL = 1e-12
@@ -88,10 +88,8 @@ def _support_record(omega, f, index, support_tol, alpha, bound_slack,
 def reference_orthogonality(omega, family, alpha=None, support_tol=1e-9):
     """The two checks' loop bodies; alpha None is the pseudo check."""
     if not family.shape[1]:
-        reason = ("empty witness family" if alpha is None
-                  else "builder returned an empty witness family")
-        return OrthogonalityReport(passed=False, total=False, records=(),
-                                   reason=reason)
+        return WitnessReport(passed=False, total=False, records=(),
+                             reason="empty witness family")
     records = tuple(
         _support_record(omega, f, i, support_tol, alpha, 1e-10, None)
         for i, f in enumerate(family.T)
@@ -106,13 +104,13 @@ def reference_orthogonality(omega, family, alpha=None, support_tol=1e-9):
         reason = "envelope bound violated"
     else:
         reason = "support is not proper"
-    return OrthogonalityReport(passed=passed, total=total, records=records,
-                               reason=reason)
+    return WitnessReport(passed=passed, total=total, records=records,
+                         reason=reason)
 
 
 def reference_density(omega, theta, m, family, support_tol=1e-9, tol=1e-10):
     if not family.shape[1]:
-        return DensityReport(passed=False, total=False, records=(),
+        return WitnessReport(passed=False, total=False, records=(),
                              reason="empty witness family")
     b_theta = diagnose(theta).upper
     op = build(m, omega, theta, validate=False)
@@ -139,7 +137,7 @@ def reference_density(omega, theta, m, family, support_tol=1e-9, tol=1e-10):
     reason = "" if passed else (
         "witness family is not total" if not total else "bound violated"
     )
-    return DensityReport(passed=passed, total=total, records=tuple(records),
+    return WitnessReport(passed=passed, total=total, records=tuple(records),
                          reason=reason)
 
 
@@ -274,3 +272,4 @@ def test_no_per_witness_analysis_and_no_operator_build(monkeypatch):
     assert check_hyper_orthogonal(omega, alpha, builder).passed
     assert density_certificate(omega, omega, m, builder()).passed
     assert closability_residual(omega, omega, m, builder()) <= RESIDUAL_TOL
+
