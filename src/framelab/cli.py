@@ -363,12 +363,16 @@ def _step(space, low, high, at):
     return np.where(space.points < at, low, high)
 
 
+def _modulus_phase(rng, n, low, high):
+    """n values of uniform modulus in [low, high], then of uniform phase."""
+    modulus = rng.uniform(low, high, n)
+    return modulus * np.exp(2j * np.pi * rng.random(n))
+
+
 def _reciprocal_safe(space, floor, ceil, seed):
     if ceil < floor:
         raise ConfigError("ceil", f"must be at least floor {floor!r}, got {ceil!r}")
-    rng = np.random.default_rng(seed)
-    modulus = rng.uniform(floor, ceil, len(space))
-    return modulus * np.exp(2j * np.pi * rng.random(len(space)))
+    return _modulus_phase(np.random.default_rng(seed), len(space), floor, ceil)
 
 
 def _symbol_csv(space, path):
@@ -759,8 +763,8 @@ def _suite_dual(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
 def _suite_multiplier(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     failures = []
     op = ctx.operator
-    analysis, diag_wm, synthesis = op.factored()
-    refactored = (synthesis * diag_wm[None, :]) @ analysis
+    diag_wm = op.space.weights * op.symbol.values
+    refactored = (op.theta.table.conj().T * diag_wm[None, :]) @ op.omega.table
     fact_residual = float(np.linalg.norm(op.dense - refactored))
     _gate(failures, "factorization residual", fact_residual, multiplier.ROUNDING_TOL)
     norm = multiplier.operator_norm(op)
@@ -793,10 +797,8 @@ def _calculus_trial(ctx: Context, rng: np.random.Generator) -> multiplier.Compos
     """Compose the multipliers of two random symbols, from their factors."""
     ops = []
     for _ in range(2):
-        m = multiplier.make_symbol(
-            ctx.space, rng.uniform(0.5, 2.0, len(ctx.space))
-            * np.exp(2j * np.pi * rng.random(len(ctx.space)))
-        )
+        m = multiplier.make_symbol(ctx.space,
+                                   _modulus_phase(rng, len(ctx.space), 0.5, 2.0))
         ops.append(multiplier.build(m, ctx.omega, ctx.theta, validate=False))
     return multiplier.compose(*ops)
 
@@ -933,8 +935,7 @@ def _suite_quartet(config: ExperimentConfig, ctx: None, seed: int, out: Path):
     rng = np.random.default_rng(seed)
     reports = []
     for n in config.quartet_ns:
-        values = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                  for _ in range(config.quartet_symbols)]
+        values = multiplier._complex_normals(rng, config.quartet_symbols, n)
         reports.extend(lab.fourier_quartet_check(n, values, trials=3, seed=seed,
                                                  tol=config.tolerance))
     for report in reports:

@@ -10,7 +10,8 @@ circular convolution is accumulated term by term in index order, bit for
 bit as the scalar double loop would accumulate it.  The randomized pairing
 oracles draw all their trials in one call and evaluate them as stacked
 defining sums, one product with a table per side; that is still the sum
-over the tables, not a factored path.
+over the tables, not a factored path, and it is the draw and the sum that
+``build`` validates with.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ from .multiplier import (
     RESIDUAL_TOL,
     MultiplierOperator,
     Symbol,
-    _random_pairs,
-    _weighted_pairings,
+    _complex_normals,
+    _pairing_gap,
+    _unit_pairs,
     build,
     make_symbol,
     operator_norm,
@@ -67,26 +69,6 @@ LOG_FLOOR = 1e-300  # a growth fit leaves out values at or below it (log guard)
 
 # -- pairing oracle ------------------------------------------------------------
 
-def _pairing_residual(weights: np.ndarray, left: np.ndarray, right: np.ndarray,
-                      apply: Callable[[np.ndarray], np.ndarray],
-                      trials: int, seed: int) -> float:
-    """Worst |<apply(f), g> - sum_j weights_j (left f)_j conj((right g)_j)|
-    over random normalized coefficient pairs (f, g).
-
-    The trials are drawn in one call and stacked as trials x K rows, and
-    ``apply`` maps such a block row by row.  The defining sum is taken
-    from the tables, one product per side, for all trials at once.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    f, g = _random_pairs(seed, trials, left.shape[1])
-    f /= np.linalg.norm(f, axis=-1, keepdims=True)
-    g /= np.linalg.norm(g, axis=-1, keepdims=True)
-    direct = _weighted_pairings(weights, left, right, f, g)
-    paired = np.sum(np.conj(g) * apply(f), axis=-1)
-    return float(np.max(np.abs(paired - direct)))
-
-
 def brute_force_pairing(op: MultiplierOperator, trials: int = 100,
                         seed: int = 0) -> float:
     """Worst deviation of the dense pairing from the defining weighted sum.
@@ -95,15 +77,16 @@ def brute_force_pairing(op: MultiplierOperator, trials: int = 100,
     through the dense matrix against  sum_j w_j m_j <f, omega_j>
     conj(<g, theta_j>)  evaluated directly from the tables.
     """
-    return _pairing_residual(op.space.weights * op.symbol.values, op.omega.table,
-                             op.theta.table, lambda f: f @ op.dense.T, trials, seed)
+    return _pairing_gap(op.space.weights * op.symbol.values, op.omega.table,
+                        op.theta.table, lambda f: f @ op.dense.T,
+                        *_unit_pairs(seed, trials, op.dim))
 
 
 def duality_residual(omega: DistributionMap, theta: DistributionMap,
                      trials: int = 100, seed: int = 0) -> float:
     """Worst deviation of sum_j w_j <f, theta_j> <omega_j, g> from <f, g>."""
-    return _pairing_residual(omega.space.weights, theta.table, omega.table,
-                             lambda f: f, trials, seed)
+    return _pairing_gap(omega.space.weights, theta.table, omega.table, lambda f: f,
+                        *_unit_pairs(seed, trials, omega.dim))
 
 
 # -- discrete reduction oracle ----------------------------------------------------
@@ -262,11 +245,8 @@ def fourier_quartet_check(n: int, symbol_values, trials: int = 5,
         raise ValueError("need at least one symbol")
     symbols = [make_symbol(space, m) for m in stack]
     w = space.weights
-    rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(trials):
-        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        samples.append(f / np.linalg.norm(f))
+    samples = [f / np.linalg.norm(f)
+               for f in _complex_normals(np.random.default_rng(seed), trials, n)]
 
     def transforms(inverse: bool):
         kernel = _transform_kernel(space, inverse=inverse)

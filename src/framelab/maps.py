@@ -30,7 +30,7 @@ from .errors import (
 from .measure import SampledMeasureSpace, _frozen_array, counting, same_grid
 from .model import RANK_RTOL, ModelSpace, transform_matrix
 
-EIG_TOL = 1e-8  # classification slack: zero map, Parseval, tight
+EIG_TOL = 1e-8  # classification slack: Parseval, tight
 BOUND_SLACK = 1e-10  # an analysis value may exceed its envelope by this much
 SUPPORT_TOL = 1e-9  # a witness's support: points where |<f, omega_j>| exceeds it
 WINDOW_SUPPORT_TOL = 1e-12  # a window's support: samples of modulus above it
@@ -86,6 +86,12 @@ class DistributionMap:
             )
         if not np.all(np.isfinite(table)):
             raise InvalidValueError("evaluation table must have finite entries")
+        # Column k of sqrt(w) * table has squared norm S_kk, and by
+        # Cauchy-Schwarz |S_kl| <= sqrt(S_kk S_ll) on the frame matrix S.
+        with np.errstate(all="ignore"):
+            norms = np.linalg.norm(np.sqrt(self.space.weights)[:, None] * table, axis=0)
+        if not np.all(np.isfinite(norms)):
+            raise InvalidValueError("frame matrix overflows: entries must be finite")
 
     @property
     def n_points(self) -> int:
@@ -100,12 +106,9 @@ class DistributionMap:
         return np.conj(self.table)
 
     def frame_matrix(self) -> np.ndarray:
-        """K x K frame operator on D coefficients; InvalidValueError when its
-        entries overflow, so that no decomposition runs on them."""
-        gram = self.table.conj().T @ (self.space.weights[:, None] * self.table)
-        if not np.isfinite(gram).all():
-            raise InvalidValueError("frame matrix overflows: entries must be finite")
-        return gram
+        """K x K frame operator on D coefficients; finite, since the table's
+        weighted column norms are."""
+        return self.table.conj().T @ (self.space.weights[:, None] * self.table)
 
     @functools.cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -272,11 +275,8 @@ def diagnose(omega: DistributionMap) -> FrameDiagnostics:
 
     total = j >= k and sigma_min > RANK_RTOL * sigma_max
     mu_independent = j <= k and sigma_min > RANK_RTOL * sigma_max
-    if sigma_max == 0.0:
-        total = False
-        mu_independent = False
 
-    if upper <= EIG_TOL:
+    if upper == 0.0:
         cls = Classification.BESSEL  # degenerate zero map
     elif not total:
         cls = Classification.BOUNDED_BESSEL

@@ -18,6 +18,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -157,14 +158,6 @@ class MultiplierOperator:
     def dim(self) -> int:
         return self.omega.dim
 
-    def factored(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(analysis table, diagonal w*m, synthesis adjoint table)."""
-        return (
-            self.omega.table,
-            self.space.weights * self.symbol.values,
-            self.theta.table.conj().T,
-        )
-
 
 def _check_factors(m: Symbol, omega: DistributionMap, theta: DistributionMap):
     if not same_grid(omega.space, theta.space):
@@ -175,20 +168,29 @@ def _check_factors(m: Symbol, omega: DistributionMap, theta: DistributionMap):
         raise ShapeMismatchError("symbol not sampled on the shared space")
 
 
-def _random_pairs(seed: int, trials: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of ``trials`` random complex pairs (f, g) as two trials x k
-    blocks, from one draw that yields Re f, Im f, Re g, Im g per trial."""
-    draws = np.random.default_rng(seed).standard_normal((trials, 4, k))
-    return draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
+def _complex_normals(rng: np.random.Generator, count: int, k: int) -> np.ndarray:
+    """``count`` x k complex normals from one draw that yields Re, Im per row:
+    the stream of ``count`` per-row draws of k real parts, then k imaginary."""
+    draws = rng.standard_normal((count, 2, k))
+    return draws[:, 0] + 1j * draws[:, 1]
+
+
+def _unit_pairs(seed: int, trials: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``trials`` random pairs (f, g) of unit vectors as two trials x k blocks;
+    f and g take alternate rows of one draw."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    rows = _complex_normals(np.random.default_rng(seed), 2 * trials, k)
+    rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
+    return rows[0::2], rows[1::2]
 
 
 @functools.lru_cache(maxsize=32)
 def _validation_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     """``build``'s three pairs on K coefficients, drawn once per K; read-only."""
-    pairs = _random_pairs(7, 3, k)
-    for block in pairs:
-        block.flags.writeable = False
-    return pairs
+    rows = _complex_normals(np.random.default_rng(7), 6, k)
+    rows.flags.writeable = False
+    return rows[0::2], rows[1::2]
 
 
 @functools.lru_cache(maxsize=32)
@@ -211,18 +213,22 @@ def _synthesize(theta: DistributionMap, y: np.ndarray) -> np.ndarray:
     return np.conj(theta.table.T @ np.conj(y))
 
 
-def _weighted_pairings(weights: np.ndarray, left: np.ndarray, right: np.ndarray,
-                       f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """sum_j weights_j (left f)_j conj((right g)_j) for each row pair (f, g).
+def _pairing_gap(weights: np.ndarray, left: np.ndarray, right: np.ndarray,
+                 apply: Callable[[np.ndarray], np.ndarray],
+                 f: np.ndarray, g: np.ndarray) -> float:
+    """Worst |<apply(f), g> - sum_j weights_j (left f)_j conj((right g)_j)|
+    over the row pairs (f, g); ``apply`` maps a block row by row.
 
-    One product per side; each row is summed along its contiguous last axis.
+    The defining sum takes one product per side, for all rows at once; each
+    row is summed along its contiguous last axis.
     """
     pairings = f @ left.T
     pairings *= weights
     right_g = g @ right.T
     np.conj(right_g, out=right_g)
     pairings *= right_g
-    return pairings.sum(axis=-1)
+    paired = np.sum(np.conj(g) * apply(f), axis=-1)
+    return float(np.max(np.abs(paired - pairings.sum(axis=-1))))
 
 
 def build(m: Symbol, omega: DistributionMap, theta: DistributionMap,
@@ -238,12 +244,10 @@ def build(m: Symbol, omega: DistributionMap, theta: DistributionMap,
     _check_factors(m, omega, theta)
     op = MultiplierOperator(omega=omega, theta=theta, symbol=m)
     if validate:
-        f, g = _validation_pairs(omega.dim)
-        direct = _weighted_pairings(omega.space.weights * m.values, omega.table,
-                                    theta.table, f, g)
-        paired = np.sum(np.conj(g) * (f @ op.dense.T), axis=-1)
+        gap = _pairing_gap(omega.space.weights * m.values, omega.table, theta.table,
+                           lambda f: f @ op.dense.T, *_validation_pairs(omega.dim))
         scale = max(1.0, float(np.max(np.abs(op.dense))))
-        if not np.max(np.abs(paired - direct)) <= RESIDUAL_TOL * scale * omega.dim:
+        if not gap <= RESIDUAL_TOL * scale * omega.dim:
             raise InconsistencyError("dense matrix disagrees with its pairing")
     return op
 
@@ -444,29 +448,20 @@ def reconstruction_pair(op: MultiplierOperator, side: Side,
     J^H satisfies <f, g> = sum_j w_j <f, omega_j> <tau_j, g>.  Returns the
     map and the worst pairing residual over random normalized pairs.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
     if not op.injective:
         raise SingularOperatorError("multiplier is singular; no reconstruction pair")
     inv = op.inverse
     m = op.symbol.values
     if side is Side.RIGHT:
         table = m[:, None] * (op.omega.table @ inv)
-        partner = op.theta
         new = DistributionMap(table=table, space=op.space, model=op.omega.model)
-        left_map, right_map = new, partner
+        left, right = new, op.theta
     else:
         table = np.conj(m)[:, None] * (op.theta.table @ inv.conj().T)
-        partner = op.omega
         new = DistributionMap(table=table, space=op.space, model=op.theta.model)
-        left_map, right_map = partner, new
-
-    f, g = _random_pairs(seed, trials, op.dim)
-    f /= np.linalg.norm(f, axis=-1, keepdims=True)
-    g /= np.linalg.norm(g, axis=-1, keepdims=True)
-    pairings = _weighted_pairings(op.space.weights, left_map.table,
-                                  right_map.table, f, g)
-    return new, float(np.max(np.abs(pairings - np.sum(np.conj(g) * f, axis=-1))))
+        left, right = op.omega, new
+    return new, _pairing_gap(op.space.weights, left.table, right.table,
+                             lambda f: f, *_unit_pairs(seed, trials, op.dim))
 
 
 # -- density and closability --------------------------------------------------------
@@ -532,9 +527,8 @@ def closability_residual(omega: DistributionMap, theta: DistributionMap, m: Symb
     weighted = theta.table @ family
     np.conj(weighted, out=weighted)
     weighted *= (omega.space.weights * m.values)[:, None]
-    draws = np.random.default_rng(CLOSABILITY_SEED).standard_normal(
-        (CLOSABILITY_TRIALS, 2, omega.dim))
-    f = (draws[:, 0] + 1j * draws[:, 1]).T
+    f = _complex_normals(np.random.default_rng(CLOSABILITY_SEED), CLOSABILITY_TRIALS,
+                         omega.dim).T
     f /= np.linalg.norm(f, axis=0)
     lhs = weighted.T @ (omega.table @ f)  # <M f, g>, one row per g
     rhs = (omega.table.T @ weighted).T @ f  # <f, M' g>

@@ -774,9 +774,26 @@ class TestRun:
         for suite in ("multiplier", "oracle"):
             assert load_report(out, suite)["passed"] is False
 
+    @pytest.mark.parametrize("theta", ["same", "canonical_dual"])
     def test_an_overflowing_frame_matrix_is_a_validation_error(self, tmp_path,
-                                                                capsys):
+                                                                capsys, theta):
         e = 1e155
+        config = write_config(tmp_path, "cfg.json", {
+            "omega": {"family": "discrete", "vectors": [
+                [e, 0, 0, 0], [0, e, 0, 0], [0, 0, e, 0], [0, 0, 0, e],
+                [e, e, 0, 0], [0, 0, e, e]]},
+            "theta": {"family": theta},
+            "suites": ["diagnose"],
+        })
+        out = tmp_path / "out"
+        assert run(config, out_dir=out) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: cannot build experiment: frame matrix overflows: "
+            "entries must be finite\n")
+        assert not out.exists()
+
+    def test_the_dual_of_a_huge_frame_is_a_frame(self, tmp_path):
+        e = 1e150
         config = write_config(tmp_path, "cfg.json", {
             "omega": {"family": "discrete", "vectors": [
                 [e, 0, 0, 0], [0, e, 0, 0], [0, 0, e, 0], [0, 0, 0, e],
@@ -785,12 +802,10 @@ class TestRun:
             "suites": ["diagnose"],
         })
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            assert run(config, out_dir=out) == EXIT_VALIDATION
-        assert capsys.readouterr().err == (
-            "error: cannot build experiment: frame matrix overflows: "
-            "entries must be finite\n")
-        assert not out.exists()
+        assert run(config, out_dir=out) == EXIT_OK
+        theta = load_report(out, "diagnose")["data"]["theta"]
+        assert theta["classification"] == "frame"
+        assert theta["upper"] == pytest.approx(1e-300)
 
     def test_operator_build_error_fails_each_suite_that_reads_it(
             self, tmp_path, monkeypatch):

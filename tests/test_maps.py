@@ -9,6 +9,7 @@ from framelab import (
     NotAFrameError,
     PreconditionError,
     RawSamples,
+    SampledMeasureSpace,
     ShapeMismatchError,
     Trigonometric,
     UnsupportedSpaceError,
@@ -132,6 +133,13 @@ class TestWeightedDeltaFrame:
         assert diag.classification is Classification.BESSEL
         assert not diag.total
         assert diag.upper == 0.0
+
+    def test_a_frame_at_a_tiny_scale_keeps_its_class(self):
+        model = make_model(counting(2), RawSamples())
+        omega = discrete_sequence_map(model, 1e-150 * np.array(C2_VECTORS))
+        diag = diagnose(omega)
+        assert diag.classification is Classification.FRAME
+        assert diag.upper == pytest.approx(3e-300)
 
     def test_upper_bound_grows_like_l_squared(self):
         uppers = []
@@ -260,12 +268,18 @@ class TestSpectrumCache:
 
     def test_overflowing_frame_matrix_is_a_typed_error(self):
         model = make_model(counting(2), RawSamples())
-        omega = discrete_sequence_map(model, [(1e155, 0), (0, 1e155), (1e155, 1e155)])
-        with np.errstate(all="ignore"), pytest.raises(InvalidValueError,
-                                                      match="frame matrix overflows"):
-            diagnose(omega)
-        with np.errstate(all="ignore"), pytest.raises(InvalidValueError):
-            canonical_dual(omega)
+        with pytest.raises(InvalidValueError, match="frame matrix overflows"):
+            discrete_sequence_map(model, [(1e155, 0), (0, 1e155), (1e155, 1e155)])
+
+    def test_a_tiny_weight_on_a_huge_entry_is_no_overflow(self):
+        # w |t|^2 = 1e100, although |t|^2 = 1e400 alone overflows.
+        space = SampledMeasureSpace(points=[0.0, 1.0], weights=[1e-300, 1e-300],
+                                    extent=2.0)
+        model = make_model(counting(2), RawSamples())
+        omega = DistributionMap(table=[[1e200, 0], [0, 1e200]], space=space,
+                                model=model)
+        diag = diagnose(omega)
+        assert diag.lower == diag.upper == pytest.approx(1e100, rel=1e-12)
 
 
 class TestCanonicalDual:

@@ -26,6 +26,7 @@ from framelab import (
     density_certificate,
     diagnose,
     duality_defect,
+    duality_residual,
     fourier_grid,
     invert,
     is_dual_pair,
@@ -163,13 +164,14 @@ class TestBuild:
     def test_validated_builds_on_one_k_draw_their_pairs_once(self, rng, monkeypatch):
         multiplier._validation_pairs.cache_clear()
         draws = []
-        random_pairs = multiplier._random_pairs
-        monkeypatch.setattr(multiplier, "_random_pairs",
-                            lambda *args: draws.append(args) or random_pairs(*args))
+        complex_normals = multiplier._complex_normals
+        monkeypatch.setattr(multiplier, "_complex_normals",
+                            lambda rng, *shape: draws.append(shape)
+                            or complex_normals(rng, *shape))
         omega, theta = riesz_dual_pair(5, rng)
         for _ in range(2):
             build(random_bounded_symbol(omega.space, rng), omega, theta)
-        assert draws == [(7, 3, 5)]
+        assert draws == [(6, 5)]  # three pairs (f, g) on alternate rows
         f, g = multiplier._validation_pairs(5)
         assert not f.flags.writeable and not g.flags.writeable
 
@@ -557,6 +559,38 @@ class TestReconstructionPair:
                                                lambda f: f, trials, 3)
         assert reference > 1e-3
         assert agrees_with_loop(stacked, reference)
+
+    @pytest.mark.parametrize("side", list(Side))
+    @pytest.mark.parametrize("j,k", TABLE_SHAPES)
+    def test_residual_is_the_duality_residual_of_the_pair(self, rng, j, k, side):
+        omega, theta = random_map(j, k, rng), random_map(j, k, rng)
+        op = build(random_bounded_symbol(omega.space, rng), omega, theta,
+                   validate=False)
+        stray = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+                 ) / np.sqrt(2 * k)
+        new, residual = reconstruction_pair(with_dense(op, stray), side,
+                                            trials=7, seed=3)
+        left, right = (new, theta) if side is Side.RIGHT else (omega, new)
+        assert residual > 1e-3
+        assert residual == duality_residual(right, left, trials=7, seed=3)
+
+
+class TestComplexNormals:
+    """One draw of Re, Im per row is the stream of the loops it replaced."""
+
+    def test_equals_the_per_vector_loop(self):
+        rng = np.random.default_rng(5)
+        loop = np.array([rng.standard_normal(6) + 1j * rng.standard_normal(6)
+                         for _ in range(4)])
+        rows = multiplier._complex_normals(np.random.default_rng(5), 4, 6)
+        assert rows.tobytes() == loop.tobytes()
+
+    def test_alternate_rows_are_the_pair_layout(self):
+        draws = np.random.default_rng(5).standard_normal((3, 4, 6))
+        f, g = draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
+        rows = multiplier._complex_normals(np.random.default_rng(5), 6, 6)
+        assert rows[0::2].tobytes() == f.tobytes()
+        assert rows[1::2].tobytes() == g.tobytes()
 
 
 class TestSplitSymbol:
