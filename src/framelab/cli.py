@@ -11,6 +11,7 @@ paths), 4 at least one suite assertion failed.
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import csv
 import enum
@@ -230,48 +231,32 @@ def _csv_lines(handle):
     return (line for line in handle if not line.isspace())
 
 
-def _spaceless(handle):
-    """The lines of a CSV file without spaces, 'i' read as 'j'.
+def _table_csv(value) -> np.ndarray:
+    """The complex table of a CSV file, one row per line that is not blank
+    or whitespace only.
 
-    Dropping the spaces leaves csv's split of a line as it was unless a
-    space stands before a quote, which opens no quoted cell; such a line
-    raises ValueError instead."""
-    for line in _csv_lines(handle):
-        if ' "' in line:
-            raise ValueError("a space before a quote")
-        yield line.replace(" ", "").replace("i", "j")
-
-
-def _table_cells(path: Path) -> np.ndarray:
-    """The table of a CSV file read cell by cell through _complex, which
-    names the first cell it cannot read or that is not finite."""
+    Each row is read whole: its cells are joined by commas, spaces dropped
+    and every 'i' read as 'j', and the pieces between commas go through
+    complex().  A row that does not give one finite value per cell is read
+    again cell by cell through _complex, which names the first cell it
+    cannot read or that is not finite."""
+    path = _existing_path(value)
+    rows = []
     with path.open(newline="") as handle:
-        rows = [[_complex(cell) for cell in row]
-                for row in csv.reader(_csv_lines(handle))]
+        for cells in csv.reader(_csv_lines(handle)):
+            whole = ",".join(cells).replace(" ", "").replace("i", "j")
+            try:
+                row = list(map(complex, whole.split(",")))
+            except ValueError:
+                row = []
+            if len(row) != len(cells) or not all(map(cmath.isfinite, row)):
+                row = [_complex(cell) for cell in cells]
+            rows.append(row)
     if not rows:
         raise ValueError("CSV table is empty")
     if len({len(row) for row in rows}) != 1:
         raise ValueError("CSV rows differ in length")
     return np.asarray(rows, dtype=complex)
-
-
-def _table_csv(value) -> np.ndarray:
-    """The complex table of a CSV file, one row per line that is not blank
-    or whitespace only.
-
-    Whole rows go through complex() and the table is checked for finite
-    entries once; a file this fast path cannot read is read again by
-    _table_cells, which returns the same table or names the fault."""
-    path = _existing_path(value)
-    try:
-        with path.open(newline="") as handle:
-            rows = [list(map(complex, row)) for row in csv.reader(_spaceless(handle))]
-        table = np.asarray(rows, dtype=complex)
-        if table.ndim == 2 and np.isfinite(table).all():
-            return table
-    except ValueError:
-        pass
-    return _table_cells(path)
 
 
 def _vectors(value) -> np.ndarray:
@@ -379,11 +364,10 @@ def _symbol_csv(space, path):
     points, values = [], []
     with path.open(newline="") as handle:
         try:
-            for row in csv.reader(handle):
-                if row:
-                    x, re, im = (_real(float(cell)) for cell in row)
-                    points.append(x)
-                    values.append(complex(re, im))
+            for row in csv.reader(_csv_lines(handle)):
+                x, re, im = (_real(float(cell)) for cell in row)
+                points.append(x)
+                values.append(complex(re, im))
         except ValueError:
             raise ConfigError("path", "rows must be point,re,im numbers") from None
     if len(points) != len(space) or not np.allclose(points, space.points, atol=1e-12):

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import InconsistencyError, ScheduleError, UnsupportedSpaceError
 from .maps import (
     DistributionMap,
+    _check_pair,
     delta_frame,
     diagnose,
     discrete_sequence_map,
@@ -85,6 +86,7 @@ def brute_force_pairing(op: MultiplierOperator, trials: int = 100,
 def duality_residual(omega: DistributionMap, theta: DistributionMap,
                      trials: int = 100, seed: int = 0) -> float:
     """Worst deviation of sum_j w_j <f, theta_j> <omega_j, g> from <f, g>."""
+    _check_pair(omega, theta)
     return _pairing_gap(omega.space.weights, theta.table, omega.table, lambda f: f,
                         *_unit_pairs(seed, trials, omega.dim))
 

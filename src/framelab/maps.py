@@ -140,6 +140,14 @@ def _check_same_grid(model: ModelSpace, space: SampledMeasureSpace):
         raise GridMismatchError("model and space are sampled on different grids")
 
 
+def _check_pair(omega: DistributionMap, theta: DistributionMap):
+    """Two maps that pair with each other share a space and a model."""
+    if not same_grid(omega.space, theta.space):
+        raise GridMismatchError("analysis and synthesis maps on different spaces")
+    if omega.dim != theta.dim:
+        raise GridMismatchError("analysis and synthesis maps on different models")
+
+
 def delta_frame(model: ModelSpace, space: SampledMeasureSpace) -> DistributionMap:
     """Point evaluations: analysis of f returns its sample values f(x_j)."""
     _check_same_grid(model, space)
@@ -267,8 +275,7 @@ def diagnose(omega: DistributionMap) -> FrameDiagnostics:
     """
     j, k = omega.table.shape
     sigma, eigs = omega.spectrum
-    sigma_max = float(sigma[0]) if len(sigma) else 0.0
-    sigma_min = float(sigma[-1]) if len(sigma) else 0.0
+    sigma_max, sigma_min = float(sigma[0]), float(sigma[-1])
 
     upper = float(max(eigs[-1], 0.0))
     lower = float(max(eigs[0], 0.0)) if j >= k else 0.0
@@ -362,8 +369,7 @@ def riesz_transition(omega: DistributionMap, zeta: DistributionMap) -> Transitio
             f"reference map must be a Gel'fand basis, got "
             f"{zeta_diag.classification.value}"
         )
-    if not same_grid(omega.space, zeta.space) or omega.dim != zeta.dim:
-        raise GridMismatchError("transition needs maps on a shared space and model")
+    _check_pair(omega, zeta)
     w = omega.space.weights
     matrix = omega.table.conj().T @ (w[:, None] * zeta.table)
     sigma = np.linalg.svd(matrix, compute_uv=False)

@@ -131,6 +131,8 @@ class ModelSpace:
         on = np.asarray(self.on_basis, dtype=complex)
         if on.ndim != 2 or on.shape[0] != len(self.space):
             raise ShapeMismatchError("on_basis must have one row per sample point")
+        if on.shape[1] == 0:
+            raise DegenerateBasisError("on_basis has no columns")
         gon = self.space.weights[:, None] * on
         defect = np.max(np.abs(on.conj().T @ gon - np.eye(on.shape[1])))
         if not defect <= ORTHONORMAL_TOL:  # a NaN defect fails too

@@ -30,8 +30,9 @@ from .errors import (
     SingularOperatorError,
 )
 from .maps import (SUPPORT_TOL, _EMPTY_FAMILY, Classification, DistributionMap,
-                   WitnessReport, _witness_analysis, _witness_verdict, diagnose)
-from .measure import SampledMeasureSpace, ess_sup, same_grid
+                   WitnessReport, _check_pair, _witness_analysis, _witness_verdict,
+                   diagnose)
+from .measure import SampledMeasureSpace, ess_sup
 from .model import RANK_RTOL
 
 RESIDUAL_TOL = 1e-10  # largest residual allowed for an exact identity
@@ -160,10 +161,7 @@ class MultiplierOperator:
 
 
 def _check_factors(m: Symbol, omega: DistributionMap, theta: DistributionMap):
-    if not same_grid(omega.space, theta.space):
-        raise GridMismatchError("analysis and synthesis maps on different spaces")
-    if omega.dim != theta.dim:
-        raise GridMismatchError("analysis and synthesis maps on different models")
+    _check_pair(omega, theta)
     if len(m.values) != omega.n_points:
         raise ShapeMismatchError("symbol not sampled on the shared space")
 
@@ -254,7 +252,7 @@ def build(m: Symbol, omega: DistributionMap, theta: DistributionMap,
 
 def operator_norm(op: MultiplierOperator) -> float:
     """Largest singular value of the dense matrix; :func:`norm_bound` bounds it."""
-    return float(op.singular_values[0]) if op.dim else 0.0
+    return float(op.singular_values[0])
 
 
 def norm_bound(op: MultiplierOperator) -> float:
@@ -285,6 +283,7 @@ def is_dual_pair(omega: DistributionMap, theta: DistributionMap) -> bool:
     calculus exact.  The verdict is decided once per pair and kept on
     ``omega``, which holds ``theta`` only weakly.
     """
+    _check_pair(omega, theta)
     if omega.n_points != omega.dim:
         return False
     verdicts = omega._dual_pair_verdicts
@@ -355,6 +354,7 @@ def duality_defect(omega: DistributionMap, theta: DistributionMap) -> float:
     a square dual pair, and sqrt(J - K) on an overcomplete canonical pair
     on counting measure, where G is a rank-K orthogonal projection.
     """
+    _check_pair(omega, theta)
     y = _probe_block(omega.n_points)
     gy = omega.table @ _synthesize(theta, omega.space.weights[:, None] * y)
     return float(np.linalg.norm(gy - y)) / math.sqrt(_PROBES)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import filecmp
 import json
@@ -14,6 +15,9 @@ from framelab.cli import (
     EXIT_PARSE,
     EXIT_VALIDATION,
     FAMILIES,
+    _complex,
+    _csv_lines,
+    _existing_path,
     _jsonify,
     _suite_density,
     _suite_dual,
@@ -310,6 +314,13 @@ class TestRun:
                                           "window": {"family": "gaussian_window",
                                                      "widht": 0.1}}}),
         ("orthogonality.support_tl", {"orthogonality": {"support_tl": 1e-6}}),
+        # no suites, a suite that nothing defines, a section that is not an
+        # object, a tolerance that is not positive
+        ("suites: must be a nonempty list", {"suites": []}),
+        ("suites: must be a nonempty list", {"suites": "diagnose"}),
+        ("suites: unknown suite 'bogus'", {"suites": ["diagnose", "bogus"]}),
+        ("quartet: must be a JSON object", {"quartet": 5}),
+        ("tolerance: must be positive, got 0", {"tolerance": 0}),
     ])
     def test_bad_values_are_validation_errors(self, tmp_path, monkeypatch, capsys,
                                               field, patch):
@@ -1022,3 +1033,176 @@ def test_table_csv_skips_whitespace_only_lines(tmp_path):
     (tmp_path / "table.csv").write_text("1,2\n   \n\t \n3,4\n  \n")
     read = _table_csv(str(tmp_path / "table.csv"))
     assert np.array_equal(read, np.asarray([[1, 2], [3, 4]], dtype=complex))
+
+
+# -- the one-pass table reader against the two-pass reader it replaced ------------
+
+def _spaceless(handle):
+    for line in _csv_lines(handle):
+        if ' "' in line:  # dropping this space would open a quoted cell
+            raise ValueError("a space before a quote")
+        yield line.replace(" ", "").replace("i", "j")
+
+
+def _table_cells(path):
+    with path.open(newline="") as handle:
+        rows = [[_complex(cell) for cell in row]
+                for row in csv.reader(_csv_lines(handle))]
+    if not rows:
+        raise ValueError("CSV table is empty")
+    if len({len(row) for row in rows}) != 1:
+        raise ValueError("CSV rows differ in length")
+    return np.asarray(rows, dtype=complex)
+
+
+def two_pass_table_csv(value):
+    """The reference reader: whole lines rewritten before csv splits them,
+    and the file read again cell by cell when that fails anywhere."""
+    path = _existing_path(value)
+    try:
+        with path.open(newline="") as handle:
+            rows = [list(map(complex, row)) for row in csv.reader(_spaceless(handle))]
+        table = np.asarray(rows, dtype=complex)
+        if table.ndim == 2 and np.isfinite(table).all():
+            return table
+    except ValueError:
+        pass
+    return _table_cells(path)
+
+
+_CELL_TOKENS = ["0", "1", "7", "25", "+", "-", ".", "e", "i", "j", "k", " ", "\t",
+                '"', "(", ")", "nan", "inf", "infinity", "1e999", ","]
+_NUMBERS = ["1", "-2.5", "3e-2", "0", "+4i", "1+2i", "1 - i", "-0.5j", "(1+2j)",
+            " 7 ", "\t2i", "1+infi"]
+
+
+def _random_cell(rng):
+    if rng.random() < 0.75:
+        cell = _NUMBERS[rng.integers(len(_NUMBERS))]
+    else:
+        cell = "".join(rng.choice(_CELL_TOKENS, size=rng.integers(0, 4)))
+    if rng.random() < 0.1:
+        cell = f'"{cell}"'
+    return " " + cell if rng.random() < 0.1 else cell
+
+
+def _random_table_text(rng):
+    """A short CSV text: mostly numbers, some token soup, quotes, blank
+    and whitespace-only lines, ragged rows and mixed line ends."""
+    width = int(rng.integers(1, 4))
+    lines = []
+    for _ in range(rng.integers(0, 6)):
+        roll = rng.random()
+        if roll < 0.1:
+            lines.append(["", "   ", "\t"][rng.integers(3)])
+            continue
+        cells = width + (roll > 0.9)
+        lines.append(",".join(_random_cell(rng) for _ in range(cells)))
+    ends = ["\n", "\r\n", "\r"]
+    return "".join(line + ends[rng.integers(3) if rng.random() < 0.1 else 0]
+                   for line in lines)
+
+
+def _outcome(read, path):
+    try:
+        table = read(str(path))
+    except (ValueError, csv.Error) as exc:
+        return "error", type(exc), str(exc)
+    return "table", table.dtype, table.shape, table.tobytes()
+
+
+def test_table_csv_reads_as_the_two_pass_reader_did(tmp_path):
+    rng = np.random.default_rng(20)
+    path = tmp_path / "table.csv"
+    readable = 0
+    for _ in range(2000):
+        path.write_bytes(_random_table_text(rng).encode())
+        expected = _outcome(two_pass_table_csv, path)
+        assert _outcome(_table_csv, path) == expected, path.read_bytes()
+        readable += expected[0] == "table"
+    assert readable >= 200  # the texts reach the readable path, not only faults
+
+
+# -- config faults and run paths -------------------------------------------------
+
+@pytest.mark.parametrize("payload, message", [
+    ({"suites": ["diagnose"]}, "omega: missing required section"),
+    ({"suites": ["diagnose"], "omega": {"family": "delta"},
+      "space": {"family": "counting", "n": 4}}, "model: missing required section"),
+], ids=["no-omega", "no-model"])
+def test_a_missing_section_is_a_validation_error(tmp_path, capsys, payload, message):
+    config = write_config(tmp_path, "cfg.json", payload)
+    assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
+    assert f"error: invalid config: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def symbol_csv_config(tmp_path, text):
+    (tmp_path / "symbol.csv").write_text(text)
+    return write_config(tmp_path, "cfg.json", {
+        "space": {"family": "counting", "n": 4},
+        "model": {"family": "raw_samples"},
+        "omega": {"family": "delta"},
+        "symbol": {"family": "csv", "path": str(tmp_path / "symbol.csv")},
+        "suites": ["multiplier"],
+        "seed": 1,
+    })
+
+
+@pytest.mark.parametrize("tail", ["", "\n", "   \n", "\t \r\n"],
+                         ids=["none", "blank", "spaces", "tab-crlf"])
+def test_symbol_csv_skips_blank_and_whitespace_only_lines(tmp_path, tail):
+    config = symbol_csv_config(tmp_path, "0,1,0\n1,2,0\n  \n2,3,0\n3,4,0\n" + tail)
+    out = tmp_path / "out"
+    assert run(config, out_dir=out) == EXIT_OK
+    dense = as_complex_matrix(load_report(out, "multiplier")["data"]["dense"])
+    assert np.array_equal(dense, np.diag([1.0, 2.0, 3.0, 4.0]))
+
+
+def test_symbol_csv_points_must_be_the_space(tmp_path, capsys):
+    config = symbol_csv_config(tmp_path, "0,1,0\n1,2,0\n2,3,0\n4,4,0\n")
+    assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
+    assert ("error: invalid config: symbol.path: CSV points do not match the space\n"
+            in capsys.readouterr().err)
+
+
+def test_missing_config_file_is_a_parse_error(tmp_path, capsys):
+    assert run(tmp_path / "missing.json", out_dir=tmp_path / "out") == EXIT_PARSE
+    assert "error: config file not found: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_argument_overrides_the_config_seed(tmp_path):
+    payload = {"suites": ["quartet"], "seed": 1, "quartet": {"n": [4], "symbols": 1}}
+    config = write_config(tmp_path, "cfg.json", payload)
+    reseeded = write_config(tmp_path, "reseeded.json", {**payload, "seed": 2})
+    for name, path, seed in (("a", config, 2), ("b", reseeded, None), ("c", config, None)):
+        assert run(path, out_dir=tmp_path / name, seed=seed) == EXIT_OK
+    reports = [(tmp_path / name / "quartet.json").read_bytes() for name in "abc"]
+    assert reports[0] == reports[1] != reports[2]
+
+
+def test_a_quartet_failure_names_its_grid_and_members(tmp_path, capsys):
+    config = write_config(tmp_path, "cfg.json", {
+        "suites": ["quartet"], "seed": 1, "quartet": {"n": [4], "symbols": 1},
+        "tolerance": 1e-20,
+    })
+    assert run(config, out_dir=tmp_path / "out") == EXIT_ASSERTION
+    [failure] = load_report(tmp_path / "out", "quartet")["failures"]
+    assert failure.startswith("quartet n=4 members ['")
+    assert "'] failed; flipped convention passes: {'" in failure
+    assert f"FAIL [quartet] {failure}\n" in capsys.readouterr().out
+
+
+def test_disagreeing_discrete_reduction_paths_fail_the_oracle(tmp_path, monkeypatch):
+    oracle = lab.discrete_reduction_oracle
+    monkeypatch.setattr(lab, "discrete_reduction_oracle", lambda vectors: (
+        dataclasses.replace(oracle(vectors), agree=False)))
+    config = write_config(tmp_path, "cfg.json", {
+        "omega": {"family": "discrete", "vectors": [[1, 0], [0, 1], [1, 1]]},
+        "suites": ["oracle"], "seed": 1,
+    })
+    assert run(config, out_dir=tmp_path / "out") == EXIT_ASSERTION
+    report = load_report(tmp_path / "out", "oracle")
+    assert report["failures"] == ["discrete reduction paths disagree"]
+    assert report["data"]["discrete_reduction"]["agree"] is False

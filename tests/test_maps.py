@@ -356,6 +356,14 @@ class TestRieszTransition:
         with pytest.raises(PreconditionError):
             riesz_transition(omega, weighted_delta_frame(model, space, lambda x: 3.0))
 
+    def test_maps_on_different_spaces_are_a_grid_mismatch(self):
+        model, space = unit_grid_setup(8)
+        small_model, small_space = unit_grid_setup(4)
+        with pytest.raises(GridMismatchError,
+                           match="analysis and synthesis maps on different spaces"):
+            riesz_transition(delta_frame(small_model, small_space),
+                             delta_frame(model, space))
+
 
 class TestPseudoOrthogonality:
     def test_delta_frame_with_bumps_passes(self):

@@ -64,6 +64,18 @@ class TestMakeModel:
         with pytest.raises(DegenerateBasisError):
             make_model(periodic_unit_grid(8), Trigonometric(max_degree=6))
 
+    @pytest.mark.parametrize("family", [GaussianBumps(centers=(), width=1.0),
+                                        Trigonometric(max_degree=-1)],
+                             ids=["no-centers", "negative-degree"])
+    def test_a_basis_with_no_columns_is_degenerate(self, family):
+        with pytest.raises(DegenerateBasisError, match="no columns"):
+            make_model(periodic_unit_grid(8), family)
+
+    def test_a_model_space_with_no_columns_is_degenerate(self):
+        with pytest.raises(DegenerateBasisError, match="no columns"):
+            ModelSpace(space=counting(3), on_basis=np.zeros((3, 0)),
+                       family=RawSamples())
+
     @pytest.mark.parametrize("on_basis", [2 * np.eye(2), np.full((2, 2), np.nan)])
     def test_non_orthonormal_basis_is_a_typed_error(self, on_basis):
         space = counting(2)

@@ -9,10 +9,12 @@ import pytest
 
 from framelab import (
     DistributionMap,
+    GaussianBumps,
     GridMismatchError,
     InconsistencyError,
     InvalidValueError,
     RawSamples,
+    SampledMeasureSpace,
     Side,
     SingularOperatorError,
     adjoint,
@@ -379,6 +381,32 @@ class TestDualityDefect:
         assert duality_defect(delta, canonical_dual(delta)) == 0.0
         omega, theta = riesz_dual_pair(8, rng)
         assert duality_defect(omega, theta) <= ROUNDING_TOL
+
+
+def _mismatched_maps(kind):
+    """A 3 x 3 map on counting(3) other than the base map, sampled on
+    another model, another grid or another measure of the same points."""
+    space = counting(3)
+    if kind == "3x2":
+        model = make_model(space, GaussianBumps((0.0, 2.0), 1.0))
+        return DistributionMap(table=np.ones((3, 2)), space=space, model=model)
+    if kind == "2x2":
+        return on_basis_setup(2)[2]
+    heavy = SampledMeasureSpace(points=space.points, weights=np.full(3, 2.0),
+                                extent=3.0)
+    return DistributionMap(table=np.eye(3), space=heavy,
+                           model=make_model(heavy, RawSamples()))
+
+
+@pytest.mark.parametrize("check", [duality_residual, is_dual_pair, duality_defect])
+@pytest.mark.parametrize("kind", ["3x2", "2x2", "weights-2"])
+def test_two_map_checks_need_a_shared_space_and_model(check, kind):
+    _, _, delta = on_basis_setup(3)
+    other = _mismatched_maps(kind)
+    with pytest.raises(GridMismatchError, match="analysis and synthesis maps"):
+        check(delta, other)
+    with pytest.raises(GridMismatchError, match="analysis and synthesis maps"):
+        check(other, delta)
 
 
 class TestBoundednessShadow:
