@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedSpaceError,
 )
 from .measure import SampledMeasureSpace, _frozen_array, counting, same_grid
-from .model import RANK_RTOL, ModelSpace, transform_matrix
+from .model import RANK_RTOL, ModelSpace, _singular_values, transform_matrix
 
 EIG_TOL = 1e-8  # classification slack: Parseval, tight
 BOUND_SLACK = 1e-10  # an analysis value may exceed its envelope by this much
@@ -439,13 +439,24 @@ def _witness_analysis(omega: DistributionMap, family: np.ndarray,
 
     Returns the J x F analysis matrix (column f holds <f, omega_j>), its
     moduli, the support mask (moduli above ``support_tol``) and whether the
-    family is total in D (full rank at relative tolerance RANK_RTOL).
+    family is total in D (full rank at relative tolerance RANK_RTOL).  A
+    square diagonal family, such as the spikes of a raw-samples model, has
+    its singular values read from its diagonal; any other takes one SVD.
     """
-    sigma = np.linalg.svd(family, compute_uv=False)
+    sigma = _singular_values(family)
     total = bool(np.sum(sigma > RANK_RTOL * sigma[0]) == omega.dim)
     analysis = omega.table @ family
     values = np.abs(analysis)
     return analysis, values, values > support_tol, total
+
+
+def _check_family(omega: DistributionMap, family) -> None:
+    """A witness family is a finite 2-d array with one row per basis element."""
+    if np.ndim(family) != 2 or np.shape(family)[0] != omega.dim:
+        raise ShapeMismatchError(
+            f"witness family must be {omega.dim} x F, got shape {np.shape(family)}")
+    if not np.all(np.isfinite(family)):
+        raise InvalidValueError("witness family must have finite entries")
 
 
 def _orthogonality(omega: DistributionMap, family: np.ndarray,
@@ -483,6 +494,7 @@ def check_pseudo_orthogonal(omega: DistributionMap, family: np.ndarray,
     total in D.  This certifies a supplied witness; it does not search for
     one.
     """
+    _check_family(omega, family)
     if family.shape[1] == 0:
         return _EMPTY_FAMILY
     return _orthogonality(omega, family, support_tol)
@@ -491,7 +503,7 @@ def check_pseudo_orthogonal(omega: DistributionMap, family: np.ndarray,
 def check_hyper_orthogonal(omega: DistributionMap, alpha,
                            family_builder: Callable[[np.ndarray], np.ndarray],
                            support_tol: float = SUPPORT_TOL) -> WitnessReport:
-    """Certify a dominated witness family built for a positive envelope alpha.
+    """Certify a dominated witness family built for a finite positive envelope alpha.
 
     The builder receives alpha sampled on the points and must return a K x F
     family of test functions whose analysis values stay below alpha (up to
@@ -501,9 +513,10 @@ def check_hyper_orthogonal(omega: DistributionMap, alpha,
     alpha_values = np.asarray(alpha, dtype=float)
     if alpha_values.shape != (omega.n_points,):
         raise ShapeMismatchError("alpha must be sampled on the point set")
-    if not np.all(alpha_values > 0.0):  # NaN is not positive either
-        raise PreconditionError("alpha must be strictly positive on all points")
+    if not np.all((alpha_values > 0.0) & (alpha_values < np.inf)):  # NaN fails too
+        raise PreconditionError("alpha must be finite and strictly positive")
     family = family_builder(alpha_values)
+    _check_family(omega, family)
     if family.shape[1] == 0:
         return _EMPTY_FAMILY
     return _orthogonality(omega, family, support_tol, alpha_values)
@@ -514,13 +527,20 @@ def check_hyper_orthogonal(omega: DistributionMap, alpha,
 def bump_family(model: ModelSpace, heights=None) -> np.ndarray:
     """Single-point spikes at every grid point, optionally scaled per point.
 
-    Heights default to 1.  Exact (analysis supported only on the spike) when
-    D spans the whole sample space.
+    Heights default to 1 and must be finite, one per grid point.  Exact
+    (analysis supported only on the spike) when D spans the whole sample
+    space.
     """
     if heights is None:
         heights = np.ones(model.ambient_dim)
+    heights = np.asarray(heights, float)
+    if heights.shape != (model.ambient_dim,):
+        raise ShapeMismatchError(
+            f"need {model.ambient_dim} spike heights, got shape {heights.shape}")
+    if not np.all(np.isfinite(heights)):
+        raise InvalidValueError("spike heights must be finite")
     # Spike i projects onto D as conj(row i of on_basis) * w_i * height_i.
-    return model.on_basis.conj().T * (model.space.weights * np.asarray(heights, float))
+    return model.on_basis.conj().T * (model.space.weights * heights)
 
 
 def scaled_bump_family(model: ModelSpace, alpha_values) -> np.ndarray:

@@ -99,6 +99,9 @@ def orthonormalize(columns: np.ndarray, weights: np.ndarray) -> np.ndarray:
     |R_kk| at or below ``RANK_RTOL`` times the largest weighted column norm
     means column k depends on the columns before it; the error names the
     first such column.  The output preserves the input column order.
+
+    :func:`make_model` does not call it for :class:`RawSamples`: the QR of
+    diag(sqrt(w)) is Q = I, R = diag(sqrt(w)), so that basis is diag(1/sqrt(w)).
     """
     root = np.sqrt(np.asarray(weights, dtype=float))
     scaled = root[:, None] * np.asarray(columns, dtype=complex)
@@ -154,7 +157,7 @@ class ModelSpace:
         """Report data: dimensions, family, conditioning of the raw basis."""
         root = np.sqrt(self.space.weights)
         raw = _raw_columns(self.space, self.family)
-        sigma = np.linalg.svd(root[:, None] * raw, compute_uv=False)
+        sigma = _singular_values(root[:, None] * raw)
         condition = float(sigma[0] / sigma[-1]) if sigma[-1] > 0 else float("inf")
         return {
             "ambient_dim": self.ambient_dim,
@@ -165,9 +168,31 @@ class ModelSpace:
 
 
 def make_model(space: SampledMeasureSpace, family: BasisFamily) -> ModelSpace:
-    """Build a model with the L2(X, mu) inner product and the given basis."""
-    on_basis = orthonormalize(_raw_columns(space, family), space.weights)
+    """Build a model with the L2(X, mu) inner product and the given basis.
+
+    The raw-samples basis is diag(1/sqrt(w)) with no QR: it is what
+    :func:`orthonormalize` returns for the standard basis, bit for bit.
+    Every other family is orthonormalized by one weighted QR.
+    """
+    if isinstance(family, RawSamples):
+        on_basis = np.diag((1.0 / np.sqrt(space.weights)).astype(complex))
+    else:
+        on_basis = orthonormalize(_raw_columns(space, family), space.weights)
     return ModelSpace(space=space, on_basis=on_basis, family=family)
+
+
+def _singular_values(matrix: np.ndarray) -> np.ndarray:
+    """Singular values of a matrix, largest first.
+
+    A square matrix with no nonzero entry off its diagonal has the sorted
+    moduli of its diagonal as singular values, so it needs no SVD; the test
+    is O(N^2).  Any other matrix goes to one ``np.linalg.svd``.
+    """
+    if matrix.shape[0] == matrix.shape[1]:
+        diagonal = np.diagonal(matrix)
+        if np.count_nonzero(matrix) == np.count_nonzero(diagonal):
+            return np.sort(np.abs(diagonal))[::-1]
+    return np.linalg.svd(matrix, compute_uv=False)
 
 
 # -- elements ----------------------------------------------------------------

@@ -30,8 +30,8 @@ from .errors import (
     SingularOperatorError,
 )
 from .maps import (SUPPORT_TOL, _EMPTY_FAMILY, Classification, DistributionMap,
-                   WitnessReport, _check_pair, _witness_analysis, _witness_verdict,
-                   diagnose)
+                   WitnessReport, _check_family, _check_pair, _witness_analysis,
+                   _witness_verdict, diagnose)
 from .measure import SampledMeasureSpace, ess_sup
 from .model import RANK_RTOL
 
@@ -490,6 +490,7 @@ def density_certificate(omega: DistributionMap, theta: DistributionMap,
     from the factorization, as a column norm of E_theta^H (w * m * analysis)
     over the family's one analysis matrix; no operator is built.
     """
+    _check_family(omega, family)
     if family.shape[1] == 0:
         return _EMPTY_FAMILY
     _check_factors(m, omega, theta)
@@ -519,6 +520,7 @@ def closability_residual(omega: DistributionMap, theta: DistributionMap, m: Symb
     adjoint, the finite shadow of closability; the caller judges both.  An
     empty family has nothing to pair and gives 0.0.
     """
+    _check_family(omega, family)
     if family.shape[1] == 0:
         return 0.0
     _check_factors(m, omega, theta)

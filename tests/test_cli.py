@@ -665,6 +665,33 @@ class TestRun:
         assert len(calls) == 1  # the witness family's totality, shared by both checks
         assert failures == []
 
+    def test_raw_samples_context_suites_decompose_only_what_is_not_known(
+            self, tmp_path, monkeypatch):
+        # omega's and theta's spectra and the operator's singular values; the
+        # raw-samples basis, its condition number and the spike families'
+        # totality are closed forms
+        config = write_config(tmp_path, "cfg.json", {
+            "space": {"family": "periodic_unit_grid", "n": 32},
+            "model": {"family": "raw_samples"},
+            "omega": {"family": "delta"},
+            "theta": {"family": "canonical_dual"},
+            "symbol": {"family": "reciprocal_safe", "seed": 11},
+            "suites": ["diagnose", "dual", "multiplier", "calculus", "invert",
+                       "reconstruct", "orthogonality", "density", "oracle"],
+            "seed": 7,
+        })
+        calls = {"svd": 0, "qr": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert run(config, out_dir=tmp_path / "out") == EXIT_OK
+        assert calls == {"svd": 3, "qr": 0}
+
     def test_ill_conditioned_calculus_reports_every_residual(self, tmp_path):
         # a 48 x 48 table of condition number 1e4 and its canonical dual:
         # each composition misses the calculus gate by orders of magnitude

@@ -18,8 +18,10 @@ from framelab import (
     canonical_dual,
     check_hyper_orthogonal,
     check_pseudo_orthogonal,
+    closability_residual,
     counting,
     delta_frame,
+    density_certificate,
     diagnose,
     discrete_sequence_map,
     duality_residual,
@@ -27,6 +29,7 @@ from framelab import (
     from_samples,
     fourier_grid,
     make_model,
+    make_symbol,
     periodic_unit_grid,
     riesz_transition,
     scaled_bump_family,
@@ -497,3 +500,74 @@ class TestHyperOrthogonality:
         with pytest.raises(PreconditionError):
             check_hyper_orthogonal(omega, alpha,
                                    lambda a: scaled_bump_family(omega.model, a))
+
+
+def raw_delta_setup(n=8):
+    space = periodic_unit_grid(n)
+    omega = delta_frame(make_model(space, RawSamples()), space)
+    return omega, canonical_dual(omega), make_symbol(space, np.linspace(1.0, 2.0, n))
+
+
+def the_four_witness_checks(omega, theta, m):
+    """Each entry point that takes a K x F witness family, as family -> result."""
+    return {
+        "pseudo": lambda family: check_pseudo_orthogonal(omega, family),
+        "hyper": lambda family: check_hyper_orthogonal(omega, np.ones(omega.n_points),
+                                                       lambda a: family),
+        "density": lambda family: density_certificate(omega, theta, m, family),
+        "closability": lambda family: closability_residual(omega, theta, m, family),
+    }
+
+
+def nan_family():
+    family = np.eye(8, dtype=complex)
+    family[2, 5] = np.nan
+    return family
+
+
+class TestWitnessInputs:
+    @pytest.mark.parametrize("check", ["pseudo", "hyper", "density", "closability"])
+    @pytest.mark.parametrize("family, error", [
+        (np.eye(5, 8), ShapeMismatchError),
+        (np.ones(8), ShapeMismatchError),
+        (np.zeros((5, 0)), ShapeMismatchError),
+        (np.ones((8, 2, 1)), ShapeMismatchError),
+        (nan_family(), InvalidValueError),
+        (np.diag([1.0] * 7 + [np.inf]), InvalidValueError),
+    ], ids=["5x8", "1-d", "5x0", "3-d", "nan", "inf"])
+    def test_a_bad_family_is_a_typed_error(self, check, family, error):
+        checks = the_four_witness_checks(*raw_delta_setup())
+        with pytest.raises(error):
+            checks[check](family)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+    def test_alpha_must_be_finite_and_positive(self, bad):
+        omega = raw_delta_setup()[0]
+        alpha = np.ones(8)
+        alpha[3] = bad
+        with pytest.raises(PreconditionError, match="finite and strictly positive"):
+            check_hyper_orthogonal(omega, alpha,
+                                   lambda a: scaled_bump_family(omega.model, a))
+
+    @pytest.mark.parametrize("heights, error", [
+        (np.ones(7), ShapeMismatchError),
+        (np.ones(9), ShapeMismatchError),
+        (np.ones((8, 1)), ShapeMismatchError),
+        (np.array([1.0] * 7 + [np.nan]), InvalidValueError),
+        (np.array([np.inf] + [1.0] * 7), InvalidValueError),
+    ], ids=["short", "long", "2-d", "nan", "inf"])
+    def test_bad_spike_heights_are_typed_errors(self, heights, error):
+        model = raw_delta_setup()[0].model
+        with pytest.raises(error):
+            bump_family(model, heights)
+
+    def test_a_short_envelope_is_a_shape_error(self):
+        model = raw_delta_setup()[0].model
+        with pytest.raises(ShapeMismatchError):
+            scaled_bump_family(model, np.ones(7))
+
+    def test_an_empty_family_of_the_right_height_is_still_empty(self):
+        checks = the_four_witness_checks(*raw_delta_setup())
+        for name in ("pseudo", "hyper", "density"):
+            assert checks[name](np.zeros((8, 0))).reason == "empty witness family"
+        assert checks["closability"](np.zeros((8, 0))) == 0.0

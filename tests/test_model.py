@@ -7,6 +7,7 @@ from framelab import (
     InvalidValueError,
     ModelSpace,
     RawSamples,
+    SampledMeasureSpace,
     ShapeMismatchError,
     Trigonometric,
     UnsupportedSpaceError,
@@ -22,6 +23,7 @@ from framelab import (
     to_samples,
     transform_matrix,
 )
+from framelab.model import _singular_values
 
 
 def gram_of(model):
@@ -207,3 +209,78 @@ class TestTransform:
     def test_non_periodic_grid_rejected(self):
         with pytest.raises(UnsupportedSpaceError):
             transform_matrix(symmetric_grid(9, 4.0))
+
+
+def _closed_form_spaces() -> dict:
+    """The spaces on which the raw-samples closed forms are pinned bit for bit."""
+    spaces = {f"periodic-{n}": periodic_unit_grid(n)
+              for n in (1, 2, 3, 5, 8, 16, 33, 64, 256, 1024)}
+    spaces.update({f"counting-{n}": counting(n) for n in (1, 7, 64)})
+    spaces.update({f"fourier-{n}": fourier_grid(n) for n in (3, 16, 50)})
+    spaces.update({f"symmetric-{n}": symmetric_grid(n, half_width)
+                   for n, half_width in ((2, 1.0), (65, 4.0), (129, 8.0))})
+    rng = np.random.default_rng(21)
+    for n in (10, 100):  # weights spanning 1e-8 to 1e8
+        spaces[f"random-weights-{n}"] = SampledMeasureSpace(
+            points=np.arange(n, dtype=float), weights=10.0 ** rng.uniform(-8.0, 8.0, n),
+            extent=float(n))
+    return spaces
+
+
+CLOSED_FORM_SPACES = _closed_form_spaces()
+
+
+class TestRawSamplesClosedForm:
+    @pytest.mark.parametrize("space", CLOSED_FORM_SPACES.values(),
+                             ids=CLOSED_FORM_SPACES.keys())
+    def test_basis_and_condition_match_the_decompositions_bit_for_bit(self, space):
+        n = len(space)
+        model = make_model(space, RawSamples())
+        assert np.array_equal(model.on_basis, orthonormalize(np.eye(n), space.weights))
+        root = np.sqrt(space.weights)
+        sigma = np.linalg.svd(root[:, None] * np.eye(n, dtype=complex), compute_uv=False)
+        condition = float(sigma[0] / sigma[-1])
+        assert model.summary()["d_basis_condition"] == condition
+
+    def test_make_model_makes_no_qr(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: pytest.fail("qr"))
+        model = make_model(periodic_unit_grid(16), RawSamples())
+        assert np.array_equal(model.on_basis, np.diag(np.full(16, 4.0 + 0j)))
+
+
+class TestSingularValues:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_a_diagonal_reads_its_moduli_within_a_few_ulps(self, rng, dtype):
+        for n in (1, 2, 9, 64):
+            diagonal = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
+            if dtype is complex:
+                diagonal = diagonal * np.exp(2j * np.pi * rng.uniform(size=n))
+            diagonal[::4] = 0.0  # rank-deficient
+            matrix = np.diag(diagonal)
+            expected = np.linalg.svd(matrix, compute_uv=False)
+            sigma = _singular_values(matrix)
+            assert sigma.shape == expected.shape
+            assert np.all(np.diff(sigma) <= 0.0)
+            np.testing.assert_allclose(sigma, expected, rtol=4 * np.finfo(float).eps,
+                                       atol=0.0)
+
+    @pytest.mark.parametrize("matrix", [
+        np.eye(3, 4),
+        np.eye(4, 3),
+        np.eye(4) + np.eye(4, k=1) * 1e-300,
+        np.ones((5, 5)),
+        np.zeros((1, 3)),
+    ], ids=["wide", "tall", "one-off-diagonal", "dense", "zero-row"])
+    def test_any_other_matrix_takes_one_svd(self, matrix, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+        assert np.array_equal(_singular_values(matrix),
+                              svd(matrix, compute_uv=False))
+        assert len(calls) == 1
+
+    def test_a_diagonal_takes_no_svd(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: pytest.fail("svd"))
+        assert np.array_equal(_singular_values(np.diag([1.0, -3.0, 0.0, 2j])),
+                              [3.0, 2.0, 1.0, 0.0])
