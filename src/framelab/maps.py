@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedSpaceError,
 )
 from .measure import SampledMeasureSpace, _frozen_array, counting, same_grid
-from .model import RANK_RTOL, ModelSpace, _singular_values, transform_matrix
+from .model import RANK_RTOL, ModelSpace, _full_rank, _singular_values, transform_matrix
 
 EIG_TOL = 1e-8  # classification slack: Parseval, tight
 BOUND_SLACK = 1e-10  # an analysis value may exceed its envelope by this much
@@ -118,8 +118,7 @@ class DistributionMap:
         values, so that they match the classical discrete path to a few ulps.
         """
         weighted = np.sqrt(self.space.weights)[:, None] * self.table
-        return (np.linalg.svd(weighted, compute_uv=False),
-                np.linalg.eigvalsh(self.frame_matrix()))
+        return _singular_values(weighted), np.linalg.eigvalsh(self.frame_matrix())
 
     @functools.cached_property
     def _dual(self) -> DistributionMap:
@@ -280,8 +279,8 @@ def diagnose(omega: DistributionMap) -> FrameDiagnostics:
     upper = float(max(eigs[-1], 0.0))
     lower = float(max(eigs[0], 0.0)) if j >= k else 0.0
 
-    total = j >= k and sigma_min > RANK_RTOL * sigma_max
-    mu_independent = j <= k and sigma_min > RANK_RTOL * sigma_max
+    total = j >= k and _full_rank(sigma)
+    mu_independent = j <= k and _full_rank(sigma)
 
     if upper == 0.0:
         cls = Classification.BESSEL  # degenerate zero map
@@ -372,9 +371,9 @@ def riesz_transition(omega: DistributionMap, zeta: DistributionMap) -> Transitio
     _check_pair(omega, zeta)
     w = omega.space.weights
     matrix = omega.table.conj().T @ (w[:, None] * zeta.table)
-    sigma = np.linalg.svd(matrix, compute_uv=False)
+    sigma = _singular_values(matrix)
     sigma_min, sigma_max = float(sigma[-1]), float(sigma[0])
-    invertible = sigma_min > RANK_RTOL * sigma_max and sigma_max > 0.0
+    invertible = _full_rank(sigma)
     omega_cls = diagnose(omega).classification
     is_riesz = omega_cls in (Classification.RIESZ_BASIS, Classification.GELFAND_BASIS)
     if invertible != is_riesz:
@@ -439,12 +438,10 @@ def _witness_analysis(omega: DistributionMap, family: np.ndarray,
 
     Returns the J x F analysis matrix (column f holds <f, omega_j>), its
     moduli, the support mask (moduli above ``support_tol``) and whether the
-    family is total in D (full rank at relative tolerance RANK_RTOL).  A
-    square diagonal family, such as the spikes of a raw-samples model, has
-    its singular values read from its diagonal; any other takes one SVD.
+    family is total in D (full rank at relative tolerance RANK_RTOL).
     """
     sigma = _singular_values(family)
-    total = bool(np.sum(sigma > RANK_RTOL * sigma[0]) == omega.dim)
+    total = family.shape[1] >= omega.dim and _full_rank(sigma)
     analysis = omega.table @ family
     values = np.abs(analysis)
     return analysis, values, values > support_tol, total

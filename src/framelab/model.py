@@ -195,6 +195,13 @@ def _singular_values(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.svd(matrix, compute_uv=False)
 
 
+def _full_rank(sigma: np.ndarray) -> bool:
+    """The one rank rule on singular values sorted largest first: the
+    smallest exceeds RANK_RTOL times the largest.  A zero or NaN spectrum
+    fails it."""
+    return bool(sigma[-1] > RANK_RTOL * sigma[0])
+
+
 # -- elements ----------------------------------------------------------------
 
 def to_samples(model: ModelSpace, coeffs: np.ndarray) -> np.ndarray:

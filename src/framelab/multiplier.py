@@ -33,7 +33,7 @@ from .maps import (SUPPORT_TOL, _EMPTY_FAMILY, Classification, DistributionMap,
                    WitnessReport, _check_family, _check_pair, _witness_analysis,
                    _witness_verdict, diagnose)
 from .measure import SampledMeasureSpace, ess_sup
-from .model import RANK_RTOL
+from .model import RANK_RTOL, _full_rank, _singular_values
 
 RESIDUAL_TOL = 1e-10  # largest residual allowed for an exact identity
 ROUNDING_TOL = 1e-12  # largest residual of a matrix that only rounding separates
@@ -136,13 +136,12 @@ class MultiplierOperator:
     @functools.cached_property
     def singular_values(self) -> np.ndarray:
         """Singular values of the dense matrix, largest first."""
-        return np.linalg.svd(self.dense, compute_uv=False)
+        return _singular_values(self.dense)
 
     @functools.cached_property
     def injective(self) -> bool:
-        """The one rank rule: sigma_min > RANK_RTOL * sigma_max > 0."""
-        sigma = self.singular_values
-        return bool(sigma[0] > 0 and sigma[-1] > RANK_RTOL * sigma[0])
+        """Full rank of the dense matrix by the one rank rule, ``model._full_rank``."""
+        return _full_rank(self.singular_values)
 
     @functools.cached_property
     def inverse(self) -> np.ndarray:

@@ -665,15 +665,14 @@ class TestRun:
         assert len(calls) == 1  # the witness family's totality, shared by both checks
         assert failures == []
 
-    def test_raw_samples_context_suites_decompose_only_what_is_not_known(
-            self, tmp_path, monkeypatch):
-        # omega's and theta's spectra and the operator's singular values; the
-        # raw-samples basis, its condition number and the spike families'
-        # totality are closed forms
+    @staticmethod
+    def count_context_decompositions(tmp_path, monkeypatch, omega_family):
+        """SVD and QR calls of a 32-point raw-samples config whose synthesis
+        map is the canonical dual, through the 9 context suites."""
         config = write_config(tmp_path, "cfg.json", {
             "space": {"family": "periodic_unit_grid", "n": 32},
             "model": {"family": "raw_samples"},
-            "omega": {"family": "delta"},
+            "omega": {"family": omega_family},
             "theta": {"family": "canonical_dual"},
             "symbol": {"family": "reciprocal_safe", "seed": 11},
             "suites": ["diagnose", "dual", "multiplier", "calculus", "invert",
@@ -690,7 +689,23 @@ class TestRun:
 
             monkeypatch.setattr(np.linalg, name, counted)
         assert run(config, out_dir=tmp_path / "out") == EXIT_OK
-        assert calls == {"svd": 3, "qr": 0}
+        return calls
+
+    def test_raw_samples_context_suites_decompose_only_what_is_not_known(
+            self, tmp_path, monkeypatch):
+        # every matrix of the delta pair is diagonal: the raw-samples basis,
+        # its condition number, omega's and theta's spectra, the operator's
+        # singular values, the transition and the spike families' totality
+        # are all read from diagonals
+        calls = self.count_context_decompositions(tmp_path, monkeypatch, "delta")
+        assert calls == {"svd": 0, "qr": 0}
+
+    def test_dense_context_suites_decompose_each_dense_matrix_once(
+            self, tmp_path, monkeypatch):
+        # omega's and theta's spectra, the operator's singular values and the
+        # totality of the three band-limited witness families
+        calls = self.count_context_decompositions(tmp_path, monkeypatch, "exponential")
+        assert calls == {"svd": 6, "qr": 0}
 
     def test_ill_conditioned_calculus_reports_every_residual(self, tmp_path):
         # a 48 x 48 table of condition number 1e4 and its canonical dual:

@@ -14,6 +14,7 @@ from framelab import (
     Trigonometric,
     UnsupportedSpaceError,
     band_limited_family,
+    build,
     bump_family,
     canonical_dual,
     check_hyper_orthogonal,
@@ -39,6 +40,7 @@ from framelab import (
     translated_window_frame,
     weighted_delta_frame,
 )
+from framelab.model import RANK_RTOL
 from conftest import random_overcomplete_map, random_riesz_map
 
 C2_VECTORS = [(1, 0), (1, 1), (0, 1)]
@@ -366,6 +368,62 @@ class TestRieszTransition:
                            match="analysis and synthesis maps on different spaces"):
             riesz_transition(delta_frame(small_model, small_space),
                              delta_frame(model, space))
+
+    def test_a_zero_weight_makes_a_singular_transition(self):
+        # the transition matrix is diagonal, so its spectrum is read from it
+        model = make_model(periodic_unit_grid(8), RawSamples())
+        space = model.space
+        weights = np.ones(8)
+        weights[3] = 0.0
+        report = riesz_transition(weighted_delta_frame(model, space, weights),
+                                  delta_frame(model, space))
+        assert report.invertible is False
+        assert report.sigma_min == 0.0
+        assert report.condition_number == float("inf")
+
+
+class TestRankRule:
+    """Totality, mu-independence, injectivity, transition invertibility and
+    witness totality are one rank rule, and decide alike at its threshold."""
+
+    @staticmethod
+    def rank_decisions(weights):
+        model = make_model(periodic_unit_grid(8), RawSamples())
+        space = model.space
+        zeta = delta_frame(model, space)
+        omega = weighted_delta_frame(model, space, weights)
+        diag = diagnose(omega)
+        op = build(make_symbol(space, np.ones(8)), omega, zeta)
+        return {
+            "total": diag.total,
+            "mu_independent": diag.mu_independent,
+            "injective": op.injective,
+            "invertible": riesz_transition(omega, zeta).invertible,
+            "witness_total": check_pseudo_orthogonal(
+                zeta, bump_family(model, weights)).total,
+        }
+
+    @pytest.mark.parametrize("factor, full_rank", [(1 - 1e-6, False), (1 + 1e-6, True)])
+    def test_every_decision_agrees_at_the_threshold(self, factor, full_rank):
+        weights = np.ones(8)
+        weights[5] = RANK_RTOL * factor
+        decisions = self.rank_decisions(weights)
+        assert decisions == dict.fromkeys(decisions, full_rank)
+
+    def test_the_zero_map_is_nowhere_full_rank(self):
+        decisions = self.rank_decisions(np.zeros(8))
+        assert decisions == dict.fromkeys(decisions, False)
+
+    @pytest.mark.parametrize("f, rank, total", [
+        (5, 5, False), (8, 8, True), (8, 7, False), (12, 8, True), (12, 7, False)])
+    def test_witness_totality_needs_k_columns_of_full_rank(self, rng, f, rank, total):
+        model = make_model(periodic_unit_grid(8), RawSamples())
+        omega = delta_frame(model, model.space)
+        family = ((rng.standard_normal((8, rank)) + 1j * rng.standard_normal((8, rank)))
+                  @ rng.standard_normal((rank, f)))
+        sigma = np.linalg.svd(family, compute_uv=False)
+        assert np.sum(sigma > RANK_RTOL * sigma[0]) == min(rank, f)
+        assert check_pseudo_orthogonal(omega, family).total is total
 
 
 class TestPseudoOrthogonality:
