@@ -34,6 +34,8 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_ASSERTION = 4
+# largest |x - x_j| / (1 + |x_j|) of a symbol CSV point x against grid point x_j
+SYMBOL_POINT_TOL = 1e-12
 
 
 class Suite(NamedTuple):
@@ -370,7 +372,8 @@ def _symbol_csv(space, path):
                 values.append(complex(re, im))
         except ValueError:
             raise ConfigError("path", "rows must be point,re,im numbers") from None
-    if len(points) != len(space) or not np.allclose(points, space.points, atol=1e-12):
+    if len(points) != len(space) or not np.allclose(
+            points, space.points, rtol=SYMBOL_POINT_TOL, atol=SYMBOL_POINT_TOL):
         raise ConfigError("path", "CSV points do not match the space")
     return values
 
@@ -748,7 +751,11 @@ def _suite_multiplier(config: ExperimentConfig, ctx: Context, seed: int, out: Pa
     failures = []
     op = ctx.operator
     diag_wm = op.space.weights * op.symbol.values
-    refactored = (op.theta.table.conj().T * diag_wm[None, :]) @ op.omega.table
+    synthesis = op.theta.table.conj().T * diag_wm[None, :]
+    if op.omega.diagonal is None:
+        refactored = synthesis @ op.omega.table
+    else:  # a diagonal table scales the columns
+        refactored = synthesis * op.omega.diagonal[None, :]
     fact_residual = float(np.linalg.norm(op.dense - refactored))
     _gate(failures, "factorization residual", fact_residual, multiplier.ROUNDING_TOL)
     norm = multiplier.operator_norm(op)

@@ -28,12 +28,14 @@ from .errors import (
     UnsupportedSpaceError,
 )
 from .measure import SampledMeasureSpace, _frozen_array, counting, same_grid
-from .model import RANK_RTOL, ModelSpace, _full_rank, _singular_values, transform_matrix
+from .model import (RANK_RTOL, ModelSpace, _diagonal, _full_rank, _singular_values,
+                    transform_matrix)
 
 EIG_TOL = 1e-8  # classification slack: Parseval, tight
 BOUND_SLACK = 1e-10  # an analysis value may exceed its envelope by this much
 SUPPORT_TOL = 1e-9  # a witness's support: points where |<f, omega_j>| exceeds it
 WINDOW_SUPPORT_TOL = 1e-12  # a window's support: samples of modulus above it
+COUNTING_TOL = 1e-12  # largest |w_j - 1| of a counting-measure weight
 
 
 class Classification(enum.Enum):
@@ -67,8 +69,8 @@ FRAME_CLASSES = frozenset(
 class DistributionMap:
     """Evaluation table of a map from the point set into the dual of D.
 
-    The table is read-only, so nothing cached on the map (its spectrum, its
-    canonical dual, its dual-pair verdicts) can go stale.
+    The table is read-only, so nothing cached on the map (its diagonal, its
+    spectrum, its canonical dual, its dual-pair verdicts) can go stale.
     """
 
     table: np.ndarray
@@ -105,10 +107,25 @@ class DistributionMap:
         """Rows of H coefficients: row j represents omega_{x_j} as an element of H."""
         return np.conj(self.table)
 
+    @functools.cached_property
+    def diagonal(self) -> np.ndarray | None:
+        """The diagonal of a diagonal table (``model._diagonal``) whose
+        entries are real, else None; tested once per map.
+
+        A product with a real diagonal factor rounds as the dense product
+        does, so every closed form read from it is bit for bit the dense
+        result.  A complex diagonal would not be, and takes the dense path.
+        """
+        diagonal = _diagonal(self.table)
+        if diagonal is None or diagonal.imag.any():
+            return None
+        return diagonal
+
     def frame_matrix(self) -> np.ndarray:
         """K x K frame operator on D coefficients; finite, since the table's
-        weighted column norms are."""
-        return self.table.conj().T @ (self.space.weights[:, None] * self.table)
+        weighted column norms are.  A diagonal table gives it in closed form,
+        as the diagonal matrix of w |table_kk|^2."""
+        return _weighted_product(self, self.space.weights, self)
 
     @functools.cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -116,9 +133,16 @@ class DistributionMap:
 
         The bounds come from the eigenvalues, not the squared singular
         values, so that they match the classical discrete path to a few ulps.
+        A diagonal table's eigenvalues are its frame matrix's sorted
+        diagonal, equal bit for bit to ``eigvalsh``, which it does not call.
         """
         weighted = np.sqrt(self.space.weights)[:, None] * self.table
-        return _singular_values(weighted), np.linalg.eigvalsh(self.frame_matrix())
+        gram = self.frame_matrix()
+        if self.diagonal is None:
+            eigs = np.linalg.eigvalsh(gram)
+        else:
+            eigs = np.sort(np.diagonal(gram).real)
+        return _singular_values(weighted), eigs
 
     @functools.cached_property
     def _dual(self) -> DistributionMap:
@@ -130,6 +154,24 @@ class DistributionMap:
         """``multiplier.is_dual_pair`` verdicts with this map as the analysis
         side, keyed weakly by the synthesis map so as not to keep it alive."""
         return weakref.WeakKeyDictionary()
+
+
+def _weighted_product(left: DistributionMap, v: np.ndarray,
+                      right: DistributionMap) -> np.ndarray:
+    """The K x K matrix left.table^H diag(v) right.table.  Two diagonal
+    tables give the diagonal matrix of conj(left) * (v * right), no product."""
+    dl, dr = left.diagonal, right.diagonal
+    if dl is None or dr is None:
+        return left.table.conj().T @ (v[:, None] * right.table)
+    return np.diag(np.conj(dl) * (v * dr))
+
+
+def _apply(omega: DistributionMap, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """``table @ x``, or ``table.T @ x``, for a 2-d block x.  A diagonal
+    table, its own transpose, scales the rows of x instead."""
+    if omega.diagonal is not None:
+        return omega.diagonal[:, None] * x
+    return (omega.table.T if transpose else omega.table) @ x
 
 
 # -- builtin families ---------------------------------------------------------
@@ -223,7 +265,7 @@ def discrete_sequence_map(model: ModelSpace, vectors: Sequence,
         space = counting(len(vecs))
     if len(space) != len(vecs):
         raise ShapeMismatchError("space size must match the number of vectors")
-    if not np.allclose(space.weights, 1.0):
+    if not np.all(np.abs(space.weights - 1.0) <= COUNTING_TOL):
         raise PreconditionError("discrete sequences live on counting measure")
     # <e_k, phi_j> = conj(<phi_j, e_k>) = conj(phi_j[k])
     return DistributionMap(table=np.conj(vecs), space=space, model=model)
@@ -322,7 +364,8 @@ def canonical_dual(omega: DistributionMap) -> DistributionMap:
     Satisfies the reconstruction pairing <f, g> = sum_j w_j <f, theta_j>
     <omega_j, g> and has frame bounds (1/B, 1/A).  Requires a frame.  The
     dual is solved once per map and cached on it, so every call on one map
-    returns the same object.
+    returns the same object.  A diagonal table's S is diagonal, and the
+    solve is a division of each column by its S_kk, bit for bit the solve.
     """
     return omega._dual
 
@@ -336,7 +379,10 @@ def _solve_dual(omega: DistributionMap) -> DistributionMap:
             f"with bounds ({diag.lower:.3e}, {diag.upper:.3e})"
         )
     gram = omega.frame_matrix()
-    dual_table = np.linalg.solve(gram.T, omega.table.T).T
+    if omega.diagonal is None:
+        dual_table = np.linalg.solve(gram.T, omega.table.T).T
+    else:
+        dual_table = omega.table / np.diagonal(gram)
     return DistributionMap(table=dual_table, space=omega.space, model=omega.model)
 
 
@@ -369,8 +415,7 @@ def riesz_transition(omega: DistributionMap, zeta: DistributionMap) -> Transitio
             f"{zeta_diag.classification.value}"
         )
     _check_pair(omega, zeta)
-    w = omega.space.weights
-    matrix = omega.table.conj().T @ (w[:, None] * zeta.table)
+    matrix = _weighted_product(omega, omega.space.weights, zeta)
     sigma = _singular_values(matrix)
     sigma_min, sigma_max = float(sigma[-1]), float(sigma[0])
     invertible = _full_rank(sigma)
@@ -438,11 +483,13 @@ def _witness_analysis(omega: DistributionMap, family: np.ndarray,
 
     Returns the J x F analysis matrix (column f holds <f, omega_j>), its
     moduli, the support mask (moduli above ``support_tol``) and whether the
-    family is total in D (full rank at relative tolerance RANK_RTOL).
+    family is total in D (full rank at relative tolerance RANK_RTOL).  On a
+    diagonal table the analysis matrix scales the family's rows, and a
+    diagonal family's totality is read from its diagonal: no product, no SVD.
     """
     sigma = _singular_values(family)
     total = family.shape[1] >= omega.dim and _full_rank(sigma)
-    analysis = omega.table @ family
+    analysis = _apply(omega, family)
     values = np.abs(analysis)
     return analysis, values, values > support_tol, total
 

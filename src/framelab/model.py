@@ -136,8 +136,13 @@ class ModelSpace:
             raise ShapeMismatchError("on_basis must have one row per sample point")
         if on.shape[1] == 0:
             raise DegenerateBasisError("on_basis has no columns")
-        gon = self.space.weights[:, None] * on
-        defect = np.max(np.abs(on.conj().T @ gon - np.eye(on.shape[1])))
+        w = self.space.weights
+        diagonal = _diagonal(on)
+        if diagonal is None:
+            gram = on.conj().T @ (w[:, None] * on) - np.eye(on.shape[1])
+        else:  # a diagonal basis has a diagonal Gram matrix
+            gram = np.conj(diagonal) * (w * diagonal) - 1.0
+        defect = np.max(np.abs(gram))
         if not defect <= ORTHONORMAL_TOL:  # a NaN defect fails too
             raise InvalidValueError(
                 f"on_basis is not H-orthonormal (defect {defect:.3e})"
@@ -181,17 +186,33 @@ def make_model(space: SampledMeasureSpace, family: BasisFamily) -> ModelSpace:
     return ModelSpace(space=space, on_basis=on_basis, family=family)
 
 
+def _diagonal(matrix: np.ndarray) -> np.ndarray | None:
+    """The one diagonal rule: the diagonal of a square matrix with no nonzero
+    entry off it, else None.
+
+    The test is O(N^2): a non-square matrix is not scanned, and a matrix
+    with a nonzero entry off the diagonal in its first row is rejected after
+    that row.  Zeros on the diagonal are allowed.
+    """
+    n = matrix.shape[0]
+    if matrix.shape != (n, n) or matrix[:1, 1:].any():
+        return None
+    diagonal = np.diagonal(matrix)
+    if np.count_nonzero(matrix) != np.count_nonzero(diagonal):
+        return None
+    return diagonal
+
+
 def _singular_values(matrix: np.ndarray) -> np.ndarray:
     """Singular values of a matrix, largest first.
 
-    A square matrix with no nonzero entry off its diagonal has the sorted
-    moduli of its diagonal as singular values, so it needs no SVD; the test
-    is O(N^2).  Any other matrix goes to one ``np.linalg.svd``.
+    A diagonal matrix (:func:`_diagonal`) has the sorted moduli of its
+    diagonal as singular values, so it needs no SVD.  Any other matrix goes
+    to one ``np.linalg.svd``.
     """
-    if matrix.shape[0] == matrix.shape[1]:
-        diagonal = np.diagonal(matrix)
-        if np.count_nonzero(matrix) == np.count_nonzero(diagonal):
-            return np.sort(np.abs(diagonal))[::-1]
+    diagonal = _diagonal(matrix)
+    if diagonal is not None:
+        return np.sort(np.abs(diagonal))[::-1]
     return np.linalg.svd(matrix, compute_uv=False)
 
 

@@ -30,8 +30,8 @@ from .errors import (
     SingularOperatorError,
 )
 from .maps import (SUPPORT_TOL, _EMPTY_FAMILY, Classification, DistributionMap,
-                   WitnessReport, _check_family, _check_pair, _witness_analysis,
-                   _witness_verdict, diagnose)
+                   WitnessReport, _apply, _check_family, _check_pair,
+                   _weighted_product, _witness_analysis, _witness_verdict, diagnose)
 from .measure import SampledMeasureSpace, ess_sup
 from .model import RANK_RTOL, _full_rank, _singular_values
 
@@ -127,9 +127,11 @@ class MultiplierOperator:
 
     @functools.cached_property
     def dense(self) -> np.ndarray:
-        """E_theta^H diag(w * m) E_omega, read-only."""
+        """E_theta^H diag(w * m) E_omega, read-only.  When both tables are
+        diagonal it is the diagonal matrix of conj(theta) * w * m * omega,
+        formed with no product; its inverse still comes from ``np.linalg.inv``."""
         wm = self.space.weights * self.symbol.values
-        dense = self.theta.table.conj().T @ (wm[:, None] * self.omega.table)
+        dense = _weighted_product(self.theta, wm, self.omega)
         dense.flags.writeable = False
         return dense
 
@@ -207,7 +209,7 @@ def _probe_block(n: int) -> np.ndarray:
 
 def _synthesize(theta: DistributionMap, y: np.ndarray) -> np.ndarray:
     """E_theta^H y, as conj(E_theta^T conj(y)): no copy of E_theta^H."""
-    return np.conj(theta.table.T @ np.conj(y))
+    return np.conj(_apply(theta, np.conj(y), transpose=True))
 
 
 def _pairing_gap(weights: np.ndarray, left: np.ndarray, right: np.ndarray,
@@ -287,7 +289,7 @@ def is_dual_pair(omega: DistributionMap, theta: DistributionMap) -> bool:
         return False
     verdicts = omega._dual_pair_verdicts
     if theta not in verdicts:
-        mixed = theta.table.conj().T @ (omega.space.weights[:, None] * omega.table)
+        mixed = _weighted_product(theta, omega.space.weights, omega)
         verdicts[theta] = bool(
             np.linalg.norm(mixed - np.eye(omega.dim)) <= BOUND_TOL * math.sqrt(omega.dim)
         )
@@ -325,15 +327,15 @@ def compose(op1: MultiplierOperator, op2: MultiplierOperator) -> CompositionRepo
                                                          op2.theta.table):
         raise GridMismatchError("composition requires operators on the same maps")
     m12 = product_symbol(op1.space, op1.symbol, op2.symbol)
-    b, theta = op1.omega.table, op1.theta
+    omega, theta = op1.omega, op1.theta
     w = op1.space.weights[:, None]
     m1, m2 = op1.symbol.values[:, None], op2.symbol.values[:, None]
-    bx = b @ _probe_block(op1.dim)
+    bx = _apply(omega, _probe_block(op1.dim))
     m2x = _synthesize(theta, w * m2 * bx)
-    m1m2x = _synthesize(theta, w * m1 * (b @ m2x))
+    m1m2x = _synthesize(theta, w * m1 * _apply(omega, m2x))
     direct = m1m2x - _synthesize(theta, w * m12.values[:, None] * bx)
     z = m2 * bx
-    defect = _synthesize(theta, w * m1 * (b @ _synthesize(theta, w * z) - z))
+    defect = _synthesize(theta, w * m1 * (_apply(omega, _synthesize(theta, w * z)) - z))
     gap = float(np.linalg.norm(direct - defect))
     scale = float(np.linalg.norm(m1m2x))
     return CompositionReport(
@@ -355,7 +357,7 @@ def duality_defect(omega: DistributionMap, theta: DistributionMap) -> float:
     """
     _check_pair(omega, theta)
     y = _probe_block(omega.n_points)
-    gy = omega.table @ _synthesize(theta, omega.space.weights[:, None] * y)
+    gy = _apply(omega, _synthesize(theta, omega.space.weights[:, None] * y))
     return float(np.linalg.norm(gy - y)) / math.sqrt(_PROBES)
 
 
@@ -452,11 +454,11 @@ def reconstruction_pair(op: MultiplierOperator, side: Side,
     inv = op.inverse
     m = op.symbol.values
     if side is Side.RIGHT:
-        table = m[:, None] * (op.omega.table @ inv)
+        table = m[:, None] * _apply(op.omega, inv)
         new = DistributionMap(table=table, space=op.space, model=op.omega.model)
         left, right = new, op.theta
     else:
-        table = np.conj(m)[:, None] * (op.theta.table @ inv.conj().T)
+        table = np.conj(m)[:, None] * _apply(op.theta, inv.conj().T)
         new = DistributionMap(table=table, space=op.space, model=op.theta.model)
         left, right = op.omega, new
     return new, _pairing_gap(op.space.weights, left.table, right.table,
@@ -502,7 +504,7 @@ def density_certificate(omega: DistributionMap, theta: DistributionMap,
     # ||E_theta^H X|| = ||E_theta^T conj(X)|| per column: no copy of E_theta^H.
     analysis *= (omega.space.weights * m.values)[:, None]
     np.conj(analysis, out=analysis)
-    norm_mf = np.linalg.norm(theta.table.T @ analysis, axis=0)
+    norm_mf = np.linalg.norm(_apply(theta, analysis, transpose=True), axis=0)
     columns = (on.sum(axis=0), c_f, m_l2, bound, norm_mf, norm_mf <= bound + tol)
     records = tuple(DensityRecord(i, *row) for i, row in
                     enumerate(zip(*(column.tolist() for column in columns))))
@@ -525,14 +527,14 @@ def closability_residual(omega: DistributionMap, theta: DistributionMap, m: Symb
     _check_factors(m, omega, theta)
     # Column g of `weighted` is w * m * conj(E_theta g), the family's analysis
     # by theta: <M f, g> = weighted^T E_omega f and conj(M' g) = E_omega^T weighted.
-    weighted = theta.table @ family
+    weighted = _apply(theta, family)
     np.conj(weighted, out=weighted)
     weighted *= (omega.space.weights * m.values)[:, None]
     f = _complex_normals(np.random.default_rng(CLOSABILITY_SEED), CLOSABILITY_TRIALS,
                          omega.dim).T
     f /= np.linalg.norm(f, axis=0)
-    lhs = weighted.T @ (omega.table @ f)  # <M f, g>, one row per g
-    rhs = (omega.table.T @ weighted).T @ f  # <f, M' g>
+    lhs = weighted.T @ _apply(omega, f)  # <M f, g>, one row per g
+    rhs = _apply(omega, weighted, transpose=True).T @ f  # <f, M' g>
     return float(np.max(np.abs(lhs - rhs)))
 
 

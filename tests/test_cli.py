@@ -451,7 +451,7 @@ class TestRun:
         config = parse_config({
             "space": {"family": "periodic_unit_grid", "n": 8},
             "model": {"family": "raw_samples"},
-            "omega": {"family": "weighted_delta", "weight": [1, 2] * 4},
+            "omega": {"family": "exponential"},  # not diagonal, so its dual is solved
             "theta": {"family": "canonical_dual"},
             "suites": ["dual"], "seed": 1,
         })
@@ -666,20 +666,24 @@ class TestRun:
         assert failures == []
 
     @staticmethod
-    def count_context_decompositions(tmp_path, monkeypatch, omega_family):
-        """SVD and QR calls of a 32-point raw-samples config whose synthesis
-        map is the canonical dual, through the 9 context suites."""
-        config = write_config(tmp_path, "cfg.json", {
+    def context_config(tmp_path, omega, theta=None):
+        """A 32-point raw-samples config, by default with the canonical dual
+        as its synthesis map, through the 9 context suites."""
+        return write_config(tmp_path, "cfg.json", {
             "space": {"family": "periodic_unit_grid", "n": 32},
             "model": {"family": "raw_samples"},
-            "omega": {"family": omega_family},
-            "theta": {"family": "canonical_dual"},
+            "omega": omega,
+            "theta": theta or {"family": "canonical_dual"},
             "symbol": {"family": "reciprocal_safe", "seed": 11},
             "suites": ["diagnose", "dual", "multiplier", "calculus", "invert",
                        "reconstruct", "orthogonality", "density", "oracle"],
             "seed": 7,
         })
-        calls = {"svd": 0, "qr": 0}
+
+    def count_context_decompositions(self, tmp_path, monkeypatch, omega_family):
+        """LAPACK calls of the context config through the 9 context suites."""
+        config = self.context_config(tmp_path, {"family": omega_family})
+        calls = {"svd": 0, "qr": 0, "eigvalsh": 0, "solve": 0, "inv": 0}
         for name in calls:
             original = getattr(np.linalg, name)
 
@@ -694,18 +698,43 @@ class TestRun:
     def test_raw_samples_context_suites_decompose_only_what_is_not_known(
             self, tmp_path, monkeypatch):
         # every matrix of the delta pair is diagonal: the raw-samples basis,
-        # its condition number, omega's and theta's spectra, the operator's
-        # singular values, the transition and the spike families' totality
-        # are all read from diagonals
+        # its condition number, omega's and theta's spectra and bounds, the
+        # dual and the dual of the dual, the operator's singular values and
+        # the spike families' totality are all read from diagonals; only the
+        # operator's inverse is a LAPACK call
         calls = self.count_context_decompositions(tmp_path, monkeypatch, "delta")
-        assert calls == {"svd": 0, "qr": 0}
+        assert calls == {"svd": 0, "qr": 0, "eigvalsh": 0, "solve": 0, "inv": 1}
 
     def test_dense_context_suites_decompose_each_dense_matrix_once(
             self, tmp_path, monkeypatch):
         # omega's and theta's spectra, the operator's singular values and the
-        # totality of the three band-limited witness families
+        # totality of the three band-limited witness families; omega's and
+        # theta's bounds; the dual and the dual of the dual; the inverse
         calls = self.count_context_decompositions(tmp_path, monkeypatch, "exponential")
-        assert calls == {"svd": 6, "qr": 0}
+        assert calls == {"svd": 6, "qr": 0, "eigvalsh": 2, "solve": 2, "inv": 1}
+
+    @pytest.mark.parametrize("omega, theta", [
+        ({"family": "delta"}, None),
+        # a diagonal that is not constant, so rows and columns differ, with
+        # its canonical dual and with a dense synthesis map
+        ({"family": "weighted_delta", "weight": [0.25, 0.5, 0.75, 1.0] * 8}, None),
+        ({"family": "weighted_delta", "weight": [0.25, 0.5, 0.75, 1.0] * 8},
+         {"family": "translated_window",
+          "window": {"family": "gaussian_window", "width": 0.05, "center": 0.5}}),
+    ], ids=["delta", "weighted_delta", "weighted_delta-window"])
+    def test_diagonal_closed_forms_write_the_dense_reports_byte_for_byte(
+            self, tmp_path, monkeypatch, omega, theta):
+        config = self.context_config(tmp_path, omega, theta)
+        assert run(config, out_dir=tmp_path / "closed") == EXIT_OK
+        # no matrix is diagonal: every product, eigvalsh, solve and SVD is dense
+        for module in (model, maps):
+            monkeypatch.setattr(module, "_diagonal", lambda matrix: None)
+        assert run(config, out_dir=tmp_path / "dense") == EXIT_OK
+        names = sorted(path.name for path in (tmp_path / "closed").iterdir())
+        assert len(names) == 10  # the 9 suites and the summary
+        match, mismatch, errors = filecmp.cmpfiles(tmp_path / "closed", tmp_path / "dense",
+                                                   names, shallow=False)
+        assert (mismatch, errors) == ([], [])
 
     def test_ill_conditioned_calculus_reports_every_residual(self, tmp_path):
         # a 48 x 48 table of condition number 1e4 and its canonical dual:
@@ -1206,6 +1235,33 @@ def test_symbol_csv_points_must_be_the_space(tmp_path, capsys):
     assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
     assert ("error: invalid config: symbol.path: CSV points do not match the space\n"
             in capsys.readouterr().err)
+
+
+def symmetric_symbol_config(tmp_path, half_width, points):
+    """A 9-point symmetric grid whose symbol CSV lists the given points."""
+    (tmp_path / "symbol.csv").write_text("".join(f"{x},1,0\n" for x in points))
+    return write_config(tmp_path, "cfg.json", {
+        "space": {"family": "symmetric_grid", "n": 9, "half_width": half_width},
+        "model": {"family": "raw_samples"},
+        "omega": {"family": "delta"},
+        "symbol": {"family": "csv", "path": str(tmp_path / "symbol.csv")},
+        "suites": ["diagnose"],
+    })
+
+
+@pytest.mark.parametrize("half_width", [4.0, 1e6])
+def test_symbol_csv_points_written_as_shortest_decimals_match(tmp_path, half_width):
+    points = measure.symmetric_grid(9, half_width).points
+    config = symmetric_symbol_config(tmp_path, half_width, [repr(float(x)) for x in points])
+    assert run(config, out_dir=tmp_path / "out") == EXIT_OK
+
+
+def test_symbol_csv_points_within_a_relative_1e_5_do_not_match(tmp_path, capsys):
+    # spacing 1: the last point misses 4 by 3e-5, inside np.allclose's default rtol
+    points = [repr(float(x)) for x in measure.symmetric_grid(9, 4.0).points[:-1]]
+    config = symmetric_symbol_config(tmp_path, 4.0, points + ["4.00003"])
+    assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
+    assert "symbol.path: CSV points do not match the space" in capsys.readouterr().err
 
 
 def test_missing_config_file_is_a_parse_error(tmp_path, capsys):

@@ -40,7 +40,8 @@ from framelab import (
     translated_window_frame,
     weighted_delta_frame,
 )
-from framelab.model import RANK_RTOL
+from framelab import maps
+from framelab.model import RANK_RTOL, _diagonal
 from conftest import random_overcomplete_map, random_riesz_map
 
 C2_VECTORS = [(1, 0), (1, 1), (0, 1)]
@@ -219,6 +220,20 @@ class TestDiscreteSequenceMap:
         with pytest.raises(ShapeMismatchError):
             discrete_sequence_map(model, [(1, 0, 0)])
 
+    @pytest.mark.parametrize("weight", [1.0 + 1e-6, 1.0 - 1e-6, 2.0])
+    def test_weights_other_than_one_are_not_counting_measure(self, weight):
+        model = make_model(counting(2), RawSamples())
+        space = SampledMeasureSpace(points=[0.0, 1.0, 2.0], weights=[1.0, weight, 1.0],
+                                    extent=3.0)
+        with pytest.raises(PreconditionError, match="counting measure"):
+            discrete_sequence_map(model, C2_VECTORS, space)
+
+    def test_unit_weights_up_to_rounding_are_counting_measure(self):
+        model = make_model(counting(2), RawSamples())
+        space = SampledMeasureSpace(points=[0.0, 1.0, 2.0],
+                                    weights=[1.0, 1.0 + 2e-16, 1.0 - 1e-16], extent=3.0)
+        assert discrete_sequence_map(model, C2_VECTORS, space).space is space
+
 
 class TestDiagnoseProperties:
     def test_frame_inequality_holds_for_random_functions(self, rng):
@@ -331,6 +346,94 @@ class TestCanonicalDual:
         assert canonical_dual(omega) is dual
         assert len(calls) == 1
         assert np.array_equal(dual.table, expected)
+
+
+def _diagonal_maps(spread: float) -> dict:
+    """Raw-samples delta maps and real weighted-delta maps with random
+    positive weights from 1/spread to spread, whose tables are real
+    diagonals.  One space has random weights from 1e-8 to 1e8."""
+    rng = np.random.default_rng(23)
+    spaces = {f"periodic-{n}": periodic_unit_grid(n) for n in (1, 2, 5, 16, 256)}
+    spaces.update({"counting-7": counting(7), "fourier-16": fourier_grid(16),
+                   "symmetric-65": symmetric_grid(65, 4.0)})
+    spaces["random-weights-40"] = SampledMeasureSpace(
+        points=np.arange(40.0), weights=10.0 ** rng.uniform(-8.0, 8.0, 40), extent=40.0)
+    maps = {}
+    for name, space in spaces.items():
+        model = make_model(space, RawSamples())
+        maps[f"delta-{name}"] = delta_frame(model, space)
+        maps[f"weighted-delta-{name}"] = weighted_delta_frame(
+            model, space, spread ** rng.uniform(-1.0, 1.0, len(space)))
+    return maps
+
+
+# Weights from 1e-8 to 1e8 make a weighted delta map too ill-conditioned to
+# be a frame (sigma ratio below RANK_RTOL); from 1e-4 to 1e4 it is a Riesz basis.
+WIDE_DIAGONAL_MAPS = _diagonal_maps(1e8)
+FRAME_DIAGONAL_MAPS = _diagonal_maps(1e4)
+
+
+def dense_frame_matrix(omega):
+    return omega.table.conj().T @ (omega.space.weights[:, None] * omega.table)
+
+
+class TestDiagonalTables:
+    @pytest.mark.parametrize("omega", WIDE_DIAGONAL_MAPS.values(),
+                             ids=WIDE_DIAGONAL_MAPS.keys())
+    def test_bounds_equal_eigvalsh_bit_for_bit(self, omega):
+        assert omega.diagonal is not None
+        gram = dense_frame_matrix(omega)
+        assert np.array_equal(omega.frame_matrix(), gram)
+        assert np.array_equal(omega.spectrum[1], np.linalg.eigvalsh(gram))
+
+    @pytest.mark.parametrize("omega", FRAME_DIAGONAL_MAPS.values(),
+                             ids=FRAME_DIAGONAL_MAPS.keys())
+    def test_dual_equals_solve_bit_for_bit(self, omega):
+        gram = dense_frame_matrix(omega)
+        assert np.array_equal(omega.spectrum[1], np.linalg.eigvalsh(gram))
+        dual = canonical_dual(omega)
+        assert np.array_equal(dual.table, np.linalg.solve(gram.T, omega.table.T).T)
+        assert np.array_equal(dual.spectrum[1], np.linalg.eigvalsh(dense_frame_matrix(dual)))
+
+    def test_a_diagonal_table_takes_no_eigvalsh_and_no_solve(self, monkeypatch):
+        for name in ("eigvalsh", "solve"):
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *args, _name=name: pytest.fail(_name))
+        space = periodic_unit_grid(8)
+        omega = delta_frame(make_model(space, RawSamples()), space)
+        assert diagnose(omega).classification is Classification.GELFAND_BASIS
+        assert diagnose(canonical_dual(omega)).classification is Classification.GELFAND_BASIS
+
+    def test_a_complex_diagonal_takes_the_dense_path(self, rng, monkeypatch):
+        # a complex product rounds differently from the dense one, so the
+        # closed forms stay with real diagonals
+        space = periodic_unit_grid(8)
+        weights = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        omega = weighted_delta_frame(make_model(space, RawSamples()), space, weights)
+        assert omega.diagonal is None
+        assert np.array_equal(_diagonal(omega.table), np.diagonal(omega.table))
+        calls = []
+        eigvalsh, solve = np.linalg.eigvalsh, np.linalg.solve
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda *args: calls.append("eigvalsh") or eigvalsh(*args))
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *args: calls.append("solve") or solve(*args))
+        canonical_dual(omega)
+        assert calls == ["eigvalsh", "solve"]
+
+    def test_the_diagonal_is_tested_once_per_map(self, monkeypatch):
+        space = periodic_unit_grid(8)
+        omega = delta_frame(make_model(space, RawSamples()), space)
+        calls = []
+        monkeypatch.setattr(maps, "_diagonal",
+                            lambda matrix: calls.append(1) or np.diagonal(matrix))
+        for _ in range(3):
+            assert np.array_equal(omega.diagonal, np.diagonal(omega.table))
+        dual = canonical_dual(omega)  # diagnoses omega and solves for its dual
+        assert len(calls) == 1
+        diagnose(dual)
+        diagnose(dual)
+        assert len(calls) == 2
 
 
 class TestRieszTransition:

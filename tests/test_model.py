@@ -23,7 +23,7 @@ from framelab import (
     to_samples,
     transform_matrix,
 )
-from framelab.model import _singular_values
+from framelab.model import _diagonal, _singular_values
 
 
 def gram_of(model):
@@ -284,3 +284,40 @@ class TestSingularValues:
         monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: pytest.fail("svd"))
         assert np.array_equal(_singular_values(np.diag([1.0, -3.0, 0.0, 2j])),
                               [3.0, 2.0, 1.0, 0.0])
+
+
+class TestDiagonalRule:
+    @pytest.mark.parametrize("matrix, diagonal", [
+        (np.array([[2.5 - 1j]]), [2.5 - 1j]),
+        (np.diag([0.0, 3.0, 0.0, -1j]), [0.0, 3.0, 0.0, -1j]),
+        (np.zeros((3, 3)), [0.0, 0.0, 0.0]),
+    ], ids=["1x1", "zeros-on-diagonal", "zero"])
+    def test_a_diagonal_matrix_gives_its_diagonal(self, matrix, diagonal):
+        assert np.array_equal(_diagonal(matrix), diagonal)
+
+    @pytest.mark.parametrize("entry", [1e-300, -1e-300j])
+    @pytest.mark.parametrize("row, col", [(0, 3), (3, 0), (2, 1)])
+    def test_one_tiny_entry_off_the_diagonal_takes_the_dense_path(
+            self, row, col, entry, monkeypatch):
+        matrix = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+        matrix[row, col] = entry
+        assert _diagonal(matrix) is None
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+        _singular_values(matrix)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (1, 2), (0, 1)])
+    def test_a_non_square_matrix_is_not_scanned(self, shape, monkeypatch):
+        class Unscannable(np.ndarray):
+            def __getitem__(self, key):
+                pytest.fail("scanned")
+
+        monkeypatch.setattr(np, "count_nonzero", lambda *args: pytest.fail("counted"))
+        assert _diagonal(np.zeros(shape).view(Unscannable)) is None
+
+    def test_a_dense_matrix_is_rejected_at_its_first_row(self, monkeypatch):
+        monkeypatch.setattr(np, "count_nonzero", lambda *args: pytest.fail("counted"))
+        assert _diagonal(np.ones((64, 64))) is None
