@@ -247,26 +247,26 @@ def fourier_quartet_check(n: int, symbol_values, trials: int = 5,
         raise ValueError("need at least one symbol")
     symbols = [make_symbol(space, m) for m in stack]
     w = space.weights
-    samples = [f / np.linalg.norm(f)
-               for f in _complex_normals(np.random.default_rng(seed), trials, n)]
+    samples = np.array([f / np.linalg.norm(f) for f in
+                        _complex_normals(np.random.default_rng(seed), trials, n)])
 
     def transforms(inverse: bool):
         kernel = _transform_kernel(space, inverse=inverse)
-        return [kernel @ (w * m) for m in stack], [kernel @ (w * f) for f in samples]
+        return ([kernel @ (w * m) for m in stack],
+                np.array([kernel @ (w * f) for f in samples]))
 
     m_fwds, f_fwds = transforms(inverse=False)
     m_invs, f_invs = transforms(inverse=True)
-    trial_data = [(f, f_fwd, f_inv, from_samples(model, f))
-                  for f, f_fwd, f_inv in zip(samples, f_fwds, f_invs)]
     # Per symbol and trial: "de" and "ee" as expected, then with the
     # direction flipped.
     convolved = _direct_convolution(
         space,
         np.array([a for m_fwd, m_inv in zip(m_fwds, m_invs)
                   for a in [m_inv, m_inv, m_fwd, m_fwd] * trials]),
-        np.array([b for f, f_fwd, f_inv, _ in trial_data
+        np.array([b for f, f_fwd, f_inv in zip(samples, f_fwds, f_invs)
                   for b in (f_inv, f, f_fwd, f)] * len(stack)),
     ).reshape(len(stack), trials, 4, n)
+    trial_data = (samples, f_fwds, f_invs, [from_samples(model, f) for f in samples])
 
     delta, exponential = delta_frame(model, space), exponential_frame(model, space)
     members = {"dd": (delta, delta), "de": (delta, exponential),
@@ -281,27 +281,23 @@ def _quartet_report(sym: Symbol, model: ModelSpace, members: dict, trial_data,
     """One symbol's report: each member's operator against its expected and
     its direction-flipped action on every trial sample.
 
-    The operators are built in member order, and each is freed before the
-    next one is built.
+    ``trial_data`` holds the trials x n samples, their forward and inverse
+    transforms, and the samples' coefficient vectors.  The operators are
+    built in member order, and each is freed before the next one is built.
     """
     m = sym.values
-    targets = [({"dd": m * f, "de": de, "ed": m * f_fwd, "ee": ee},
-                {"dd": m * f, "de": de_flipped, "ed": m * f_inv, "ee": ee_flipped})
-               for (f, f_fwd, f_inv, _), (de, ee, de_flipped, ee_flipped)
-               in zip(trial_data, convolved)]
-
-    def samples_of(omega: DistributionMap, theta: DistributionMap) -> list:
-        op = build(sym, omega, theta)
-        return [to_samples(model, op.dense @ coeffs) for *_, coeffs in trial_data]
-
+    f, f_fwd, f_inv, coeffs = trial_data
+    de, ee, de_flipped, ee_flipped = np.moveaxis(convolved, 1, 0)
+    expected = {"dd": m * f, "de": de, "ed": m * f_fwd, "ee": ee}
+    flipped_targets = {"dd": expected["dd"], "de": de_flipped, "ed": m * f_inv,
+                       "ee": ee_flipped}
     residuals, flipped = {}, {}
     for key, (omega, theta) in members.items():
-        residuals[key] = flipped[key] = 0.0
-        for got, (expected, alternate) in zip(samples_of(omega, theta), targets):
-            residuals[key] = max(residuals[key],
-                                 float(np.max(np.abs(got - expected[key]))))
-            flipped[key] = max(flipped[key],
-                               float(np.max(np.abs(got - alternate[key]))))
+        op = build(sym, omega, theta)
+        got = np.array([to_samples(model, op.dense @ c) for c in coeffs])
+        del op
+        residuals[key] = float(np.max(np.abs(got - expected[key])))
+        flipped[key] = float(np.max(np.abs(got - flipped_targets[key])))
     passed = all(r <= tol for r in residuals.values())
     flipped_passes = {key: flipped[key] <= tol for key in members}
     return QuartetReport(
@@ -414,20 +410,3 @@ def weighted_delta_sweep(l_values: Sequence[float] = (2.0, 4.0, 8.0, 16.0),
     if check and misses:
         raise InconsistencyError(f"weighted-delta {misses[0]}")
     return result
-
-
-__all__ = [
-    "brute_force_pairing",
-    "duality_residual",
-    "ReductionComparison",
-    "discrete_reduction_oracle",
-    "QuartetReport",
-    "fourier_quartet_check",
-    "GrowthVerdict",
-    "SweepResult",
-    "unboundedness_sweep",
-    "coordinate_multiplier",
-    "weighted_delta_family",
-    "norm_floor_misses",
-    "weighted_delta_sweep",
-]

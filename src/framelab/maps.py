@@ -608,27 +608,3 @@ def band_limited_family(model: ModelSpace, space: SampledMeasureSpace,
     if alpha_values is not None:
         inverse = inverse * np.asarray(alpha_values, float)[None, :]
     return model.on_basis.conj().T @ (model.space.weights[:, None] * inverse)
-
-
-__all__ = [
-    "Classification",
-    "FRAME_CLASSES",
-    "DistributionMap",
-    "FrameDiagnostics",
-    "TransitionReport",
-    "SupportRecord",
-    "WitnessReport",
-    "delta_frame",
-    "exponential_frame",
-    "weighted_delta_frame",
-    "translated_window_frame",
-    "discrete_sequence_map",
-    "diagnose",
-    "canonical_dual",
-    "riesz_transition",
-    "check_pseudo_orthogonal",
-    "check_hyper_orthogonal",
-    "bump_family",
-    "scaled_bump_family",
-    "band_limited_family",
-]

@@ -536,28 +536,3 @@ def closability_residual(omega: DistributionMap, theta: DistributionMap, m: Symb
     lhs = weighted.T @ _apply(omega, f)  # <M f, g>, one row per g
     rhs = _apply(omega, weighted, transpose=True).T @ f  # <f, M' g>
     return float(np.max(np.abs(lhs - rhs)))
-
-
-__all__ = [
-    "Symbol",
-    "make_symbol",
-    "conj_symbol",
-    "reciprocal_symbol",
-    "product_symbol",
-    "split_symbol",
-    "MultiplierOperator",
-    "build",
-    "operator_norm",
-    "norm_bound",
-    "adjoint",
-    "is_dual_pair",
-    "CompositionReport",
-    "compose",
-    "duality_defect",
-    "InverseReport",
-    "invert",
-    "Side",
-    "reconstruction_pair",
-    "density_certificate",
-    "closability_residual",
-]

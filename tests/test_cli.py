@@ -15,6 +15,7 @@ from framelab.cli import (
     EXIT_PARSE,
     EXIT_VALIDATION,
     FAMILIES,
+    SUITE_ORDER,
     _complex,
     _csv_lines,
     _existing_path,
@@ -1304,3 +1305,115 @@ def test_disagreeing_discrete_reduction_paths_fail_the_oracle(tmp_path, monkeypa
     report = load_report(tmp_path / "out", "oracle")
     assert report["failures"] == ["discrete reduction paths disagree"]
     assert report["data"]["discrete_reduction"]["agree"] is False
+
+
+def test_dual_suite_reads_a_zero_lower_bound_as_an_infinite_dual_bound(tmp_path):
+    # A 12x4 table with singular values geomspace(1, 1e-9): the σ rule calls
+    # it a frame, but eigvalsh may round A = σ_min² to 0.0.
+    rng = np.random.default_rng(1)
+    u = np.linalg.qr(rng.standard_normal((12, 4)))[0]
+    v = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    table = u @ np.diag(np.geomspace(1, 1e-9, 4)) @ v.T
+    config = write_config(tmp_path, "cfg.json", {
+        "omega": {"family": "discrete", "vectors": table.tolist()},
+        "theta": {"family": "canonical_dual"},
+        "suites": ["diagnose", "dual"], "seed": 1,
+    })
+    out = tmp_path / "out"
+    assert run(config, out_dir=out) == EXIT_ASSERTION
+    assert sorted(p.name for p in out.iterdir()) == [
+        "diagnose.json", "dual.json", "summary.json"]
+    omega = load_report(out, "diagnose")["data"]["omega"]
+    assert omega["classification"] == "frame"
+    report = load_report(out, "dual")
+    if omega["lower"] == 0.0:
+        assert "dual bounds deviate by inf" in report["failures"]
+        assert report["data"]["expected_dual_bounds"][1] == "inf"
+
+
+@pytest.mark.parametrize("suite", list(SUITE_ORDER))
+def test_a_suite_is_randomized_exactly_when_its_report_changes_with_the_seed(
+        tmp_path, suite):
+    config = write_config(tmp_path, "cfg.json", {
+        "space": {"family": "periodic_unit_grid", "n": 16},
+        "model": {"family": "raw_samples"},
+        "omega": {"family": "exponential"},
+        "theta": {"family": "canonical_dual"},
+        "suites": [suite],
+    })
+    for seed in (1, 2):
+        assert run(config, out_dir=tmp_path / str(seed), seed=seed) in (
+            EXIT_OK, EXIT_ASSERTION)
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    _, mismatch, errors = filecmp.cmpfiles(tmp_path / "1", tmp_path / "2", names,
+                                           shallow=False)
+    assert errors == []
+    assert bool(mismatch) == SUITE_ORDER[suite].randomized
+
+
+def test_a_seedless_invert_config_runs(tmp_path):
+    config = write_config(tmp_path, "cfg.json", {
+        "space": {"family": "periodic_unit_grid", "n": 8},
+        "model": {"family": "raw_samples"},
+        "omega": {"family": "delta"},
+        "suites": ["invert"],
+    })
+    assert run(config, out_dir=tmp_path / "out") == EXIT_OK
+
+
+class TestFailureBranches:
+    """Each suite failure that a correct run never reaches, forced once."""
+
+    SMALL = {"space": {"family": "periodic_unit_grid", "n": 8},
+             "model": {"family": "raw_samples"},
+             "omega": {"family": "delta"},
+             "theta": {"family": "canonical_dual"},
+             "seed": 1}
+
+    def failures(self, tmp_path, suites, **changes):
+        config = write_config(tmp_path, "cfg.json",
+                              {**self.SMALL, **changes, "suites": suites})
+        out = tmp_path / "out"
+        assert run(config, out_dir=out) == EXIT_ASSERTION
+        return load_report(out, suites[0])["failures"]
+
+    def test_a_duality_residual_above_tolerance(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(lab, "duality_residual", lambda *args, **kwargs: 1.0)
+        assert self.failures(tmp_path, ["dual"]) == [
+            "duality residual 1.000e+00 above 1.0e-10"]
+
+    def test_a_norm_above_its_bound(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(multiplier, "norm_bound", lambda op: 0.5)
+        assert self.failures(tmp_path, ["multiplier"]) == [
+            "norm 1.000000e+00 above bound 5.000000e-01"]
+
+    def test_a_window_on_the_whole_grid_is_not_pseudo_orthogonal(self, tmp_path):
+        window = {"family": "translated_window", "window": [1] * 8}
+        assert self.failures(tmp_path, ["orthogonality"], omega=window,
+                             theta={"family": "same"}) == [
+            "pseudo-orthogonality: support is not proper",
+            "hyper-orthogonality: support is not proper"]
+
+    def test_a_symbol_split_off_its_postconditions(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(multiplier, "split_symbol",
+                            lambda m: (m.values, np.zeros_like(m.values)))
+        assert self.failures(tmp_path, ["density"]) == [
+            "symbol split postconditions violated"]
+
+    def test_a_weighted_delta_sweep_that_is_not_unbounded(self, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setattr(lab, "GROWTH_THRESHOLD", 10.0)
+        assert self.failures(tmp_path, ["sweep"], sweep={"l_values": [2, 4, 8]}) == [
+            "expected an unbounded verdict"]
+        assert load_report(tmp_path / "out", "sweep")["data"]["verdict"] == "bounded"
+
+    def test_a_trigonometric_model_on_a_symmetric_grid(self, tmp_path, capsys):
+        config = write_config(tmp_path, "cfg.json", {
+            **self.SMALL, "suites": ["diagnose"],
+            "space": {"family": "symmetric_grid", "n": 9, "half_width": 2},
+            "model": {"family": "trigonometric", "max_degree": 2},
+        })
+        assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: cannot build experiment: "
+            "trigonometric basis needs a periodic grid\n")

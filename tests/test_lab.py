@@ -169,6 +169,19 @@ class TestFourierQuartet:
         assert not report.flipped_passes["ed"]
         assert not report.flipped_passes["de"]
 
+    def test_a_nan_trial_fails_its_member(self, monkeypatch):
+        to_samples, calls = lab.to_samples, []
+
+        def nan_on_the_second_call(model, coeffs):  # the "dd" member, trial 1
+            calls.append(1)
+            samples = to_samples(model, coeffs)
+            return samples * np.nan if len(calls) == 2 else samples
+
+        monkeypatch.setattr(lab, "to_samples", nan_on_the_second_call)
+        report = fourier_quartet_check(8, np.ones(8), trials=3, seed=0)
+        assert np.isnan(report.residuals["dd"])
+        assert not report.passed
+        assert all(report.residuals[key] <= lab.RESIDUAL_TOL for key in ("de", "ed", "ee"))
 
     def test_needs_at_least_one_trial(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from framelab import (
     SampledMeasureSpace,
     ScheduleError,
     ShapeMismatchError,
+    UnsupportedSpaceError,
     counting,
     ess_sup,
     fourier_grid,
@@ -130,6 +131,15 @@ class TestSpaceInvariants:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(InvalidValueError, match="must be finite"):
             symmetric_grid(2, 1e308)  # the span 2L overflows
+
+    def test_spacing_of_one_point_is_its_extent(self):
+        assert SampledMeasureSpace(points=[0.5], weights=[2.0], extent=4.0).spacing == 4.0
+
+    def test_spacing_of_a_non_uniform_grid_is_rejected(self):
+        space = SampledMeasureSpace(points=[0.0, 1.0, 3.0], weights=[1.0] * 3,
+                                    extent=3.0)
+        with pytest.raises(UnsupportedSpaceError, match="grid spacing is not uniform"):
+            space.spacing
 
     def test_counting_weights_are_unit(self):
         assert np.all(counting(7).weights == 1.0)

@@ -284,6 +284,15 @@ class TestCompose:
         with pytest.raises(GridMismatchError):
             compose(op1, op2)
 
+    def test_requires_shared_synthesis_maps(self):
+        space, model, delta = on_basis_setup(2)
+        theta = weighted_delta_frame(model, space, lambda x: 2.0)
+        op1 = build(make_symbol(space, (1, 1)), delta, delta)
+        op2 = build(make_symbol(space, (1, 1)), delta, theta)
+        with pytest.raises(GridMismatchError,
+                           match="composition requires operators on the same maps"):
+            compose(op1, op2)
+
     def test_failing_dual_pair_is_measured_not_raised(self):
         # theta = I + 1e-9 E passes the dual-pair test, but the calculus
         # residual ~7e-9 is above RESIDUAL_TOL; compose reports, the caller

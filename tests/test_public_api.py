@@ -5,6 +5,7 @@ report carries or dead code; the allowlist names the exceptions and why.
 """
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -65,3 +66,9 @@ def test_every_exported_function_has_a_caller():
 def test_allowlist_names_exported_functions():
     for name in ALLOWLIST:
         assert inspect.isfunction(getattr(framelab, name, None)), name
+
+
+def test_framelab_init_is_the_one_list_of_public_names():
+    modules = [framelab] + [importlib.import_module(f"framelab.{path.stem}")
+                            for path in SRC.glob("*.py") if path.stem != "__init__"]
+    assert [m.__name__ for m in modules if "__all__" in vars(m)] == []
