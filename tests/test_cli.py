@@ -255,6 +255,8 @@ class TestRun:
         ("space.n", {"space": {"family": "periodic_unit_grid", "n": "x"}}),
         ("omega.weight", {"omega": {"family": "weighted_delta",
                                     "weight": ["abc"] + ["1"] * 15}}),
+        ("omega.weight: must be a list of complex entries",
+         {"omega": {"family": "weighted_delta", "weight": 5}}),
         ("symbol", {"symbol": {"family": "constant", "value": "nan"}}),
         # a boolean is not a complex entry: bare, in a pair, in a table
         ("symbol.value", {"symbol": {"family": "constant", "value": True}}),
@@ -856,6 +858,24 @@ class TestRun:
             assert run(config, out_dir=out) == EXIT_ASSERTION
         for suite in ("multiplier", "oracle"):
             assert load_report(out, suite)["passed"] is False
+
+    def test_a_well_posed_128x96_table_with_theta_same_passes_multiplier(
+            self, tmp_path):
+        # |M| is about 856 here, so an absolute 1e-12 gate on a second
+        # association order of the triple product read 1.8e-12 and failed
+        rng = np.random.default_rng(0)
+        table = rng.standard_normal((128, 96)) + 1j * rng.standard_normal((128, 96))
+        config = write_config(tmp_path, "cfg.json", {
+            "omega": {"family": "discrete",
+                      "vectors": [[[z.real, z.imag] for z in row] for row in table]},
+            "theta": {"family": "same"},
+            "symbol": {"family": "reciprocal_safe", "seed": 3},
+            "suites": ["multiplier"],
+            "seed": 1,
+        })
+        out = tmp_path / "out"
+        assert run(config, out_dir=out) == EXIT_OK
+        assert load_report(out, "multiplier")["failures"] == []
 
     @pytest.mark.parametrize("theta", ["same", "canonical_dual"])
     def test_an_overflowing_frame_matrix_is_a_validation_error(self, tmp_path,

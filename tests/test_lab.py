@@ -375,6 +375,20 @@ class TestUnboundednessSweep:
         assert result.verdict is GrowthVerdict.BOUNDED
         assert np.allclose(result.norms, 1.0)
 
+    def test_a_fit_with_fewer_than_two_positive_norms_reads_zero(self):
+        family = symmetric_grid_family([(17, 2.0), (33, 4.0), (65, 8.0)])
+
+        def spike(space):  # a nonzero symbol on the coarsest grid alone
+            model = make_model(space, RawSamples())
+            delta = delta_frame(model, space)
+            values = np.full(len(space), float(len(space) == 17))
+            return build(make_symbol(space, values), delta, delta, validate=False)
+
+        result = unboundedness_sweep(family, spike)
+        assert result.norms == (1.0, 0.0, 0.0)
+        assert result.fitted_growth == 0.0
+        assert result.verdict is GrowthVerdict.BOUNDED
+
     def test_coordinate_symbol_equals_weighted_delta_construction(self):
         space = symmetric_grid(33, 4.0)
         model = make_model(space, RawSamples())

@@ -214,11 +214,33 @@ class TestDiscreteSequenceMap:
         diag = diagnose(discrete_sequence_map(model, [(1, 0), (2, 0)]))
         assert not diag.total
         assert diag.classification is Classification.BOUNDED_BESSEL
+        assert diag.synthesis_sigma_min == 0.0
+        assert diag.condition_number == float("inf")
 
     def test_size_mismatch(self):
         model = make_model(counting(2), RawSamples())
         with pytest.raises(ShapeMismatchError):
             discrete_sequence_map(model, [(1, 0, 0)])
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda model: DistributionMap(table=np.ones((3, 2)), space=model.space,
+                                       model=model),
+         r"table shape \(3, 2\) does not match 3 points x 3 basis elements"),
+        (lambda model: weighted_delta_frame(model, model.space, np.ones(2)),
+         "weight values must match the point count"),
+        (lambda model: translated_window_frame(model, model.space, np.ones(4)),
+         "window must be sampled on the full grid"),
+        (lambda model: discrete_sequence_map(model, np.eye(3), counting(4)),
+         "space size must match the number of vectors"),
+        (lambda model: check_hyper_orthogonal(
+            delta_frame(model, model.space), np.ones(2), lambda a: np.eye(3)),
+         "alpha must be sampled on the point set"),
+    ], ids=["table", "weight", "window", "discrete-space", "alpha"])
+    def test_a_length_that_misses_the_point_count_is_a_shape_error(self, make,
+                                                                   message):
+        model = make_model(counting(3), RawSamples())
+        with pytest.raises(ShapeMismatchError, match=message):
+            make(model)
 
     @pytest.mark.parametrize("weight", [1.0 + 1e-6, 1.0 - 1e-6, 2.0])
     def test_weights_other_than_one_are_not_counting_measure(self, weight):

@@ -101,6 +101,16 @@ class TestSpaceInvariants:
         with pytest.raises(InvalidValueError, match=f"{what} must be finite"):
             SampledMeasureSpace(points=points, weights=weights, extent=2.0)
 
+    @pytest.mark.parametrize("points, weights, message", [
+        ([[0.0, 1.0]], [1.0, 1.0], "points and weights must be 1-d arrays"),
+        ([0.0, 1.0], [[1.0, 1.0]], "points and weights must be 1-d arrays"),
+        ([0.0, 1.0], [1.0], "2 points but 1 weights"),
+    ])
+    def test_points_and_weights_are_1d_of_equal_length(self, points, weights,
+                                                      message):
+        with pytest.raises(ShapeMismatchError, match=message):
+            SampledMeasureSpace(points=points, weights=weights, extent=2.0)
+
     @pytest.mark.parametrize("points", [
         [1.0, 1.0],
         [0.0, -0.0],

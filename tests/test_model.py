@@ -84,6 +84,12 @@ class TestMakeModel:
         with pytest.raises(InvalidValueError, match="not H-orthonormal"):
             ModelSpace(space=space, on_basis=on_basis, family=RawSamples())
 
+    @pytest.mark.parametrize("on_basis", [np.eye(2), np.ones(3)], ids=["2x2", "1-d"])
+    def test_on_basis_needs_one_row_per_point(self, on_basis):
+        with pytest.raises(ShapeMismatchError,
+                           match="on_basis must have one row per sample point"):
+            ModelSpace(space=counting(3), on_basis=on_basis, family=RawSamples())
+
 
 class TestOrthonormalize:
     @pytest.mark.parametrize("centers, column", [
@@ -172,6 +178,11 @@ class TestHInner:
         model = make_model(counting(3), RawSamples())
         with pytest.raises(InvalidValueError, match="sample values must be finite"):
             from_samples(model, [1.0, bad, 2.0])
+
+    def test_samples_need_one_value_per_point(self):
+        model = make_model(counting(3), RawSamples())
+        with pytest.raises(ShapeMismatchError, match="expected 3 sample values"):
+            from_samples(model, [1.0, 2.0])
 
 
 class TestTransform:

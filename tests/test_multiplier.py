@@ -15,6 +15,7 @@ from framelab import (
     InvalidValueError,
     RawSamples,
     SampledMeasureSpace,
+    ShapeMismatchError,
     Side,
     SingularOperatorError,
     adjoint,
@@ -78,6 +79,22 @@ class TestSymbol:
     def test_values_are_an_array_not_a_callable(self):
         with pytest.raises(TypeError):
             make_symbol(counting(3), lambda x: x)
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: make_symbol(counting(3), [1.0, 2.0]),
+         ShapeMismatchError, "symbol needs 3 values"),
+        (lambda delta=on_basis_setup(3)[2]: build(make_symbol(counting(4), np.ones(4)),
+                                                  delta, delta),
+         ShapeMismatchError, "symbol not sampled on the shared space"),
+        (lambda: multiplier.reciprocal_symbol(counting(2),
+                                              make_symbol(counting(2), [1.0, 0.0])),
+         SingularOperatorError, "cannot invert a vanishing symbol"),
+        (lambda: diag_operator((2, 0, 5)).inverse,
+         SingularOperatorError, "multiplier is not injective"),
+    ], ids=["length", "off-space", "reciprocal", "inverse"])
+    def test_a_symbol_that_does_not_fit_is_a_typed_error(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
 
     def test_vanishing_is_relative_to_the_essential_supremum(self):
         tiny = make_symbol(counting(3), [1e-13] * 3)
