@@ -722,11 +722,12 @@ def _suite_dual(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     if not residual <= tol:
         failures.append(f"duality residual {residual:.3e} above {tol:.1e}")
     d_dual = maps.diagnose(dual)
-    # 1/A is inf when A reads 0.0, so the bound gate fails and nothing divides by 0
+    # A = σ_min² reads 0.0 only if it underflows, and then the dual's table
+    # overflows first; were it reached, 1/A is inf and the bound gate fails
     expected = [1.0 / diag.upper, 1.0 / diag.lower if diag.lower else math.inf]
     bound_dev = max(abs(d_dual.lower - expected[0]), abs(d_dual.upper - expected[1]))
     _gate(failures, "dual bounds deviate by", bound_dev, multiplier.BOUND_TOL)
-    back = maps._solve_dual(dual)  # not cached on the dual, so freed on return
+    back = maps._compute_dual(dual)  # not cached on the dual, so freed on return
     back_residual = float(np.max(np.abs(back.table - ctx.omega.table)))
     _gate(failures, "dual of dual residual", back_residual, multiplier.RESIDUAL_TOL)
     data = {

@@ -113,8 +113,9 @@ def discrete_reduction_oracle(vectors: Sequence,
 
     The classical side accumulates sum_j |phi_j><phi_j| explicitly and takes
     its extreme eigenvalues; the table path goes through the counting-measure
-    map.  The two are the same arithmetic reached by different code, so they
-    must agree to within a few ulps.
+    map, whose bounds are the squared extreme singular values of its table.
+    The two are different decompositions of one operator, so they agree to
+    rounding, a relative deviation of at most a few 1e-15, under ``tol``.
     """
     vecs = np.asarray(vectors, dtype=complex)
     j, k = vecs.shape

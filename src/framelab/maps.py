@@ -121,33 +121,17 @@ class DistributionMap:
             return None
         return diagonal
 
-    def frame_matrix(self) -> np.ndarray:
-        """K x K frame operator on D coefficients; finite, since the table's
-        weighted column norms are.  A diagonal table gives it in closed form,
-        as the diagonal matrix of w |table_kk|^2."""
-        return _weighted_product(self, self.space.weights, self)
-
     @functools.cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Singular values of sqrt(w) * table and eigenvalues of the frame matrix.
-
-        The bounds come from the eigenvalues, not the squared singular
-        values, so that they match the classical discrete path to a few ulps.
-        A diagonal table's eigenvalues are its frame matrix's sorted
-        diagonal, equal bit for bit to ``eigvalsh``, which it does not call.
-        """
-        weighted = np.sqrt(self.space.weights)[:, None] * self.table
-        gram = self.frame_matrix()
-        if self.diagonal is None:
-            eigs = np.linalg.eigvalsh(gram)
-        else:
-            eigs = np.sort(np.diagonal(gram).real)
-        return _singular_values(weighted), eigs
+    def spectrum(self) -> np.ndarray:
+        """Singular values of the weighted table sqrt(w) * table, largest
+        first (``model._singular_values``); the frame bounds are the
+        squares of the extreme ones."""
+        return _singular_values(np.sqrt(self.space.weights)[:, None] * self.table)
 
     @functools.cached_property
     def _dual(self) -> DistributionMap:
-        """The canonical dual, solved on first use; read it by :func:`canonical_dual`."""
-        return _solve_dual(self)
+        """The canonical dual, computed on first use; read it by :func:`canonical_dual`."""
+        return _compute_dual(self)
 
     @functools.cached_property
     def _dual_pair_verdicts(self) -> weakref.WeakKeyDictionary:
@@ -277,9 +261,10 @@ def discrete_sequence_map(model: ModelSpace, vectors: Sequence,
 class FrameDiagnostics:
     """Two-sided bounds and classification of a map.
 
-    ``lower`` and ``upper`` are the extreme eigenvalues of the frame matrix,
-    i.e. the best constants in  A ||f||^2 <= sum_j w_j |<f, omega_j>|^2
-    <= B ||f||^2  over D.  Totality and mu-independence are rank decisions
+    ``lower`` and ``upper`` are the squared extreme singular values of the
+    weighted table sqrt(w) * table, i.e. the best constants in
+    A ||f||^2 <= sum_j w_j |<f, omega_j>|^2 <= B ||f||^2  over D; ``lower``
+    is 0 when J < K.  Totality and mu-independence are rank decisions
     on the weighted table at relative tolerance ``rank_tol`` = RANK_RTOL.
     """
 
@@ -315,11 +300,11 @@ def diagnose(omega: DistributionMap) -> FrameDiagnostics:
     The spectrum is computed once per map and cached on it.
     """
     j, k = omega.table.shape
-    sigma, eigs = omega.spectrum
+    sigma = omega.spectrum
     sigma_max, sigma_min = float(sigma[0]), float(sigma[-1])
 
-    upper = float(max(eigs[-1], 0.0))
-    lower = float(max(eigs[0], 0.0)) if j >= k else 0.0
+    upper = sigma_max ** 2
+    lower = sigma_min ** 2 if j >= k else 0.0
 
     total = j >= k and _full_rank(sigma)
     mu_independent = j <= k and _full_rank(sigma)
@@ -359,30 +344,34 @@ def diagnose(omega: DistributionMap) -> FrameDiagnostics:
 
 
 def canonical_dual(omega: DistributionMap) -> DistributionMap:
-    """Dual map theta with table = table(omega) @ S^{-1}.
+    """Dual map theta with table = table(omega) @ S^{-1}, S the frame matrix.
 
     Satisfies the reconstruction pairing <f, g> = sum_j w_j <f, theta_j>
     <omega_j, g> and has frame bounds (1/B, 1/A).  Requires a frame.  The
-    dual is solved once per map and cached on it, so every call on one map
-    returns the same object.  A diagonal table's S is diagonal, and the
-    solve is a division of each column by its S_kk, bit for bit the solve.
+    dual is computed once per map and cached on it, so every call on one map
+    returns the same object.  From the thin SVD sqrt(w) * table = U diag(s)
+    V^H the dual table is W^{-1/2} U diag(1/s) V^H, which never forms S and
+    so does not square the condition number.  A real diagonal table d has
+    the diagonal S = conj(d) w d, and its dual divides each column by S_kk.
     """
     return omega._dual
 
 
-def _solve_dual(omega: DistributionMap) -> DistributionMap:
-    """The canonical dual of ``omega``, solved anew and cached nowhere."""
+def _compute_dual(omega: DistributionMap) -> DistributionMap:
+    """The canonical dual of ``omega``, computed anew and cached nowhere."""
     diag = diagnose(omega)
     if diag.classification not in FRAME_CLASSES:
         raise NotAFrameError(
             f"canonical dual needs a frame, got {diag.classification.value} "
             f"with bounds ({diag.lower:.3e}, {diag.upper:.3e})"
         )
-    gram = omega.frame_matrix()
-    if omega.diagonal is None:
-        dual_table = np.linalg.solve(gram.T, omega.table.T).T
+    w, d = omega.space.weights, omega.diagonal
+    if d is not None:
+        dual_table = omega.table / (np.conj(d) * (w * d))
     else:
-        dual_table = omega.table / np.diagonal(gram)
+        root = np.sqrt(w)[:, None]
+        u, s, vh = np.linalg.svd(root * omega.table, full_matrices=False)
+        dual_table = (u / s) @ vh / root
     return DistributionMap(table=dual_table, space=omega.space, model=omega.model)
 
 

@@ -280,18 +280,22 @@ class TestDiagnoseProperties:
 
 class TestSpectrumCache:
     def test_repeated_diagnose_decomposes_once(self, rng, monkeypatch):
-        calls = {"svd": 0, "eigvalsh": 0}
-        for name in calls:
-            def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
+        # the bounds and the dual both come from SVDs of sqrt(w) * table:
+        # one values-only SVD for the cached spectrum, one thin SVD with
+        # its vectors for the dual, which keeps them nowhere
+        for name in ("eigvalsh", "solve"):
+            monkeypatch.setattr(np.linalg, name, lambda *args, _name=name: pytest.fail(_name))
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *args, **kwargs: calls.append(kwargs) or svd(*args, **kwargs))
         omega = random_overcomplete_map(12, 5, rng)
         first = diagnose(omega)
         for _ in range(3):
             assert diagnose(omega) == first
+        assert calls == [{"compute_uv": False}]
         canonical_dual(omega)
-        assert calls == {"svd": 1, "eigvalsh": 1}
+        assert calls == [{"compute_uv": False}, {"full_matrices": False}]
 
     def test_table_is_read_only_copy(self):
         model = make_model(counting(2), RawSamples())
@@ -359,15 +363,41 @@ class TestCanonicalDual:
 
     def test_dual_is_solved_once_per_map(self, rng, monkeypatch):
         omega = random_overcomplete_map(9, 4, rng)
-        expected = np.linalg.solve(omega.frame_matrix().T, omega.table.T).T
+        diagnose(omega)  # the values-only spectrum, cached on the map
+        root = np.sqrt(omega.space.weights)[:, None]
+        u, s, vh = np.linalg.svd(root * omega.table, full_matrices=False)
         calls = []
-        solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve",
-                            lambda *args: calls.append(1) or solve(*args))
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
         dual = canonical_dual(omega)
         assert canonical_dual(omega) is dual
         assert len(calls) == 1
-        assert np.array_equal(dual.table, expected)
+        assert np.array_equal(dual.table, (u / s) @ vh / root)
+        gram = omega.table.conj().T @ (omega.space.weights[:, None] * omega.table)
+        assert np.allclose(dual.table @ gram, omega.table, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kappa", [1e3, 1e4, 1e5])
+    def test_dual_forward_error_is_of_order_kappa_eps(self, kappa):
+        # Against a 40-digit dual T (T^H T)^{-1} of a 24 x 16 complex table
+        # with condition number kappa, the largest entry error relative to
+        # the largest entry reads 0.07-0.17 kappa*eps on this table
+        # (0.07-0.27 over seeds 0-9), so the bound kappa*eps leaves a
+        # margin of 6.  A dual solved with the frame matrix, which squares
+        # kappa, reads 36-2700 kappa*eps and fails it.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(0)
+        u, v = (np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+                for shape in ((24, 16), (16, 16)))
+        table = u @ np.diag(np.geomspace(1, 1 / kappa, 16)) @ v
+        with mpmath.workdps(40):
+            exact = mpmath.matrix(table.tolist())
+            exact = exact * mpmath.inverse(exact.H * exact)
+            reference = np.array(exact.tolist(), dtype=complex)
+        model = make_model(counting(16), RawSamples())
+        dual = canonical_dual(discrete_sequence_map(model, np.conj(table)))
+        error = np.max(np.abs(dual.table - reference)) / np.max(np.abs(reference))
+        assert error <= 1.0 * kappa * np.finfo(float).eps
 
 
 def _diagonal_maps(spread: float) -> dict:
@@ -399,28 +429,37 @@ def dense_frame_matrix(omega):
     return omega.table.conj().T @ (omega.space.weights[:, None] * omega.table)
 
 
+def dense_spectrum(omega):
+    """The LAPACK singular values of the weighted table, with no diagonal rule."""
+    weighted = np.sqrt(omega.space.weights)[:, None] * omega.table
+    return np.linalg.svd(weighted, compute_uv=False)
+
+
 class TestDiagonalTables:
     @pytest.mark.parametrize("omega", WIDE_DIAGONAL_MAPS.values(),
                              ids=WIDE_DIAGONAL_MAPS.keys())
-    def test_bounds_equal_eigvalsh_bit_for_bit(self, omega):
+    def test_bounds_are_the_squared_dense_singular_values(self, omega):
         assert omega.diagonal is not None
-        gram = dense_frame_matrix(omega)
-        assert np.array_equal(omega.frame_matrix(), gram)
-        assert np.array_equal(omega.spectrum[1], np.linalg.eigvalsh(gram))
+        sigma = dense_spectrum(omega)
+        assert np.array_equal(omega.spectrum, sigma)
+        diag = diagnose(omega)
+        assert (diag.lower, diag.upper) == (sigma[-1] ** 2, sigma[0] ** 2)
+        # and within a few ulps of the frame matrix's diagonal w |t_kk|^2
+        eigs = np.sort(np.diagonal(dense_frame_matrix(omega)).real)
+        assert np.allclose([diag.lower, diag.upper], eigs[[0, -1]], rtol=4e-16, atol=0.0)
 
     @pytest.mark.parametrize("omega", FRAME_DIAGONAL_MAPS.values(),
                              ids=FRAME_DIAGONAL_MAPS.keys())
     def test_dual_equals_solve_bit_for_bit(self, omega):
         gram = dense_frame_matrix(omega)
-        assert np.array_equal(omega.spectrum[1], np.linalg.eigvalsh(gram))
         dual = canonical_dual(omega)
         assert np.array_equal(dual.table, np.linalg.solve(gram.T, omega.table.T).T)
-        assert np.array_equal(dual.spectrum[1], np.linalg.eigvalsh(dense_frame_matrix(dual)))
+        assert np.array_equal(dual.spectrum, dense_spectrum(dual))
 
-    def test_a_diagonal_table_takes_no_eigvalsh_and_no_solve(self, monkeypatch):
-        for name in ("eigvalsh", "solve"):
+    def test_a_diagonal_table_takes_no_decomposition(self, monkeypatch):
+        for name in ("svd", "eigvalsh", "solve"):
             monkeypatch.setattr(np.linalg, name,
-                                lambda *args, _name=name: pytest.fail(_name))
+                                lambda *args, _name=name, **kwargs: pytest.fail(_name))
         space = periodic_unit_grid(8)
         omega = delta_frame(make_model(space, RawSamples()), space)
         assert diagnose(omega).classification is Classification.GELFAND_BASIS
@@ -435,13 +474,12 @@ class TestDiagonalTables:
         assert omega.diagonal is None
         assert np.array_equal(_diagonal(omega.table), np.diagonal(omega.table))
         calls = []
-        eigvalsh, solve = np.linalg.eigvalsh, np.linalg.solve
-        monkeypatch.setattr(np.linalg, "eigvalsh",
-                            lambda *args: calls.append("eigvalsh") or eigvalsh(*args))
-        monkeypatch.setattr(np.linalg, "solve",
-                            lambda *args: calls.append("solve") or solve(*args))
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *args, **kwargs: calls.append(kwargs) or svd(*args, **kwargs))
         canonical_dual(omega)
-        assert calls == ["eigvalsh", "solve"]
+        # its singular values are read from the diagonal; its dual takes the SVD
+        assert calls == [{"full_matrices": False}]
 
     def test_the_diagonal_is_tested_once_per_map(self, monkeypatch):
         space = periodic_unit_grid(8)
@@ -451,10 +489,10 @@ class TestDiagonalTables:
                             lambda matrix: calls.append(1) or np.diagonal(matrix))
         for _ in range(3):
             assert np.array_equal(omega.diagonal, np.diagonal(omega.table))
-        dual = canonical_dual(omega)  # diagnoses omega and solves for its dual
+        dual = canonical_dual(omega)  # diagnoses omega and divides by its diagonal
         assert len(calls) == 1
-        diagnose(dual)
-        diagnose(dual)
+        for _ in range(2):
+            assert np.array_equal(dual.diagonal, np.diagonal(dual.table))
         assert len(calls) == 2
 
 
