@@ -25,6 +25,7 @@ from .errors import (
     NotAFrameError,
     PreconditionError,
     ShapeMismatchError,
+    SingularOperatorError,
     UnsupportedSpaceError,
 )
 from .measure import SampledMeasureSpace, _frozen_array, counting, same_grid
@@ -347,7 +348,9 @@ def canonical_dual(omega: DistributionMap) -> DistributionMap:
     """Dual map theta with table = table(omega) @ S^{-1}, S the frame matrix.
 
     Satisfies the reconstruction pairing <f, g> = sum_j w_j <f, theta_j>
-    <omega_j, g> and has frame bounds (1/B, 1/A).  Requires a frame.  The
+    <omega_j, g> and has frame bounds (1/B, 1/A).  Requires a frame whose A
+    does not underflow, i.e. is a normal float (SingularOperatorError
+    otherwise).  The
     dual is computed once per map and cached on it, so every call on one map
     returns the same object.  From the thin SVD sqrt(w) * table = U diag(s)
     V^H the dual table is W^{-1/2} U diag(1/s) V^H, which never forms S and
@@ -364,6 +367,11 @@ def _compute_dual(omega: DistributionMap) -> DistributionMap:
         raise NotAFrameError(
             f"canonical dual needs a frame, got {diag.classification.value} "
             f"with bounds ({diag.lower:.3e}, {diag.upper:.3e})"
+        )
+    if diag.lower < np.finfo(float).tiny:  # 1/A may overflow: no dual table
+        raise SingularOperatorError(
+            "canonical dual needs a lower frame bound A = sigma_min^2 that does "
+            "not underflow"
         )
     w, d = omega.space.weights, omega.diagonal
     if d is not None:

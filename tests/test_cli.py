@@ -4,6 +4,8 @@ import filecmp
 import json
 import math
 import re
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1263,6 +1265,46 @@ def test_table_csv_reads_as_the_two_pass_reader_did(tmp_path):
     assert readable >= 200  # the texts reach the readable path, not only faults
 
 
+@pytest.fixture(scope="module")
+def benchmark_table(tmp_path_factory):
+    """A 768 x 96 complex table and its CSV file, written as
+    perfbench/workloads.py writes the discrete-csv workload's table."""
+    rng = np.random.default_rng(768)
+    table = rng.standard_normal((768, 96)) + 1j * rng.standard_normal((768, 96))
+    path = tmp_path_factory.mktemp("benchmark") / "table.csv"
+    path.write_text("\n".join(",".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row)
+                              for row in table) + "\n")
+    return table, path
+
+
+def test_table_csv_streams_a_benchmark_table_bit_for_bit(benchmark_table):
+    table, path = benchmark_table
+    outcome = _outcome(_table_csv, path)
+    assert outcome == _outcome(two_pass_table_csv, path)
+    assert outcome == ("table", table.dtype, table.shape, table.tobytes())
+
+
+def test_table_csv_peak_memory_stays_within_twice_the_table(benchmark_table):
+    table, path = benchmark_table
+    tracemalloc.start()
+    try:
+        _table_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * table.nbytes, peak / table.nbytes
+
+
+@pytest.mark.parametrize("tail", [
+    '"5",6\n', "5\0,6\n", "5,1+2k\n", "nan,6\n7\n", "0" * 140_000 + ",6\n",
+], ids=["quoted", "nul", "bad-cell", "nan-then-ragged", "past-field-limit"])
+def test_table_csv_after_good_rows_gives_the_reference_outcome(tmp_path, tail):
+    # the streamed rows before the fault are dropped and the file re-read
+    path = tmp_path / "table.csv"
+    path.write_text("1,2i\n3 + 4i,-i\n" + tail)
+    assert _outcome(_table_csv, path) == _outcome(two_pass_table_csv, path)
+
+
 # -- config faults and run paths -------------------------------------------------
 
 @pytest.mark.parametrize("payload, message", [
@@ -1426,6 +1468,40 @@ def test_a_96x64_kappa_1e3_dual_pair_passes_the_dual_suite(tmp_path):
     assert run(config, out_dir=out) == EXIT_OK
     data = load_report(out, "dual")["data"]
     assert data["dual_of_dual_residual"] <= multiplier.RESIDUAL_TOL
+
+
+UNDERFLOW = "canonical dual needs a lower frame bound A = sigma_min^2 that does not underflow"
+
+
+@pytest.mark.parametrize("theta, code", [("canonical_dual", EXIT_VALIDATION),
+                                         ("same", EXIT_ASSERTION)])
+@pytest.mark.parametrize("vectors", [
+    [[1e-154, 0], [0, 1e-163]],
+    [[1e-154, 0], [0, 1e-163], [1e-154, 1e-163]],
+    [[1e-151, 0], [0, 1e-160]],
+], ids=["diagonal", "dense", "diagonal-subnormal"])
+def test_a_frame_whose_lower_bound_underflows_has_one_dual_error(
+        tmp_path, capsys, vectors, theta, code):
+    # σ_min = 1e-163 passes the rank rule, but A = σ_min² reads 0.0; at
+    # σ_min = 1e-160 it is subnormal. The diagonal closed form and the SVD
+    # path both stop before dividing.
+    config = write_config(tmp_path, "cfg.json", {
+        "omega": {"family": "discrete", "vectors": vectors},
+        "theta": {"family": theta},
+        "suites": ["diagnose", "dual"], "seed": 1,
+    })
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(config, out_dir=out) == code
+    assert caught == []
+    captured = capsys.readouterr()
+    assert "RuntimeWarning" not in captured.err
+    if theta == "canonical_dual":
+        assert captured.err == f"error: cannot build experiment: {UNDERFLOW}\n"
+    else:
+        assert load_report(out, "dual")["failures"] == [f"dual: {UNDERFLOW}"]
+        assert load_report(out, "diagnose")["data"]["omega"]["lower"] < 2.3e-308
 
 
 @pytest.mark.parametrize("suite", list(SUITE_ORDER))

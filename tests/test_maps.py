@@ -11,6 +11,7 @@ from framelab import (
     RawSamples,
     SampledMeasureSpace,
     ShapeMismatchError,
+    SingularOperatorError,
     Trigonometric,
     UnsupportedSpaceError,
     band_limited_family,
@@ -359,6 +360,20 @@ class TestCanonicalDual:
         model = make_model(counting(2), RawSamples())
         omega = discrete_sequence_map(model, [(1, 0), (2, 0)])
         with pytest.raises(NotAFrameError):
+            canonical_dual(omega)
+
+    @pytest.mark.parametrize("low", [1e-163, 1e-160])
+    @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+    def test_a_frame_whose_lower_bound_underflows_is_rejected(self, low, dense):
+        # The rank rule calls it a frame, but A = sigma_min^2 underflows, to
+        # 0.0 or to a subnormal: one typed error on either dual path, raised
+        # before any division.
+        vectors = [(low * 1e9, 0), (0, low)] + ([(low * 1e9, low)] if dense else [])
+        omega = discrete_sequence_map(make_model(counting(2), RawSamples()), vectors)
+        diag = diagnose(omega)
+        assert diag.total and diag.lower < np.finfo(float).tiny
+        with np.errstate(all="raise"), pytest.raises(
+                SingularOperatorError, match=r"A = sigma_min\^2 that does not underflow$"):
             canonical_dual(omega)
 
     def test_dual_is_solved_once_per_map(self, rng, monkeypatch):
