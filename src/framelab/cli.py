@@ -236,8 +236,9 @@ def _table_csv(value) -> np.ndarray:
     (an unreadable cell, ragged rows, a value that is not finite, no rows,
     a line longer than csv's field limit) the file is read again cell by
     cell, csv.reader splitting each line and _complex reading each cell, so
-    that the first fault in file order is the one named.  complex() reads
-    no quote, so a quoted table always takes the cell-by-cell path."""
+    that the first fault in file order is the one named; a field that
+    csv.reader rejects is a ValueError too.  complex() reads no quote, so a
+    quoted table always takes the cell-by-cell path."""
     path = _existing_path(value)
     widths, limit = [], csv.field_size_limit()
 
@@ -257,7 +258,11 @@ def _table_csv(value) -> np.ndarray:
     except ValueError:
         pass
     with path.open(newline="") as handle:
-        rows = [[_complex(cell) for cell in row] for row in csv.reader(_csv_lines(handle))]
+        try:
+            rows = [[_complex(cell) for cell in row]
+                    for row in csv.reader(_csv_lines(handle))]
+        except csv.Error as exc:  # a field past csv.field_size_limit(), say
+            raise ValueError(f"cannot read CSV: {exc}") from None
     if not rows:
         raise ValueError("CSV table is empty")
     if len({len(row) for row in rows}) != 1:
@@ -376,6 +381,8 @@ def _symbol_csv(space, path):
                 values.append(complex(re, im))
         except ValueError:
             raise ConfigError("path", "rows must be point,re,im numbers") from None
+        except csv.Error as exc:  # a field past csv.field_size_limit(), say
+            raise ConfigError("path", f"cannot read CSV: {exc}") from None
     if len(points) != len(space) or not np.allclose(
             points, space.points, rtol=SYMBOL_POINT_TOL, atol=SYMBOL_POINT_TOL):
         raise ConfigError("path", "CSV points do not match the space")
@@ -736,8 +743,9 @@ def _suite_dual(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     expected = [1.0 / diag.upper, 1.0 / diag.lower]
     bound_dev = max(abs(d_dual.lower - expected[0]), abs(d_dual.upper - expected[1]))
     _gate(failures, "dual bounds deviate by", bound_dev, multiplier.BOUND_TOL)
-    back = maps._compute_dual(dual)  # not cached on the dual, so freed on return
-    back_residual = float(np.max(np.abs(back.table - ctx.omega.table)))
+    # The dual of the dual is not cached on the dual: only its difference is kept.
+    difference = maps._compute_dual(dual).table - ctx.omega.table
+    back_residual = float(np.max(np.abs(difference)))
     _gate(failures, "dual of dual residual", back_residual, multiplier.RESIDUAL_TOL)
     data = {
         "duality_residual": residual,
@@ -759,8 +767,9 @@ def _suite_multiplier(config: ExperimentConfig, ctx: Context, seed: int, out: Pa
         failures.append(f"norm {norm:.6e} above bound {bound:.6e}")
     pairing = lab.brute_force_pairing(op, trials=100, seed=seed)
     _gate(failures, "pairing residual", pairing, config.tolerance)
-    adj = multiplier.adjoint(op)
-    adj_residual = float(np.max(np.abs(adj.dense - op.dense.conj().T)))
+    difference = op.dense.conj().T
+    np.subtract(multiplier.adjoint(op).dense, difference, out=difference)
+    adj_residual = float(np.max(np.abs(difference)))
     _gate(failures, "adjoint residual", adj_residual, multiplier.ROUNDING_TOL)
     data = {
         "operator_norm": norm,
@@ -821,12 +830,11 @@ def _suite_invert(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
 def _suite_reconstruct(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     failures = []
     op = ctx.operator
-    rho, res_right = multiplier.reconstruction_pair(
-        op, multiplier.Side.RIGHT, trials=50, seed=seed
-    )
-    tau, res_left = multiplier.reconstruction_pair(
-        op, multiplier.Side.LEFT, trials=50, seed=seed
-    )
+    # Only the residuals are reported: neither map is kept past its own pair.
+    res_right = multiplier.reconstruction_pair(
+        op, multiplier.Side.RIGHT, trials=50, seed=seed)[1]
+    res_left = multiplier.reconstruction_pair(
+        op, multiplier.Side.LEFT, trials=50, seed=seed)[1]
     _gate(failures, "right reconstruction residual", res_right, config.tolerance)
     _gate(failures, "left reconstruction residual", res_left, config.tolerance)
     return {

@@ -28,7 +28,7 @@ from .errors import (
     SingularOperatorError,
     UnsupportedSpaceError,
 )
-from .measure import SampledMeasureSpace, _frozen_array, counting, same_grid
+from .measure import SampledMeasureSpace, _frozen_array, _read_only, counting, same_grid
 from .model import (RANK_RTOL, ModelSpace, _diagonal, _full_rank, _singular_values,
                     transform_matrix)
 
@@ -71,7 +71,11 @@ class DistributionMap:
     """Evaluation table of a map from the point set into the dual of D.
 
     The table is read-only, so nothing cached on the map (its diagonal, its
-    spectrum, its canonical dual, its dual-pair verdicts) can go stale.
+    spectrum, its canonical dual, its dual-pair verdicts) can go stale.  A
+    read-only complex table that owns its memory is adopted; anything else,
+    a caller's writeable array or a view, is copied
+    (``measure._frozen_array``).  The builders below mark each fresh table
+    read-only, so none is held twice.
     """
 
     table: np.ndarray
@@ -91,9 +95,12 @@ class DistributionMap:
             raise InvalidValueError("evaluation table must have finite entries")
         # Column k of sqrt(w) * table has squared norm S_kk, and by
         # Cauchy-Schwarz |S_kl| <= sqrt(S_kk S_ll) on the frame matrix S.
+        # One real J x K array of moduli, scaled and squared in place.
+        moduli = np.abs(table)
+        moduli *= np.sqrt(self.space.weights)[:, None]
         with np.errstate(all="ignore"):
-            norms = np.linalg.norm(np.sqrt(self.space.weights)[:, None] * table, axis=0)
-        if not np.all(np.isfinite(norms)):
+            squared_norms = np.square(moduli, out=moduli).sum(axis=0)
+        if not np.all(np.isfinite(squared_norms)):
             raise InvalidValueError("frame matrix overflows: entries must be finite")
 
     @property
@@ -175,7 +182,10 @@ def _check_pair(omega: DistributionMap, theta: DistributionMap):
 
 
 def delta_frame(model: ModelSpace, space: SampledMeasureSpace) -> DistributionMap:
-    """Point evaluations: analysis of f returns its sample values f(x_j)."""
+    """Point evaluations: analysis of f returns its sample values f(x_j).
+
+    The table is the model's read-only basis itself, not a copy of it.
+    """
     _check_same_grid(model, space)
     return DistributionMap(table=model.on_basis, space=space, model=model)
 
@@ -190,9 +200,8 @@ def exponential_frame(model: ModelSpace, space: SampledMeasureSpace) -> Distribu
     _check_same_grid(model, space)
     if not space.periodic:
         raise UnsupportedSpaceError("exponential frame needs a uniform periodic grid")
-    return DistributionMap(
-        table=transform_matrix(space) @ model.on_basis, space=space, model=model
-    )
+    return DistributionMap(table=_read_only(transform_matrix(space) @ model.on_basis),
+                           space=space, model=model)
 
 
 def weighted_delta_frame(model: ModelSpace, space: SampledMeasureSpace,
@@ -205,9 +214,8 @@ def weighted_delta_frame(model: ModelSpace, space: SampledMeasureSpace,
         values = np.asarray(weight_fn, dtype=complex)
         if values.shape != (len(space),):
             raise ShapeMismatchError("weight values must match the point count")
-    return DistributionMap(
-        table=values[:, None] * model.on_basis, space=space, model=model
-    )
+    return DistributionMap(table=_read_only(values[:, None] * model.on_basis),
+                           space=space, model=model)
 
 
 def translated_window_frame(model: ModelSpace, space: SampledMeasureSpace,
@@ -235,7 +243,7 @@ def translated_window_frame(model: ModelSpace, space: SampledMeasureSpace,
     shifts = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     translates = g[shifts]  # row j = window shifted by j
     table = np.conj(translates) * space.weights[None, :] @ model.on_basis
-    return DistributionMap(table=table, space=space, model=model, note=note)
+    return DistributionMap(table=_read_only(table), space=space, model=model, note=note)
 
 
 def discrete_sequence_map(model: ModelSpace, vectors: Sequence,
@@ -253,7 +261,7 @@ def discrete_sequence_map(model: ModelSpace, vectors: Sequence,
     if not np.all(np.abs(space.weights - 1.0) <= COUNTING_TOL):
         raise PreconditionError("discrete sequences live on counting measure")
     # <e_k, phi_j> = conj(<phi_j, e_k>) = conj(phi_j[k])
-    return DistributionMap(table=np.conj(vecs), space=space, model=model)
+    return DistributionMap(table=_read_only(np.conj(vecs)), space=space, model=model)
 
 
 # -- diagnostics --------------------------------------------------------------
@@ -380,7 +388,8 @@ def _compute_dual(omega: DistributionMap) -> DistributionMap:
         root = np.sqrt(w)[:, None]
         u, s, vh = np.linalg.svd(root * omega.table, full_matrices=False)
         dual_table = (u / s) @ vh / root
-    return DistributionMap(table=dual_table, space=omega.space, model=omega.model)
+    return DistributionMap(table=_read_only(dual_table), space=omega.space,
+                           model=omega.model)
 
 
 @dataclass(frozen=True)
@@ -580,8 +589,10 @@ def bump_family(model: ModelSpace, heights=None) -> np.ndarray:
             f"need {model.ambient_dim} spike heights, got shape {heights.shape}")
     if not np.all(np.isfinite(heights)):
         raise InvalidValueError("spike heights must be finite")
-    # Spike i projects onto D as conj(row i of on_basis) * w_i * height_i.
-    return model.on_basis.conj().T * (model.space.weights * heights)
+    # Spike i projects onto D as conj(row i of on_basis) * w_i * height_i,
+    # scaled in place in the conjugate copy.
+    family = model.on_basis.conj().T
+    return np.multiply(family, model.space.weights * heights, out=family)
 
 
 def scaled_bump_family(model: ModelSpace, alpha_values) -> np.ndarray:

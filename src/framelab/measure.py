@@ -25,10 +25,21 @@ from .errors import (
 SPACING_RTOL, SPACING_ATOL = 1e-12, 1e-14  # gaps of a uniform grid, as np.allclose
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)  # a copy in the input's memory order
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, marked read-only in place and returned."""
     arr.flags.writeable = False
     return arr
+
+
+def _frozen_array(values, dtype) -> np.ndarray:
+    """A read-only array of ``values``.  An ndarray of ``dtype`` that owns its
+    memory and is already read-only is adopted as it is; anything else, a
+    caller's writeable array or a view, is copied in the input's memory
+    order."""
+    if (type(values) is np.ndarray and values.dtype == dtype
+            and values.flags.owndata and not values.flags.writeable):
+        return values
+    return _read_only(np.array(values, dtype=dtype))
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,7 @@ from .errors import (
     ShapeMismatchError,
     UnsupportedSpaceError,
 )
-from .measure import SampledMeasureSpace
+from .measure import SampledMeasureSpace, _frozen_array, _read_only
 
 RANK_RTOL = 1e-10  # singular values <= RANK_RTOL * the largest count as zero
 ORTHONORMAL_TOL = 1e-12  # largest |Q^H W Q - I| entry of an orthonormal basis
@@ -124,14 +124,18 @@ def orthonormalize(columns: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ModelSpace:
-    """Sampled triple: coordinates for H, an orthonormal basis of D, its family."""
+    """Sampled triple: coordinates for H, an orthonormal basis of D, its family.
+
+    ``on_basis`` is read-only: a read-only array that owns its memory is
+    adopted, anything else is copied (``measure._frozen_array``).
+    """
 
     space: SampledMeasureSpace
     on_basis: np.ndarray
     family: BasisFamily
 
     def __post_init__(self):
-        on = np.asarray(self.on_basis, dtype=complex)
+        on = _frozen_array(self.on_basis, complex)
         if on.ndim != 2 or on.shape[0] != len(self.space):
             raise ShapeMismatchError("on_basis must have one row per sample point")
         if on.shape[1] == 0:
@@ -161,8 +165,8 @@ class ModelSpace:
     def summary(self) -> dict:
         """Report data: dimensions, family, conditioning of the raw basis."""
         root = np.sqrt(self.space.weights)
-        raw = _raw_columns(self.space, self.family)
-        sigma = _singular_values(root[:, None] * raw)
+        raw = _raw_columns(self.space, self.family)  # fresh: weighted in place
+        sigma = _singular_values(np.multiply(root[:, None], raw, out=raw))
         condition = float(sigma[0] / sigma[-1]) if sigma[-1] > 0 else float("inf")
         return {
             "ambient_dim": self.ambient_dim,
@@ -183,7 +187,7 @@ def make_model(space: SampledMeasureSpace, family: BasisFamily) -> ModelSpace:
         on_basis = np.diag((1.0 / np.sqrt(space.weights)).astype(complex))
     else:
         on_basis = orthonormalize(_raw_columns(space, family), space.weights)
-    return ModelSpace(space=space, on_basis=on_basis, family=family)
+    return ModelSpace(space=space, on_basis=_read_only(on_basis), family=family)
 
 
 def _diagonal(matrix: np.ndarray) -> np.ndarray | None:

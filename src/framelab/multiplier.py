@@ -32,7 +32,7 @@ from .errors import (
 from .maps import (SUPPORT_TOL, _EMPTY_FAMILY, Classification, DistributionMap,
                    WitnessReport, _apply, _check_family, _check_pair,
                    _weighted_product, _witness_analysis, _witness_verdict, diagnose)
-from .measure import SampledMeasureSpace, ess_sup
+from .measure import SampledMeasureSpace, _read_only, ess_sup
 from .model import RANK_RTOL, _full_rank, _singular_values
 
 RESIDUAL_TOL = 1e-10  # largest residual allowed for an exact identity
@@ -131,9 +131,7 @@ class MultiplierOperator:
         diagonal it is the diagonal matrix of conj(theta) * w * m * omega,
         formed with no product; its inverse still comes from ``np.linalg.inv``."""
         wm = self.space.weights * self.symbol.values
-        dense = _weighted_product(self.theta, wm, self.omega)
-        dense.flags.writeable = False
-        return dense
+        return _read_only(_weighted_product(self.theta, wm, self.omega))
 
     @functools.cached_property
     def singular_values(self) -> np.ndarray:
@@ -187,8 +185,7 @@ def _unit_pairs(seed: int, trials: int, k: int) -> tuple[np.ndarray, np.ndarray]
 @functools.lru_cache(maxsize=32)
 def _validation_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     """``build``'s three pairs on K coefficients, drawn once per K; read-only."""
-    rows = _complex_normals(np.random.default_rng(7), 6, k)
-    rows.flags.writeable = False
+    rows = _read_only(_complex_normals(np.random.default_rng(7), 6, k))
     return rows[0::2], rows[1::2]
 
 
@@ -202,9 +199,7 @@ def _probe_block(n: int) -> np.ndarray:
     product verification, Halko, Martinsson & Tropp, SIAM Rev. 53 (2011),
     section 4.3, for the error of such estimates.
     """
-    block = 2.0 * np.random.default_rng(7).integers(0, 2, (n, _PROBES)) - 1.0
-    block.flags.writeable = False
-    return block
+    return _read_only(2.0 * np.random.default_rng(7).integers(0, 2, (n, _PROBES)) - 1.0)
 
 
 def _synthesize(theta: DistributionMap, y: np.ndarray) -> np.ndarray:
@@ -454,13 +449,15 @@ def reconstruction_pair(op: MultiplierOperator, side: Side,
     inv = op.inverse
     m = op.symbol.values
     if side is Side.RIGHT:
-        table = m[:, None] * _apply(op.omega, inv)
-        new = DistributionMap(table=table, space=op.space, model=op.omega.model)
-        left, right = new, op.theta
+        table, scale, mdl = _apply(op.omega, inv), m, op.omega.model
     else:
-        table = np.conj(m)[:, None] * _apply(op.theta, inv.conj().T)
-        new = DistributionMap(table=table, space=op.space, model=op.theta.model)
-        left, right = op.omega, new
+        table, scale, mdl = _apply(op.theta, inv.conj().T), np.conj(m), op.theta.model
+    # Scaled in place with the symbol as the left operand, as scale * table
+    # has it: a complex product need not round the same with its operands
+    # swapped.
+    np.multiply(scale[:, None], table, out=table)
+    new = DistributionMap(table=_read_only(table), space=op.space, model=mdl)
+    left, right = (new, op.theta) if side is Side.RIGHT else (op.omega, new)
     return new, _pairing_gap(op.space.weights, left.table, right.table,
                              lambda f: f, *_unit_pairs(seed, trials, op.dim))
 
@@ -504,7 +501,14 @@ def density_certificate(omega: DistributionMap, theta: DistributionMap,
     # ||E_theta^H X|| = ||E_theta^T conj(X)|| per column: no copy of E_theta^H.
     analysis *= (omega.space.weights * m.values)[:, None]
     np.conj(analysis, out=analysis)
-    norm_mf = np.linalg.norm(_apply(theta, analysis, transpose=True), axis=0)
+    mf = _apply(theta, analysis, transpose=True)
+    del analysis
+    # np.linalg.norm(mf, axis=0) bit for bit, from the sums of
+    # (mf.conj() * mf).real, with the product formed in the conjugate's place.
+    squares = np.conj(mf)
+    np.multiply(squares, mf, out=squares)
+    del mf
+    norm_mf = np.sqrt(np.add.reduce(squares.real, axis=0))
     columns = (on.sum(axis=0), c_f, m_l2, bound, norm_mf, norm_mf <= bound + tol)
     records = tuple(DensityRecord(i, *row) for i, row in
                     enumerate(zip(*(column.tolist() for column in columns))))

@@ -1148,8 +1148,11 @@ def test_table_csv_accepts(tmp_path, text, expected):
     ('1, "2"\n3,4\n', "cannot read complex entry ' \"2\"'"),
     # of two faults the first cell read is named
     ("1,nan\n3\n", "entries must be finite"),
+    ("1" * 140_001 + ",2\n3,4\n5,6\n",
+     f"cannot read CSV: field larger than field limit ({csv.field_size_limit()})"),
 ], ids=["unreadable", "unreadable-spaced", "nan", "overflow", "inf", "infinity",
-        "empty", "blank-only", "ragged", "space-before-quote", "nan-and-ragged"])
+        "empty", "blank-only", "ragged", "space-before-quote", "nan-and-ragged",
+        "past-field-limit"])
 def test_table_csv_faults_are_validation_errors(tmp_path, capsys, text, message):
     (tmp_path / "table.csv").write_text(text)
     config = write_config(tmp_path, "cfg.json", {
@@ -1188,8 +1191,11 @@ def _spaceless(handle):
 
 def _table_cells(path):
     with path.open(newline="") as handle:
-        rows = [[_complex(cell) for cell in row]
-                for row in csv.reader(_csv_lines(handle))]
+        try:
+            rows = [[_complex(cell) for cell in row]
+                    for row in csv.reader(_csv_lines(handle))]
+        except csv.Error as exc:  # a field csv.reader rejects is a value fault
+            raise ValueError(f"cannot read CSV: {exc}") from None
     if not rows:
         raise ValueError("CSV table is empty")
     if len({len(row) for row in rows}) != 1:
@@ -1207,7 +1213,7 @@ def two_pass_table_csv(value):
         table = np.asarray(rows, dtype=complex)
         if table.ndim == 2 and np.isfinite(table).all():
             return table
-    except ValueError:
+    except (ValueError, csv.Error):
         pass
     return _table_cells(path)
 
@@ -1305,6 +1311,33 @@ def test_table_csv_after_good_rows_gives_the_reference_outcome(tmp_path, tail):
     assert _outcome(_table_csv, path) == _outcome(two_pass_table_csv, path)
 
 
+# -- memory ------------------------------------------------------------------------
+
+def test_a_256_point_delta_pair_run_peaks_below_nine_and_a_half_tables(tmp_path):
+    # The live set holds four N x N tables (the model basis, which is the
+    # delta table, its dual, the operator and its inverse); every suite adds
+    # only the temporaries its arithmetic needs.
+    n = 256
+    config = write_config(tmp_path, "cfg.json", {
+        "space": {"family": "periodic_unit_grid", "n": n},
+        "model": {"family": "raw_samples"},
+        "omega": {"family": "delta"},
+        "theta": {"family": "canonical_dual"},
+        "symbol": {"family": "reciprocal_safe", "seed": 11},
+        "suites": [s for s, suite in SUITE_ORDER.items() if suite.needs_context],
+        "seed": 7,
+    })
+    table_bytes = n * n * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        code = run(config, out_dir=tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak <= 9.5 * table_bytes, peak / table_bytes
+
+
 # -- config faults and run paths -------------------------------------------------
 
 @pytest.mark.parametrize("payload, message", [
@@ -1339,6 +1372,13 @@ def test_symbol_csv_skips_blank_and_whitespace_only_lines(tmp_path, tail):
     assert run(config, out_dir=out) == EXIT_OK
     dense = as_complex_matrix(load_report(out, "multiplier")["data"]["dense"])
     assert np.array_equal(dense, np.diag([1.0, 2.0, 3.0, 4.0]))
+
+
+def test_a_symbol_csv_field_past_the_field_limit_is_a_validation_error(tmp_path, capsys):
+    config = symbol_csv_config(tmp_path, "0," + "1" * 140_001 + ",0\n1,2,0\n2,3,0\n3,4,0\n")
+    assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
+    assert ("error: invalid config: symbol.path: cannot read CSV: field larger than "
+            f"field limit ({csv.field_size_limit()})\n") in capsys.readouterr().err
 
 
 def test_symbol_csv_points_must_be_the_space(tmp_path, capsys):

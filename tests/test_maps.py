@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from framelab import (
     PreconditionError,
     RawSamples,
     SampledMeasureSpace,
+    Side,
     ShapeMismatchError,
     SingularOperatorError,
     Trigonometric,
@@ -33,6 +36,7 @@ from framelab import (
     make_model,
     make_symbol,
     periodic_unit_grid,
+    reconstruction_pair,
     riesz_transition,
     scaled_bump_family,
     symmetric_grid,
@@ -42,6 +46,7 @@ from framelab import (
     weighted_delta_frame,
 )
 from framelab import maps
+from framelab.measure import _read_only
 from framelab.model import RANK_RTOL, _diagonal
 from conftest import random_overcomplete_map, random_riesz_map
 
@@ -327,6 +332,81 @@ class TestSpectrumCache:
                                 model=model)
         diag = diagnose(omega)
         assert diag.lower == diag.upper == pytest.approx(1e100, rel=1e-12)
+
+
+def c2_table_map(table):
+    return DistributionMap(table=table, space=counting(3),
+                           model=make_model(counting(2), RawSamples()))
+
+
+class TestTableAdoption:
+    """A map adopts a read-only complex table that owns its memory; it
+    copies anything else (a writeable table: test_table_is_read_only_copy)."""
+
+    def test_a_read_only_owning_table_is_shared(self):
+        source = _read_only(np.array(C2_VECTORS, dtype=complex))
+        omega = c2_table_map(source)
+        assert np.shares_memory(omega.table, source)
+        assert not omega.table.flags.writeable
+
+    def test_a_read_only_view_is_copied(self):
+        base = np.array([[1, 0, 9], [1, 1, 9], [0, 1, 9]], dtype=complex)
+        view = _read_only(base[:, :2])
+        assert not view.flags.owndata
+        omega = c2_table_map(view)
+        assert not np.shares_memory(omega.table, base)
+        base[0, 0] = 5.0
+        assert omega.table[0, 0] == 1.0
+
+    def test_a_read_only_real_table_is_copied_as_complex(self):
+        source = _read_only(np.array(C2_VECTORS, dtype=float))
+        omega = c2_table_map(source)
+        assert omega.table.dtype == complex
+        assert not np.shares_memory(omega.table, source)
+
+    @pytest.mark.parametrize("builder", [
+        lambda model, space: delta_frame(model, space),
+        lambda model, space: exponential_frame(model, space),
+        lambda model, space: weighted_delta_frame(model, space, lambda x: 1 + x),
+        lambda model, space: translated_window_frame(
+            model, space, np.r_[1.0, 0.5, np.zeros(len(space) - 2)]),
+        lambda model, space: discrete_sequence_map(model, np.eye(model.dim)),
+        lambda model, space: canonical_dual(delta_frame(model, space)),
+        lambda model, space: canonical_dual(exponential_frame(model, space)),
+        *(lambda model, space, side=side: reconstruction_pair(
+            build(make_symbol(space, np.full(len(space), 2.0)),
+                  exponential_frame(model, space), delta_frame(model, space)),
+            side)[0] for side in Side),
+    ], ids=["delta", "exponential", "weighted-delta", "translated-window", "discrete",
+            "diagonal-dual", "dense-dual", "reconstruction-left",
+            "reconstruction-right"])
+    def test_every_builder_hands_its_table_on_uncopied(self, monkeypatch, builder):
+        frozen, adopted = maps._frozen_array, []
+
+        def recording(values, dtype):
+            arr = frozen(values, dtype)
+            adopted.append(arr is values)
+            return arr
+
+        space = periodic_unit_grid(8)
+        model = make_model(space, RawSamples())
+        monkeypatch.setattr(maps, "_frozen_array", recording)
+        builder(model, space)
+        assert adopted and all(adopted)
+
+    def test_building_a_512_point_map_peaks_below_six_tenths_of_its_table(self):
+        # the finiteness checks hold one real J x K array of moduli at most
+        model = make_model(counting(512), RawSamples())
+        rng = np.random.default_rng(512)
+        table = _read_only(rng.standard_normal((512, 512))
+                          + 1j * rng.standard_normal((512, 512)))
+        tracemalloc.start()
+        try:
+            DistributionMap(table=table, space=model.space, model=model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * table.nbytes, peak / table.nbytes
 
 
 class TestCanonicalDual:

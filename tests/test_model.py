@@ -12,6 +12,7 @@ from framelab import (
     Trigonometric,
     UnsupportedSpaceError,
     counting,
+    delta_frame,
     dual_grid,
     fourier_grid,
     from_samples,
@@ -89,6 +90,30 @@ class TestMakeModel:
         with pytest.raises(ShapeMismatchError,
                            match="on_basis must have one row per sample point"):
             ModelSpace(space=counting(3), on_basis=on_basis, family=RawSamples())
+
+
+class TestReadOnlyBasis:
+    @pytest.mark.parametrize("family", [RawSamples(), Trigonometric(max_degree=3),
+                                        GaussianBumps(centers=(0.25, 0.5), width=0.2)],
+                             ids=["raw", "trigonometric", "gaussian"])
+    def test_on_basis_rejects_writes(self, family):
+        model = make_model(periodic_unit_grid(8), family)
+        with pytest.raises(ValueError, match="read-only"):
+            model.on_basis[0, 0] = 2.0
+
+    def test_a_writeable_basis_is_copied(self):
+        source = np.eye(3, dtype=complex)
+        model = ModelSpace(space=counting(3), on_basis=source, family=RawSamples())
+        assert not np.shares_memory(model.on_basis, source)
+        source[0, 0] = 5.0
+        assert model.on_basis[0, 0] == 1.0
+
+    @pytest.mark.parametrize("family", [RawSamples(), Trigonometric(max_degree=3)],
+                             ids=["raw", "trigonometric"])
+    def test_the_delta_table_is_the_model_basis(self, family):
+        space = periodic_unit_grid(8)
+        model = make_model(space, family)
+        assert np.shares_memory(delta_frame(model, space).table, model.on_basis)
 
 
 class TestOrthonormalize:
