@@ -36,6 +36,8 @@ EXIT_VALIDATION = 3
 EXIT_ASSERTION = 4
 # largest |x - x_j| / (1 + |x_j|) of a symbol CSV point x against grid point x_j
 SYMBOL_POINT_TOL = 1e-12
+# a size above the most complex entries one numpy array holds is a config error
+_SIZE_MAX = np.iinfo(np.intp).max // np.dtype(complex).itemsize
 
 
 class Suite(NamedTuple):
@@ -158,14 +160,16 @@ def _positive(value) -> float:
     return float(value)
 
 
-def _whole(minimum: int):
-    """Reader of a whole JSON number >= ``minimum``: 8 and 8.0 pass; 2.5,
-    "8" and true do not.  Integers are kept exact."""
+def _whole(minimum: int, maximum: float = _SIZE_MAX):
+    """Reader of a whole JSON number in [minimum, maximum]: 8 and 8.0 pass;
+    2.5, "8" and true do not.  Integers are kept exact."""
     def read(value) -> int:
         if isinstance(value, float) and value.is_integer():
             value = int(value)
         if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
             raise ValueError(f"must be a whole number >= {minimum}, got {value!r}")
+        if value > maximum:
+            raise ValueError(f"must be at most {maximum}, got {value!r}")
         return value
     return read
 
@@ -254,7 +258,8 @@ def _table_csv(value) -> np.ndarray:
             table = np.fromiter(map(complex, itertools.chain.from_iterable(
                 map(cells, _csv_lines(handle)))), complex)
         if len(set(widths)) == 1 and np.isfinite(table).all():
-            return table.reshape(len(widths), widths[0])
+            table.resize(len(widths), widths[0])  # in place: it owns its memory
+            return table
     except ValueError:
         pass
     with path.open(newline="") as handle:
@@ -344,7 +349,7 @@ def _custom(mdl, space, analysis, csv) -> maps.DistributionMap:
             f"table shape {csv.shape} does not match space/model "
             f"({len(space)}, {mdl.dim})",
         )
-    return maps.DistributionMap(table=csv, space=space, model=mdl)
+    return maps.DistributionMap(table=measure._read_only(csv), space=space, model=mdl)
 
 
 def _analysis(analysis, family: str) -> maps.DistributionMap:
@@ -390,10 +395,10 @@ def _symbol_csv(space, path):
 
 
 _N = Param("int", _count)
-_SEED = Param("int", _whole(0))
+_SEED = Param("int", _whole(0, math.inf))  # a seed is not a size
 
 # group -> family -> (parameters, note, builder).  Builders take the
-# group's leading arguments (see build_family), then the typed parameters
+# group's leading arguments (see build_context), then the typed parameters
 # by name; symbol builders return the symbol's values on the space.
 FAMILIES = {
     "spaces": {
@@ -537,19 +542,6 @@ def _read_family(group: str, cfg: dict, path: str) -> tuple[Callable, dict]:
                          for name, p in params.items()}
 
 
-def build_family(group: str, cfg: dict, path: str, *args):
-    """Build the member of ``group`` that ``cfg`` names from its typed parameters.
-
-    ``args`` lead the builder's arguments: nothing for spaces; the space for
-    models and symbols; the model, the space and the analysis map (None when
-    building the analysis map itself) for frames.  A bad name or parameter
-    is a ConfigError whose field starts with ``path``.
-    """
-    builder, params = _read_family(group, cfg, path)
-    with _within(path):
-        return builder(*args, **params)
-
-
 def _implies_space(omega: dict) -> bool:
     """A discrete analysis table fixes the space and the model."""
     return omega.get("family") == "discrete"
@@ -557,13 +549,14 @@ def _implies_space(omega: dict) -> bool:
 
 # -- config ------------------------------------------------------------------------
 
+# Family section -> its group in FAMILIES, in reading order.
+SECTIONS = {"space": "spaces", "model": "models", "omega": "frames",
+            "theta": "frames", "symbol": "symbols"}
+
+
 @dataclass
 class ExperimentConfig:
-    space: dict
-    model: dict
-    omega: dict
-    theta: dict
-    symbol: dict
+    sections: dict  # SECTIONS name -> JSON object; None if absent and not needed
     suites: tuple
     tolerance: float
     seed: int | None
@@ -581,6 +574,9 @@ def _sweep_family(sweep_kind: str, l_values: list,
     kinds run on the grids of ``lab.weighted_delta_family``."""
     if sweep_kind not in ("weighted_delta", "bounded_control"):
         raise ConfigError("kind", f"unknown sweep kind {sweep_kind!r}")
+    if ppu * max(l_values) + 1 > _SIZE_MAX:  # the points of the widest grid
+        raise ConfigError("l_values", f"{ppu} points per unit up to L = "
+                          f"{max(l_values)!r} are more than an array holds")
     try:
         family = lab.weighted_delta_family(l_values, ppu)
     except ScheduleError as exc:
@@ -610,25 +606,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError("suites", f"unknown suite {s!r}")
     suites = tuple(s for s in SUITE_ORDER if s in suites)
 
-    seed = _need(raw, "seed", _whole(0), None)
+    seed = _need(raw, "seed", _whole(0, math.inf), None)
     if seed is None and any(SUITE_ORDER[s].randomized for s in suites):
         raise ConfigError("seed", "required when a randomized suite is selected")
 
     # Only the context suites build the space, the model and the maps.
     context = _needs_context(suites)
-    omega = section("omega", None if context else {})
+    omega = section("omega") if context or "omega" in raw else None
     implied = not context or _implies_space(omega)
-    space = section("space", {} if implied else None)
-    model_cfg = section("model", {} if implied else None)
-    theta = section("theta", {"family": "same"})
-    symbol = section("symbol", {"family": "constant", "value": 1.0})
-    # A section the run does not build is still read, if the config has it.
-    unbuilt = {"space": "spaces", "model": "models"} if implied else {}
-    if not context:
-        unbuilt.update(omega="frames", theta="frames", symbol="symbols")
-    for name, group in unbuilt.items():
-        if name in raw:
-            _read_family(group, raw[name], name)
+    sections = {"omega": omega,
+                "space": section("space") if not implied or "space" in raw else None,
+                "model": section("model") if not implied or "model" in raw else None,
+                "theta": section("theta", {"family": "same"}),
+                "symbol": section("symbol", {"family": "constant", "value": 1.0})}
 
     quartet = section("quartet", {})
     with _within("quartet"):
@@ -654,11 +644,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         support_tol = _need(orthogonality, "support_tol", _positive, maps.SUPPORT_TOL)
 
     return ExperimentConfig(
-        space=space,
-        model=model_cfg,
-        omega=omega,
-        theta=theta,
-        symbol=symbol,
+        sections=sections,
         suites=suites,
         tolerance=_need(raw, "tolerance", _positive, multiplier.RESIDUAL_TOL),
         seed=seed,
@@ -688,20 +674,33 @@ class Context:
         return multiplier.build(self.symbol, self.omega, self.theta)
 
 
-def build_context(config: ExperimentConfig) -> Context:
-    if _implies_space(config.omega):
+def build_context(config: ExperimentConfig) -> Context | None:
+    """Read every family section the config holds or the run needs, then build
+    the context if a suite needs one, the symbol right after a given space (it
+    needs nothing else); each section's typed parameters are dropped once built."""
+    sections = {name: _read_family(group, config.sections[name], name)
+                for name, group in SECTIONS.items() if config.sections[name] is not None}
+    if not _needs_context(config.suites):
+        return None
+
+    def build(name, *args):
+        builder, params = sections.pop(name)
+        with _within(name):
+            return builder(*args, **params)
+
+    if _implies_space(config.sections["omega"]):
         space = mdl = None  # the omega builder makes them
     else:
-        space = build_family("spaces", config.space, "space")
-        mdl = build_family("models", config.model, "model", space)
-    omega = build_family("frames", config.omega, "omega", mdl, space, None)
+        space = build("space")
+        values = build("symbol", space)
+        mdl = build("model", space)
+    omega = build("omega", mdl, space, None)
     space, mdl = omega.space, omega.model
-    theta = build_family("frames", config.theta, "theta", mdl, space, omega)
-    values = build_family("symbols", config.symbol, "symbol", space)
-    return Context(
-        space=space, model=mdl, omega=omega, theta=theta,
-        symbol=multiplier.make_symbol(space, values),
-    )
+    theta = build("theta", mdl, space, omega)
+    if "symbol" in sections:
+        values = build("symbol", space)
+    return Context(space=space, model=mdl, omega=omega, theta=theta,
+                   symbol=multiplier.make_symbol(space, values))
 
 
 def _suite_seed(root_seed: int | None, suite: str) -> int:
@@ -844,7 +843,7 @@ def _suite_reconstruct(config: ExperimentConfig, ctx: Context, seed: int, out: P
 
 
 def _witness_family(config: ExperimentConfig, ctx: Context, alpha_values=None):
-    if config.omega.get("family") == "exponential":
+    if config.sections["omega"].get("family") == "exponential":
         return maps.band_limited_family(ctx.model, ctx.space, alpha_values)
     if alpha_values is None:
         return maps.bump_family(ctx.model)
@@ -943,7 +942,7 @@ def _suite_oracle(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     residual = lab.brute_force_pairing(op, trials=100, seed=seed)
     _gate(failures, "brute-force pairing residual", residual, config.tolerance)
     data = {"pairing_residual": residual}
-    if config.omega.get("family") == "discrete":
+    if config.sections["omega"].get("family") == "discrete":
         comparison = lab.discrete_reduction_oracle(np.conj(ctx.omega.table))
         data["discrete_reduction"] = comparison
         if not comparison.agree:
@@ -993,12 +992,12 @@ def run(config_path, out_dir=None, tol=None, seed=None,
     except FileNotFoundError:
         print(f"error: config file not found: {path}", file=sys.stderr)
         return EXIT_PARSE
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read config file {path}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except json.JSONDecodeError as exc:
         print(f"error: config parse failed at line {exc.lineno}, column "
               f"{exc.colno}: {exc.msg}", file=sys.stderr)
+        return EXIT_PARSE
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:  # nested too deeply
+        print(f"error: cannot read config file {path}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if not isinstance(raw, dict):
         print(f"error: config must be a JSON object, got {type(raw).__name__}",
@@ -1014,12 +1013,12 @@ def run(config_path, out_dir=None, tol=None, seed=None,
 
     try:
         config = parse_config(raw)
-        ctx = build_context(config) if _needs_context(config.suites) else None
+        ctx = build_context(config)
         out = _report_dir(config)
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FrameLabError as exc:
+    except (FrameLabError, MemoryError) as exc:  # an array too large to allocate
         print(f"error: cannot build experiment: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
@@ -1028,7 +1027,7 @@ def run(config_path, out_dir=None, tol=None, seed=None,
         try:
             data, failures = SUITES[suite](config, ctx,
                                            _suite_seed(config.seed, suite), out)
-        except FrameLabError as exc:
+        except (FrameLabError, MemoryError) as exc:
             data, failures = {"error": str(exc)}, [f"{suite}: {exc}"]
         report = {
             "schema_version": SCHEMA_VERSION,

@@ -60,8 +60,6 @@ BasisFamily = Union[Trigonometric, GaussianBumps, RawSamples]
 
 def _raw_columns(space: SampledMeasureSpace, family: BasisFamily) -> np.ndarray:
     n = len(space)
-    if isinstance(family, RawSamples):
-        return np.eye(n, dtype=complex)
     if isinstance(family, Trigonometric):
         if not space.periodic:
             raise UnsupportedSpaceError("trigonometric basis needs a periodic grid")
@@ -165,8 +163,11 @@ class ModelSpace:
     def summary(self) -> dict:
         """Report data: dimensions, family, conditioning of the raw basis."""
         root = np.sqrt(self.space.weights)
-        raw = _raw_columns(self.space, self.family)  # fresh: weighted in place
-        sigma = _singular_values(np.multiply(root[:, None], raw, out=raw))
+        if isinstance(self.family, RawSamples):  # diag(sqrt(w)): sigma is sqrt(w) sorted
+            sigma = np.sort(root)[::-1]
+        else:
+            raw = _raw_columns(self.space, self.family)  # fresh: weighted in place
+            sigma = _singular_values(np.multiply(root[:, None], raw, out=raw))
         condition = float(sigma[0] / sigma[-1]) if sigma[-1] > 0 else float("inf")
         return {
             "ambient_dim": self.ambient_dim,

@@ -23,11 +23,11 @@ from framelab.cli import (
     _csv_lines,
     _existing_path,
     _jsonify,
+    _read_family,
     _suite_density,
     _suite_dual,
     _table_csv,
     build_context,
-    build_family,
     main,
     parse_config,
     run,
@@ -139,8 +139,10 @@ class TestRun:
         err = capsys.readouterr().err
         assert "omega.csv" in err
 
-    @pytest.mark.parametrize("content", [b"{not json", b'{"seed": "\xe9"}', None],
-                             ids=["not-json", "not-utf8", "directory"])
+    @pytest.mark.parametrize("content", [
+        b"{not json", b'{"seed": "\xe9"}', None,
+        b'{"suites": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    ], ids=["not-json", "not-utf8", "directory", "nested-too-deeply"])
     def test_parse_error(self, tmp_path, capsys, content):
         path = tmp_path / "cfg.json"
         if content is None:
@@ -1084,7 +1086,8 @@ def test_every_family_builds_from_a_minimal_config(tmp_path, monkeypatch,
         "symbols": (space,),
     }[group]
     cfg = {"family": name, **MINIMAL_PARAMS[group, name]}
-    built = build_family(group, cfg, group, *args)
+    builder, params = _read_family(group, cfg, group)
+    built = builder(*args, **params)
     if group == "symbols":
         assert multiplier.make_symbol(space, built).values.shape == (4,)
     else:
@@ -1290,6 +1293,21 @@ def test_table_csv_streams_a_benchmark_table_bit_for_bit(benchmark_table):
     assert outcome == ("table", table.dtype, table.shape, table.tobytes())
 
 
+@pytest.mark.parametrize("text", ["1,0,0\n0,1+i,0\n0,0,2\n",
+                                  '"1",0,0\n0,1+i,0\n0,0,2\n'],
+                         ids=["streamed", "cell-by-cell"])
+def test_the_custom_family_adopts_its_csv_table(tmp_path, text):
+    (tmp_path / "frame.csv").write_text(text)
+    builder, params = _read_family(
+        "frames", {"family": "custom", "csv": str(tmp_path / "frame.csv")}, "omega")
+    table = params["csv"]
+    assert table.flags.owndata
+    space = measure.counting(3)
+    omega = builder(model.make_model(space, model.RawSamples()), space, None, **params)
+    assert np.shares_memory(omega.table, table)
+    assert not table.flags.writeable
+
+
 def test_table_csv_peak_memory_stays_within_twice_the_table(benchmark_table):
     table, path = benchmark_table
     tracemalloc.start()
@@ -1339,6 +1357,82 @@ def test_a_256_point_delta_pair_run_peaks_below_nine_and_a_half_tables(tmp_path)
 
 
 # -- config faults and run paths -------------------------------------------------
+
+@pytest.mark.parametrize("symbol, message", [
+    ({"family": "constant", "valeu": 2}, "symbol.valeu: unknown key"),
+    ({"family": "reciprocal_safe", "floor": 2, "ceil": 1, "seed": 3},
+     "symbol.ceil: must be at least floor 2.0, got 1.0"),
+], ids=["misspelt-key", "ceil-below-floor"])
+def test_a_symbol_fault_is_reported_before_any_map_is_built(tmp_path, monkeypatch,
+                                                            capsys, symbol, message):
+    def no_map(self):
+        raise AssertionError("a map was built")
+
+    monkeypatch.setattr(maps.DistributionMap, "__post_init__", no_map)
+    config = write_config(tmp_path, "cfg.json", {
+        "space": {"family": "periodic_unit_grid", "n": 16},
+        "model": {"family": "raw_samples"},
+        "omega": {"family": "exponential"},
+        "theta": {"family": "canonical_dual"},
+        "symbol": symbol,
+        "suites": ["diagnose"],
+    })
+    assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: invalid config: {message}\n"
+
+
+def test_a_read_error_is_named_before_a_builder_error(tmp_path, capsys):
+    # the exponential frame cannot be built on a symmetric grid, but the
+    # misspelt symbol key is read before any section is built
+    config = write_config(tmp_path, "cfg.json", {
+        "space": {"family": "symmetric_grid", "n": 16, "half_width": 1},
+        "model": {"family": "raw_samples"},
+        "omega": {"family": "exponential"},
+        "symbol": {"family": "constant", "bogus": 1},
+        "suites": ["diagnose"],
+    })
+    assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: invalid config: symbol.bogus: unknown key\n"
+
+
+CONTEXT = {"model": {"family": "raw_samples"}, "omega": {"family": "delta"},
+           "suites": ["diagnose"]}
+
+
+@pytest.mark.parametrize("payload, code, message", [
+    ({**CONTEXT, "space": {"family": "counting", "n": 10**15}}, EXIT_VALIDATION,
+     "error: cannot build experiment: Unable to allocate"),
+    ({**CONTEXT, "space": {"family": "counting", "n": 10**20}}, EXIT_VALIDATION,
+     "error: invalid config: space.n: must be at most"),
+    ({"suites": ["quartet"], "seed": 1, "quartet": {"n": [10**15]}}, EXIT_ASSERTION,
+     "FAIL [quartet] quartet: Unable to allocate"),
+    ({"suites": ["quartet"], "seed": 1, "quartet": {"n": [10**20]}}, EXIT_VALIDATION,
+     "error: invalid config: quartet.n: must be at most"),
+    ({"suites": ["sweep"], "sweep": {"l_values": [1e300, 2e300, 4e300],
+                                     "points_per_unit": 1}}, EXIT_VALIDATION,
+     "error: invalid config: sweep.l_values: 1 points per unit up to L = 4e+300"),
+    ({"suites": ["sweep"], "sweep": {"points_per_unit": 10**15}}, EXIT_ASSERTION,
+     "FAIL [sweep] sweep: Unable to allocate"),
+], ids=["space-1e15", "space-1e20", "quartet-1e15", "quartet-1e20", "sweep-l-values",
+        "sweep-points-per-unit"])
+def test_no_size_ends_in_a_traceback(tmp_path, capsys, payload, code, message):
+    # each size fails at once: an index too large to read, or an allocation
+    # of petabytes that numpy refuses before touching memory
+    config = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    assert run(config, out_dir=out) == code
+    captured = capsys.readouterr()
+    assert message in (captured.err if code == EXIT_VALIDATION else captured.out)
+    assert out.exists() == (code == EXIT_ASSERTION)
+
+
+def test_seeds_are_not_sizes(tmp_path):
+    config = write_config(tmp_path, "cfg.json", {
+        **CONTEXT, "space": {"family": "counting", "n": 4},
+        "symbol": {"family": "random_phase", "seed": 10**30}, "seed": 10**30,
+    })
+    assert run(config, out_dir=tmp_path / "out") == EXIT_OK
+
 
 @pytest.mark.parametrize("payload, message", [
     ({"suites": ["diagnose"]}, "omega: missing required section"),

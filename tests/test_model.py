@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,17 @@ class TestRawSamplesClosedForm:
         sigma = np.linalg.svd(root[:, None] * np.eye(n, dtype=complex), compute_uv=False)
         condition = float(sigma[0] / sigma[-1])
         assert model.summary()["d_basis_condition"] == condition
+
+    def test_summary_reads_the_condition_without_an_n_by_n_array(self):
+        n = 1024
+        model = make_model(periodic_unit_grid(n), RawSamples())
+        tracemalloc.start()
+        try:
+            model.summary()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n * np.dtype(float).itemsize, peak  # a few length-N arrays
 
     def test_make_model_makes_no_qr(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: pytest.fail("qr"))
