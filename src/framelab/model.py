@@ -58,6 +58,14 @@ class RawSamples:
 BasisFamily = Union[Trigonometric, GaussianBumps, RawSamples]
 
 
+def _gaussian(offsets: np.ndarray, width: float) -> np.ndarray:
+    """exp(-offsets^2 / (2 width^2)), with 2 width^2 formed in float64: a
+    width whose square overflows gives the exact limit exp(-0) = 1."""
+    with np.errstate(over="ignore"):
+        spread = 2.0 * np.float64(width) ** 2
+    return np.exp(-(offsets ** 2) / spread)
+
+
 def _raw_columns(space: SampledMeasureSpace, family: BasisFamily) -> np.ndarray:
     n = len(space)
     if isinstance(family, Trigonometric):
@@ -76,10 +84,7 @@ def _raw_columns(space: SampledMeasureSpace, family: BasisFamily) -> np.ndarray:
         return np.exp(2j * np.pi * np.outer(space.points, freqs) / period)
     if isinstance(family, GaussianBumps):
         centers = np.asarray(family.centers, dtype=float)
-        cols = np.exp(
-            -((space.points[:, None] - centers[None, :]) ** 2)
-            / (2.0 * float(family.width) ** 2)
-        )
+        cols = _gaussian(space.points[:, None] - centers[None, :], family.width)
         return cols.astype(complex)
     raise TypeError(f"unknown basis family {family!r}")
 

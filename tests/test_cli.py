@@ -156,7 +156,7 @@ class TestRun:
     def test_missing_seed_for_randomized_suite(self, tmp_path, capsys):
         payload = dict(PARSEVAL_CONFIG)
         payload.pop("seed")
-        payload["suites"] = ["multiplier"]
+        payload["suites"] = ["oracle"]
         config = write_config(tmp_path, "cfg.json", payload)
         assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
         assert "seed" in capsys.readouterr().err
@@ -890,7 +890,7 @@ class TestRun:
         })
         out = tmp_path / "out"
         assert run(config, out_dir=out) == EXIT_ASSERTION
-        assert load_report(out, "multiplier")["failures"] == ["pairing residual nan"]
+        assert load_report(out, "multiplier")["failures"] == []
         assert load_report(out, "oracle")["failures"] == [
             "brute-force pairing residual nan"]
 
@@ -1434,6 +1434,32 @@ def test_seeds_are_not_sizes(tmp_path):
     assert run(config, out_dir=tmp_path / "out") == EXIT_OK
 
 
+GRID = {"space": {"family": "periodic_unit_grid", "n": 8}, "suites": ["diagnose"]}
+
+
+@pytest.mark.parametrize("payload, code", [
+    ({**GRID, "model": {"family": "raw_samples"}, "omega": {
+        "family": "translated_window", "window": {"width": 1e160}}}, EXIT_OK),
+    ({**GRID, "model": {"family": "raw_samples"}, "omega": {
+        "family": "translated_window", "window": {"width": 1e300}}}, EXIT_OK),
+    ({**GRID, "omega": {"family": "delta"}, "model": {
+        "family": "gaussian_bumps", "centers": [0.5], "width": 1e160}}, EXIT_OK),
+    ({**GRID, "omega": {"family": "delta"}, "model": {
+        "family": "gaussian_bumps", "centers": [0.25, 0.75], "width": 1e160}},
+     EXIT_VALIDATION),
+], ids=["window-1e160", "window-1e300", "bumps-one-center", "bumps-two-centers"])
+def test_a_gaussian_width_whose_square_overflows_is_flat(tmp_path, capsys, payload,
+                                                         code):
+    # 2 w^2 overflows to inf, so every sample is exp(-0) = 1: a window on the
+    # whole grid, or one flat bump column (two are linearly dependent)
+    config = write_config(tmp_path, "cfg.json", payload)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(config, out_dir=tmp_path / "out") == code
+    assert caught == []
+    assert "Warning" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("payload, message", [
     ({"suites": ["diagnose"]}, "omega: missing required section"),
     ({"suites": ["diagnose"], "omega": {"family": "delta"},
@@ -1549,6 +1575,29 @@ def test_disagreeing_discrete_reduction_paths_fail_the_oracle(tmp_path, monkeypa
     report = load_report(tmp_path / "out", "oracle")
     assert report["failures"] == ["discrete reduction paths disagree"]
     assert report["data"]["discrete_reduction"]["agree"] is False
+
+
+def test_the_oracle_fails_a_corrupted_operator_that_the_production_gap_passes(
+        tmp_path, monkeypatch):
+    # The dense matrix is off by 0.01 in one entry, and the production pairing
+    # gap reads 0.0 wherever it is bound, so build's validation passes it.
+    product, gap = multiplier._weighted_product, multiplier._pairing_gap
+
+    def corrupted(*args):
+        dense = np.array(product(*args))
+        dense[0, 0] += 0.01
+        return dense
+
+    monkeypatch.setattr(multiplier, "_weighted_product", corrupted)
+    for module in (lab, multiplier):
+        if getattr(module, "_pairing_gap", None) is gap:
+            monkeypatch.setattr(module, "_pairing_gap", lambda *args: 0.0)
+    config = write_config(tmp_path, "cfg.json", {
+        **PARSEVAL_CONFIG, "suites": ["multiplier", "oracle"]})
+    out = tmp_path / "out"
+    assert run(config, out_dir=out) == EXIT_ASSERTION
+    assert [f.split()[:3] for f in load_report(out, "oracle")["failures"]] == [
+        ["brute-force", "pairing", "residual"]]
 
 
 def kappa_1e9_config(tmp_path, seed):
@@ -1686,8 +1735,7 @@ class TestFailureBranches:
 
     def test_a_duality_residual_above_tolerance(self, tmp_path, monkeypatch):
         monkeypatch.setattr(lab, "duality_residual", lambda *args, **kwargs: 1.0)
-        assert self.failures(tmp_path, ["dual"]) == [
-            "duality residual 1.000e+00 above 1.0e-10"]
+        assert self.failures(tmp_path, ["oracle"]) == ["duality residual 1.000e+00"]
 
     def test_a_norm_above_its_bound(self, tmp_path, monkeypatch):
         monkeypatch.setattr(multiplier, "norm_bound", lambda op: 0.5)

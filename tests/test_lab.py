@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import inspect
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from framelab import lab
+from framelab import cli, lab
 from framelab import (
     GrowthVerdict,
     InconsistencyError,
@@ -104,6 +105,27 @@ class TestStackedPairingOracles:
             lambda f: stray @ f, trials, 5)
         assert reference > 1e-3
         assert agrees_with_loop(stacked, reference)
+
+
+class TestOneHomePerOracle:
+    """The context oracles run once, from the cli's oracle suite, on lab's
+    own arithmetic."""
+
+    def test_cli_refers_to_lab_only_in_the_oracle_sweep_and_quartet_code(self):
+        tree = ast.parse(inspect.getsource(cli))
+        users = {getattr(statement, "name", type(statement).__name__)
+                 for statement in tree.body for node in ast.walk(statement)
+                 if isinstance(node, ast.Name) and node.id == "lab"}
+        assert users == {"_suite_oracle", "_suite_sweep", "_suite_quartet",
+                         "_sweep_family"}
+
+    def test_lab_imports_no_private_multiplier_helper_but_its_random_stream(self):
+        tree = ast.parse(inspect.getsource(lab))
+        private = {alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   and node.module == "multiplier"
+                   for alias in node.names if alias.name.startswith("_")}
+        assert private == {"_complex_normals"}
 
 
 class TestDiscreteReductionOracle:
