@@ -324,7 +324,7 @@ def _gaussian_window(space: measure.SampledMeasureSpace, width, center,
                      cutoff) -> np.ndarray:
     width = space.extent / 8.0 if width is None else width
     center = float(space.points[0]) if center is None else center
-    values = model._gaussian(space.points - center, width)
+    values = model._gaussian(space.points, center, width)
     values[values < cutoff] = 0.0  # truncate so the support is proper
     return values
 
@@ -711,10 +711,12 @@ def _suite_seed(root_seed: int | None, suite: str) -> int:
 
 # -- suites ---------------------------------------------------------------------------
 #
-# Every suite is called as suite(config, ctx, seed, out) and returns (data,
-# failures); ctx is None for a suite that does not need a context, and out
-# is the report directory.  A gate passes only when value <= limit, so a
-# NaN fails it.
+# Every suite is called as suite(config, ctx, seed, out, data, failures) and
+# returns None: it writes each value into the report's data dict, and each
+# failed gate into its failure list, as soon as it is measured, so a suite
+# stopped by an error keeps what it recorded.  ctx is None for a suite that
+# does not need a context, and out is the report directory.  A gate passes
+# only when value <= limit, so a NaN fails it.
 
 def _gate(failures: list, label: str, value: float, limit: float) -> None:
     """Append ``label`` and ``value`` to ``failures`` unless value <= limit."""
@@ -722,16 +724,15 @@ def _gate(failures: list, label: str, value: float, limit: float) -> None:
         failures.append(f"{label} {value:.3e}")
 
 
-def _suite_diagnose(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
-    return {
-        "model": ctx.model.summary(),
-        "omega": maps.diagnose(ctx.omega),
-        "theta": maps.diagnose(ctx.theta),
-    }, []
+def _suite_diagnose(config: ExperimentConfig, ctx: Context, seed: int, out: Path,
+                    data: dict, failures: list) -> None:
+    data["model"] = ctx.model.summary()
+    data["omega"] = maps.diagnose(ctx.omega)
+    data["theta"] = maps.diagnose(ctx.theta)
 
 
-def _suite_dual(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
-    failures = []
+def _suite_dual(config: ExperimentConfig, ctx: Context, seed: int, out: Path,
+                data: dict, failures: list) -> None:
     diag = maps.diagnose(ctx.omega)
     dual = maps.canonical_dual(ctx.omega)
     # ||(E_dual^H W E_omega - I) X||_F / sqrt(8 K) on the fixed K x 8 probe block X.
@@ -739,45 +740,34 @@ def _suite_dual(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
     defect = multiplier._synthesize(
         dual, ctx.space.weights[:, None] * maps._apply(ctx.omega, x)) - x
     probe = float(np.linalg.norm(defect)) / math.sqrt(x.size)
+    data["duality_probe_residual"] = probe
     _gate(failures, "duality probe residual", probe, config.tolerance)
     d_dual = maps.diagnose(dual)
-    expected = [1.0 / diag.upper, 1.0 / diag.lower]
+    data["dual_bounds"] = [d_dual.lower, d_dual.upper]
+    data["expected_dual_bounds"] = expected = [1.0 / diag.upper, 1.0 / diag.lower]
     bound_dev = max(abs(d_dual.lower - expected[0]), abs(d_dual.upper - expected[1]))
     _gate(failures, "dual bounds deviate by", bound_dev, multiplier.BOUND_TOL)
     # The dual of the dual is not cached on the dual: only its difference is kept.
     difference = maps._compute_dual(dual).table - ctx.omega.table
-    back_residual = float(np.max(np.abs(difference)))
+    data["dual_of_dual_residual"] = back_residual = float(np.max(np.abs(difference)))
     _gate(failures, "dual of dual residual", back_residual, multiplier.RESIDUAL_TOL)
-    data = {
-        "duality_probe_residual": probe,
-        "dual_bounds": [d_dual.lower, d_dual.upper],
-        "expected_dual_bounds": expected,
-        "dual_of_dual_residual": back_residual,
-    }
     if dual.dim <= 8 and dual.n_points <= 16:
         data["dual_vectors"] = dual.vectors()
-    return data, failures
 
 
-def _suite_multiplier(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
-    failures = []
+def _suite_multiplier(config: ExperimentConfig, ctx: Context, seed: int, out: Path,
+                      data: dict, failures: list) -> None:
     op = ctx.operator
-    norm = multiplier.operator_norm(op)
-    bound = multiplier.norm_bound(op)
+    data["operator_norm"] = norm = multiplier.operator_norm(op)
+    data["norm_bound"] = bound = multiplier.norm_bound(op)
     if not norm <= bound + multiplier.RESIDUAL_TOL:
         failures.append(f"norm {norm:.6e} above bound {bound:.6e}")
     difference = op.dense.conj().T
     np.subtract(multiplier.adjoint(op).dense, difference, out=difference)
-    adj_residual = float(np.max(np.abs(difference)))
+    data["adjoint_residual"] = adj_residual = float(np.max(np.abs(difference)))
     _gate(failures, "adjoint residual", adj_residual, multiplier.ROUNDING_TOL)
-    data = {
-        "operator_norm": norm,
-        "norm_bound": bound,
-        "adjoint_residual": adj_residual,
-    }
     if op.dim <= 16:
         data["dense"] = op.dense
-    return data, failures
 
 
 def _calculus_trial(ctx: Context, rng: np.random.Generator) -> multiplier.CompositionReport:
@@ -790,55 +780,46 @@ def _calculus_trial(ctx: Context, rng: np.random.Generator) -> multiplier.Compos
     return multiplier.compose(*ops)
 
 
-def _suite_calculus(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
+def _suite_calculus(config: ExperimentConfig, ctx: Context, seed: int, out: Path,
+                    data: dict, failures: list) -> None:
     """The residual is asserted on dual pairs; the factored gap on every pair."""
-    tol = config.tolerance
-    failures = []
     rng = np.random.default_rng(seed)
-    reports = [_calculus_trial(ctx, rng) for _ in range(10)]
-    for report in reports:
-        if report.asserted and not report.residual <= tol:
+    residuals = data["residuals"] = []
+    gaps = data["factored_gaps"] = []
+    for _ in range(10):
+        report = _calculus_trial(ctx, rng)
+        residuals.append(report.residual)
+        gaps.append(report.factored_gap)
+        if report.asserted and not report.residual <= config.tolerance:
             failures.append(f"calculus residual {report.residual:.3e} on dual pair")
         _gate(failures, "calculus factored gap", report.factored_gap,
               multiplier.ROUNDING_TOL)
-    residuals = [report.residual for report in reports]
-    gaps = [report.factored_gap for report in reports]
-    data = {
-        "dual_pair": reports[-1].asserted,
-        "residuals": residuals,
-        "worst_residual": max(residuals),
-        "factored_gaps": gaps,
-        "worst_factored_gap": max(gaps),
-        "duality_defect": multiplier.duality_defect(ctx.omega, ctx.theta),
-    }
-    return data, failures
+    data["dual_pair"] = report.asserted
+    data["worst_residual"] = max(residuals)
+    data["worst_factored_gap"] = max(gaps)
+    data["duality_defect"] = multiplier.duality_defect(ctx.omega, ctx.theta)
 
 
-def _suite_invert(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
-    failures = []
+def _suite_invert(config: ExperimentConfig, ctx: Context, seed: int, out: Path,
+                  data: dict, failures: list) -> None:
     report = multiplier.invert(ctx.operator)
+    data.update(vars(report))
     if report.bound_satisfied is False:
         failures.append("inverse bound violated")
     if report.reciprocal_residual is not None:
         _gate(failures, "reciprocal-symbol residual", report.reciprocal_residual,
               config.tolerance)
-    return report, failures
 
 
-def _suite_reconstruct(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
-    failures = []
+def _suite_reconstruct(config: ExperimentConfig, ctx: Context, seed: int, out: Path,
+                       data: dict, failures: list) -> None:
     op = ctx.operator
     # Only the residuals are reported: neither map is kept past its own pair.
-    res_right = multiplier.reconstruction_pair(
-        op, multiplier.Side.RIGHT, trials=50, seed=seed)[1]
-    res_left = multiplier.reconstruction_pair(
-        op, multiplier.Side.LEFT, trials=50, seed=seed)[1]
-    _gate(failures, "right reconstruction residual", res_right, config.tolerance)
-    _gate(failures, "left reconstruction residual", res_left, config.tolerance)
-    return {
-        "right_residual": res_right,
-        "left_residual": res_left,
-    }, failures
+    for side in (multiplier.Side.RIGHT, multiplier.Side.LEFT):
+        residual = multiplier.reconstruction_pair(op, side, trials=50, seed=seed)[1]
+        data[f"{side.value}_residual"] = residual
+        _gate(failures, f"{side.value} reconstruction residual", residual,
+              config.tolerance)
 
 
 def _witness_family(config: ExperimentConfig, ctx: Context, alpha_values=None):
@@ -850,53 +831,51 @@ def _witness_family(config: ExperimentConfig, ctx: Context, alpha_values=None):
 
 
 def _suite_orthogonality(config: ExperimentConfig, ctx: Context, seed: int,
-                         out: Path):
-    failures = []
-    pseudo = maps.check_pseudo_orthogonal(
+                         out: Path, data: dict, failures: list) -> None:
+    data["pseudo"] = pseudo = maps.check_pseudo_orthogonal(
         ctx.omega, _witness_family(config, ctx), support_tol=config.support_tol
     )
     if not pseudo.passed:
         failures.append(f"pseudo-orthogonality: {pseudo.reason}")
     alpha = 1.0 / (1.0 + ctx.space.points ** 2)
-    hyper = maps.check_hyper_orthogonal(
+    data["hyper"] = hyper = maps.check_hyper_orthogonal(
         ctx.omega, alpha, lambda a: _witness_family(config, ctx, a),
         support_tol=config.support_tol,
     )
     if not hyper.passed:
         failures.append(f"hyper-orthogonality: {hyper.reason}")
-    return {"pseudo": pseudo, "hyper": hyper}, failures
 
 
-def _suite_density(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
-    failures = []
+def _suite_density(config: ExperimentConfig, ctx: Context, seed: int, out: Path,
+                   data: dict, failures: list) -> None:
     family = _witness_family(config, ctx)
     report = multiplier.density_certificate(
         ctx.omega, ctx.theta, ctx.symbol, family,
         support_tol=config.support_tol, tol=config.tolerance,
     )
+    data.update(vars(report))
     if not report.passed:
         failures.append(f"density certificate: {report.reason}")
     residual = multiplier.closability_residual(ctx.omega, ctx.theta, ctx.symbol, family)
     closable = report.total and residual <= multiplier.RESIDUAL_TOL
     reason = "" if closable else (
         "pairing mismatch" if report.total else "dual witness family is not total")
+    data["closability"] = {"passed": closable, "total": report.total,
+                           "residual": residual, "reason": reason}
     if not closable:
         failures.append(f"closability: {reason}")
     split1, split2 = multiplier.split_symbol(ctx.symbol)
-    split_ok = (
+    data["split_ok"] = split_ok = bool(
         np.max(np.abs(split1 + split2 - ctx.symbol.values)) <= multiplier.SPLIT_TOL
         and np.min(np.abs(split2)) >= multiplier.SPLIT_FLOOR
         and np.max(np.abs(split1)) <= multiplier.SPLIT_BOUND + multiplier.ROUNDING_TOL
     )
     if not split_ok:
         failures.append("symbol split postconditions violated")
-    return {**vars(report), "split_ok": bool(split_ok),
-            "closability": {"passed": closable, "total": report.total,
-                            "residual": residual, "reason": reason}}, failures
 
 
-def _suite_sweep(config: ExperimentConfig, ctx: None, seed: int, out: Path):
-    failures = []
+def _suite_sweep(config: ExperimentConfig, ctx: None, seed: int, out: Path,
+                 data: dict, failures: list) -> None:
     if config.sweep_kind == "weighted_delta":
         result = lab.unboundedness_sweep(config.sweep_family, lab.coordinate_multiplier)
         failures.extend(lab.norm_floor_misses(result))
@@ -912,46 +891,44 @@ def _suite_sweep(config: ExperimentConfig, ctx: None, seed: int, out: Path):
         result = lab.unboundedness_sweep(config.sweep_family, bounded)
         if result.verdict is not lab.GrowthVerdict.BOUNDED:
             failures.append("expected a bounded verdict")
+    data.update(vars(result))
     (out / "sweep.csv").write_text(result.to_csv())
-    return result, failures
 
 
-def _suite_quartet(config: ExperimentConfig, ctx: None, seed: int, out: Path):
-    failures = []
+def _suite_quartet(config: ExperimentConfig, ctx: None, seed: int, out: Path,
+                   data: dict, failures: list) -> None:
     rng = np.random.default_rng(seed)
-    reports = []
+    reports = data["reports"] = []
     for n in config.quartet_ns:
         values = multiplier._complex_normals(rng, config.quartet_symbols, n)
-        reports.extend(lab.fourier_quartet_check(n, values, trials=3, seed=seed,
-                                                 tol=config.tolerance))
-    for report in reports:
-        if not report.passed:
-            bad = {k: v for k, v in report.residuals.items()
-                   if not v <= config.tolerance}
-            failures.append(
-                f"quartet n={report.n} members {sorted(bad)} failed; "
-                f"flipped convention passes: {report.flipped_passes}"
-            )
-    return {"reports": reports}, failures
+        for report in lab.fourier_quartet_check(n, values, trials=3, seed=seed,
+                                                tol=config.tolerance):
+            reports.append(report)
+            if not report.passed:
+                bad = {k: v for k, v in report.residuals.items()
+                       if not v <= config.tolerance}
+                failures.append(
+                    f"quartet n={report.n} members {sorted(bad)} failed; "
+                    f"flipped convention passes: {report.flipped_passes}"
+                )
 
 
-def _suite_oracle(config: ExperimentConfig, ctx: Context, seed: int, out: Path):
-    failures = []
-    op = ctx.operator
-    residual = lab.brute_force_pairing(op, trials=100, seed=seed)
+def _suite_oracle(config: ExperimentConfig, ctx: Context, seed: int, out: Path,
+                  data: dict, failures: list) -> None:
+    """The discrete reduction runs before the duality residual, the one oracle
+    that raises (on a frame whose lower bound underflows)."""
+    data["pairing_residual"] = residual = lab.brute_force_pairing(
+        ctx.operator, trials=100, seed=seed)
     _gate(failures, "brute-force pairing residual", residual, config.tolerance)
-    data = {"pairing_residual": residual}
-    if maps.diagnose(ctx.omega).classification in maps.FRAME_CLASSES:
-        duality = lab.duality_residual(ctx.omega, maps.canonical_dual(ctx.omega),
-                                       trials=100, seed=seed)
-        _gate(failures, "duality residual", duality, config.tolerance)
-        data["duality_residual"] = duality
     if config.sections["omega"].get("family") == "discrete":
         comparison = lab.discrete_reduction_oracle(np.conj(ctx.omega.table))
         data["discrete_reduction"] = comparison
         if not comparison.agree:
             failures.append("discrete reduction paths disagree")
-    return data, failures
+    if maps.diagnose(ctx.omega).classification in maps.FRAME_CLASSES:
+        data["duality_residual"] = duality = lab.duality_residual(
+            ctx.omega, maps.canonical_dual(ctx.omega), trials=100, seed=seed)
+        _gate(failures, "duality residual", duality, config.tolerance)
 
 
 # Suite name -> function.  run looks each suite up here when it calls it,
@@ -1028,11 +1005,13 @@ def run(config_path, out_dir=None, tol=None, seed=None,
 
     all_failures = []
     for suite in config.suites:
+        data, failures = {}, []
         try:
-            data, failures = SUITES[suite](config, ctx,
-                                           _suite_seed(config.seed, suite), out)
-        except (FrameLabError, MemoryError) as exc:
-            data, failures = {"error": str(exc)}, [f"{suite}: {exc}"]
+            SUITES[suite](config, ctx, _suite_seed(config.seed, suite), out,
+                          data, failures)
+        except (FrameLabError, MemoryError) as exc:  # keep what the suite recorded
+            data["error"] = str(exc)
+            failures.append(f"{suite}: {exc}")
         report = {
             "schema_version": SCHEMA_VERSION,
             "suite": suite,

@@ -155,6 +155,9 @@ def symmetric_grid(n: int, half_width: float) -> SampledMeasureSpace:
     if n < 2:
         raise InvalidValueError("symmetric grid needs at least 2 points")
     L = float(half_width)
+    if not math.isfinite(2.0 * L):
+        raise InvalidValueError(
+            f"symmetric grid half_width {L!r} is too large: its span 2L overflows")
     return SampledMeasureSpace(
         points=np.linspace(-L, L, n),
         weights=np.full(n, 2.0 * L / (n - 1)),

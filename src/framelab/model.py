@@ -58,12 +58,22 @@ class RawSamples:
 BasisFamily = Union[Trigonometric, GaussianBumps, RawSamples]
 
 
-def _gaussian(offsets: np.ndarray, width: float) -> np.ndarray:
-    """exp(-offsets^2 / (2 width^2)), with 2 width^2 formed in float64: a
-    width whose square overflows gives the exact limit exp(-0) = 1."""
+def _gaussian(points: np.ndarray, centers, width: float) -> np.ndarray:
+    """exp(-(points - centers)^2 / (2 width^2)), with 2 width^2 formed in
+    float64.  Overflow gives the exact limits: an offset or a quotient that
+    overflows gives exp(-inf) = 0, and a width whose 2 width^2 overflows
+    divides the offsets by the width first, so that exp(-0) = 1 near the
+    center.  A width whose 2 width^2 underflows to 0 would leave 0/0 at the
+    center: it is an InvalidValueError."""
     with np.errstate(over="ignore"):
         spread = 2.0 * np.float64(width) ** 2
-    return np.exp(-(offsets ** 2) / spread)
+        if spread == 0.0:
+            raise InvalidValueError(
+                f"Gaussian width {width!r} is too small: 2 width^2 underflows to 0")
+        offsets = points - centers
+        if np.isinf(spread):
+            offsets, spread = offsets / width, 2.0
+        return np.exp(-(offsets ** 2) / spread)
 
 
 def _raw_columns(space: SampledMeasureSpace, family: BasisFamily) -> np.ndarray:
@@ -84,7 +94,7 @@ def _raw_columns(space: SampledMeasureSpace, family: BasisFamily) -> np.ndarray:
         return np.exp(2j * np.pi * np.outer(space.points, freqs) / period)
     if isinstance(family, GaussianBumps):
         centers = np.asarray(family.centers, dtype=float)
-        cols = _gaussian(space.points[:, None] - centers[None, :], family.width)
+        cols = _gaussian(space.points[:, None], centers[None, :], family.width)
         return cols.astype(complex)
     raise TypeError(f"unknown basis family {family!r}")
 

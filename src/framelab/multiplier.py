@@ -233,14 +233,18 @@ def build(m: Symbol, omega: DistributionMap, theta: DistributionMap,
     the dense matrix is formed and the defining pairing is checked on a few
     deterministic random pairs against the direct weighted sum; disagreement
     raises, since the two are the same computation in different association
-    orders.  Without it no K x K matrix is formed.
+    orders.  Without it no K x K matrix is formed.  An overflow inside the
+    check is not warned about: it leaves an infinite or NaN gap, which the
+    comparison judges.
     """
     _check_factors(m, omega, theta)
     op = MultiplierOperator(omega=omega, theta=theta, symbol=m)
     if validate:
-        gap = _pairing_gap(omega.space.weights * m.values, omega.table, theta.table,
-                           lambda f: f @ op.dense.T, *_validation_pairs(omega.dim))
-        scale = max(1.0, float(np.max(np.abs(op.dense))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = _pairing_gap(omega.space.weights * m.values, omega.table,
+                               theta.table, lambda f: f @ op.dense.T,
+                               *_validation_pairs(omega.dim))
+            scale = max(1.0, float(np.max(np.abs(op.dense))))
         if not gap <= RESIDUAL_TOL * scale * omega.dim:
             raise InconsistencyError("dense matrix disagrees with its pairing")
     return op

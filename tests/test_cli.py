@@ -11,7 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framelab import InconsistencyError, lab, maps, measure, model, multiplier
+from framelab import (
+    InconsistencyError,
+    SingularOperatorError,
+    lab,
+    maps,
+    measure,
+    model,
+    multiplier,
+)
 from framelab.cli import (
     EXIT_ASSERTION,
     EXIT_OK,
@@ -361,22 +369,21 @@ class TestRun:
 
     @pytest.mark.parametrize("patch, message", [
         ({"space": {"family": "symmetric_grid", "n": 2, "half_width": 1e308}},
-         "all points must be finite"),
+         "symmetric grid half_width 1e+308 is too large: its span 2L overflows"),
         ({"space": {"family": "symmetric_grid", "n": 8, "half_width": 1.0},
           "model": {"family": "gaussian_bumps", "centers": [-1.0, 1.0],
                     "width": 1e-300}},
-         "on_basis is not H-orthonormal (defect nan)"),
+         "Gaussian width 1e-300 is too small: 2 width^2 underflows to 0"),
         ({"model": {"family": "raw_samples"},
           "omega": {"family": "translated_window",
                     "window": {"family": "gaussian_window", "width": 1e-300}}},
-         "evaluation table must have finite entries"),
+         "Gaussian width 1e-300 is too small: 2 width^2 underflows to 0"),
     ], ids=["grid-overflow", "bump-underflow", "window-underflow"])
     def test_extreme_values_cannot_build_the_experiment(self, tmp_path, capsys,
                                                         patch, message):
         config = write_config(tmp_path, "cfg.json", {**PARSEVAL_CONFIG, **patch})
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            assert run(config, out_dir=out) == EXIT_VALIDATION
+        assert run(config, out_dir=out) == EXIT_VALIDATION
         assert f"cannot build experiment: {message}" in capsys.readouterr().err
         assert not out.exists()
 
@@ -486,7 +493,8 @@ class TestRun:
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd",
                             lambda *args, **kwargs: calls.append(kwargs) or svd(*args, **kwargs))
-        data, failures = _suite_dual(config, ctx, 0, tmp_path)
+        data, failures = {}, []
+        assert _suite_dual(config, ctx, 0, tmp_path, data, failures) is None
         assert failures == [] and data["dual_of_dual_residual"] < 1e-12
         # the dual's spectrum, then the thin SVD of the dual of the dual only
         assert calls == [{"compute_uv": False}, {"full_matrices": False}]
@@ -687,7 +695,8 @@ class TestRun:
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd",
                             lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
-        data, failures = _suite_density(config, ctx, 0, tmp_path)
+        data, failures = {}, []
+        assert _suite_density(config, ctx, 0, tmp_path, data, failures) is None
         assert len(calls) == 1  # the witness family's totality, shared by both checks
         assert failures == []
 
@@ -977,6 +986,36 @@ class TestRun:
         for suite in ("multiplier", "oracle"):
             assert load_report(out, suite)["data"] == {
                 "error": "dense matrix disagrees"}
+
+    def test_a_suite_stopped_by_an_error_keeps_what_it_recorded(self, tmp_path):
+        # the discrete reduction runs before the duality residual, which needs
+        # the canonical dual of a frame whose A = sigma_min^2 underflows
+        config = write_config(tmp_path, "cfg.json", {
+            "omega": {"family": "discrete", "vectors": [[1e-154, 0], [0, 1e-163]]},
+            "theta": {"family": "same"}, "suites": ["oracle"], "seed": 1,
+        })
+        out = tmp_path / "out"
+        assert run(config, out_dir=out) == EXIT_ASSERTION
+        report = load_report(out, "oracle")
+        assert {"pairing_residual", "discrete_reduction", "error"} <= set(report["data"])
+        assert report["failures"][-1] == f"oracle: {report['data']['error']}"
+
+    def test_a_failed_gate_is_kept_when_its_suite_then_raises(self, tmp_path,
+                                                              monkeypatch):
+        def singular(*args, **kwargs):
+            raise SingularOperatorError("no dual")
+
+        monkeypatch.setattr(lab, "duality_residual", singular)
+        config = write_config(tmp_path, "cfg.json", {
+            **PARSEVAL_CONFIG, "suites": ["oracle"], "tolerance": 1e-300,
+        })
+        out = tmp_path / "out"
+        assert run(config, out_dir=out) == EXIT_ASSERTION
+        report = load_report(out, "oracle")
+        assert report["failures"][0].startswith("brute-force pairing residual ")
+        assert report["failures"][1:] == ["oracle: no dual"]
+        assert set(report["data"]) == {"pairing_residual", "error"}
+        assert report["data"]["pairing_residual"] > 1e-300
 
 
 class TestMain:
@@ -1458,6 +1497,48 @@ def test_a_gaussian_width_whose_square_overflows_is_flat(tmp_path, capsys, paylo
         assert run(config, out_dir=tmp_path / "out") == code
     assert caught == []
     assert "Warning" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, code", [
+    ({**GRID, "omega": {"family": "delta"}, "model": {
+        "family": "gaussian_bumps", "centers": [1e308, 0.5], "width": 0.1}},
+     EXIT_VALIDATION),
+    ({**GRID, "omega": {"family": "delta"}, "model": {
+        "family": "gaussian_bumps", "centers": [0.25, 0.5], "width": 5e-324}},
+     EXIT_VALIDATION),
+    ({**GRID, "omega": {"family": "delta"}, "model": {
+        "family": "gaussian_bumps", "centers": [1e308], "width": 1e160}},
+     EXIT_VALIDATION),
+    ({**GRID, "model": {"family": "raw_samples"}, "omega": {
+        "family": "translated_window", "window": {"width": 1e-160}}}, EXIT_OK),
+    ({**GRID, "model": {"family": "raw_samples"}, "omega": {
+        "family": "translated_window", "window": {"width": 5e-324}}}, EXIT_VALIDATION),
+    ({**CONTEXT, "model": {"family": "raw_samples"},
+      "space": {"family": "symmetric_grid", "n": 8, "half_width": 1e308}},
+     EXIT_VALIDATION),
+    ({"omega": {"family": "discrete", "vectors": [
+        [1e5, 0, 0, 0], [0, 1e5, 0, 0], [0, 0, 1e5, 0], [0, 0, 0, 1e5],
+        [1e5, 1e5, 0, 0], [0, 0, 1e5, 1e5]]}, "theta": {"family": "same"},
+      "symbol": {"family": "constant", "value": 1e300},
+      "suites": ["multiplier", "oracle"], "seed": 1}, EXIT_ASSERTION),
+], ids=["bumps-center-1e308", "bumps-width-5e-324", "bumps-width-1e160-center-1e308",
+        "window-1e-160", "window-5e-324", "grid-1e308", "symbol-1e300"])
+def test_no_config_prints_a_runtime_warning(tmp_path, payload, code):
+    # an overflow that gives the exact limit is silenced; an input that has
+    # no value in float64 is a typed error
+    config = write_config(tmp_path, "cfg.json", payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(config, out_dir=tmp_path / "out") == code
+
+
+def test_a_gaussian_window_narrower_than_the_grid_is_a_delta_frame(tmp_path):
+    # width 1e-160: every offset but the center's overflows to exp(-inf) = 0
+    config = write_config(tmp_path, "cfg.json", {
+        **GRID, "model": {"family": "raw_samples"},
+        "omega": {"family": "translated_window", "window": {"width": 1e-160}}})
+    table = build_context(parse_config(json.loads(config.read_text()))).omega.table
+    assert table[0, 0] > 0 and np.array_equal(table, table[0, 0] * np.eye(8))
 
 
 @pytest.mark.parametrize("payload, message", [
