@@ -118,12 +118,25 @@ def _need(cfg: dict, field: str, read, default=_REQUIRED):
         raise ConfigError(field, str(exc)) from None
 
 
-def _declared(cfg: dict, names) -> None:
-    """Reject a key that ``names`` does not declare: a misspelt optional key
-    would otherwise leave its default in place unseen."""
+class Param(NamedTuple):
+    """A parameter of a config object: its type as documented (``list-families``
+    prints a family's), the reader of its JSON value, and its default when it
+    is optional."""
+
+    type: str
+    read: Callable
+    default: object = _REQUIRED
+
+
+def _read_params(cfg: dict, params: dict, *other_keys) -> dict:
+    """The typed values of ``params`` in the JSON object ``cfg``, read in
+    order.  A key that neither ``params`` nor ``other_keys`` declares is a
+    ConfigError: a misspelt optional key would otherwise leave its default
+    in place unseen."""
     for key in cfg:
-        if key not in names:
+        if key not in params and key not in other_keys:
             raise ConfigError(key, "unknown key")
+    return {name: _need(cfg, name, p.read, p.default) for name, p in params.items()}
 
 
 @contextlib.contextmanager
@@ -295,30 +308,24 @@ def _weight(value):
     return _coordinate if value == "coordinate" else _complex_list(value)
 
 
+# The keys of a Gaussian window dict besides its family; a width or center
+# of None defaults from the space.
+_GAUSSIAN_WINDOW = {"width": Param("float", _positive, None),
+                    "center": Param("float", _real, None),
+                    "cutoff": Param("float", _real, 1e-3)}
+
+
 def _window(value):
-    """Window samples, or the parameters of a Gaussian window as a dict,
-    with None for a width or center that defaults from the space."""
+    """Window samples, or the parameters of a Gaussian window as a dict."""
     if not isinstance(value, dict):
         return _complex_list(value)
     with _within("window"):
         if _need(value, "family", _text, "gaussian_window") != "gaussian_window":
             raise ConfigError("family", f"unknown window family {value['family']!r}")
-        _declared(value, ("family", "width", "center", "cutoff"))
-        return {"width": _need(value, "width", _positive, None),
-                "center": _need(value, "center", _real, None),
-                "cutoff": _need(value, "cutoff", _real, 1e-3)}
+        return _read_params(value, _GAUSSIAN_WINDOW, "family")
 
 
 # -- family table ----------------------------------------------------------------------
-
-class Param(NamedTuple):
-    """A family parameter: its type as ``list-families`` prints it, the
-    reader of its JSON value, and its default when it is optional."""
-
-    type: str
-    read: Callable
-    default: object = _REQUIRED
-
 
 def _gaussian_window(space: measure.SampledMeasureSpace, width, center,
                      cutoff) -> np.ndarray:
@@ -461,9 +468,8 @@ FAMILIES = {
                 mdl, space, weight),
         ),
         "translated_window": (
-            {"window": Param("[complex] | "
-                             "{family: gaussian_window, width, center, cutoff}",
-                             _window)},
+            {"window": Param("[complex] | {family: gaussian_window, "
+                             f"{', '.join(_GAUSSIAN_WINDOW)}}}", _window)},
             "circular translates of a window on a uniform grid",
             _translated_window,
         ),
@@ -537,9 +543,7 @@ def _read_family(group: str, cfg: dict, path: str) -> tuple[Callable, dict]:
         if family not in FAMILIES[group]:
             raise ConfigError("family", f"unknown {group[:-1]} family {family!r}")
         params, _, builder = FAMILIES[group][family]
-        _declared(cfg, {"family", *params})
-        return builder, {name: _need(cfg, name, p.read, p.default)
-                         for name, p in params.items()}
+        return builder, _read_params(cfg, params, "family")
 
 
 def _implies_space(omega: dict) -> bool:
@@ -552,6 +556,19 @@ def _implies_space(omega: dict) -> bool:
 # Family section -> its group in FAMILIES, in reading order.
 SECTIONS = {"space": "spaces", "model": "models", "omega": "frames",
             "theta": "frames", "symbol": "symbols"}
+
+
+# Option section -> its parameters, in reading order; an option section is
+# read like a family section, and may be omitted.  One size n is a list of one.
+OPTIONS = {
+    "quartet": {"n": Param("int | [int]", lambda v: _nonempty_list(_count)(
+                    v if isinstance(v, list) else [v]), (4, 8, 16)),
+                "symbols": Param("int", _count, 5)},
+    "sweep": {"kind": Param("'weighted_delta' | 'bounded_control'", _text, "weighted_delta"),
+              "l_values": Param("[float]", _nonempty_list(_positive), (2.0, 4.0, 8.0, 16.0)),
+              "points_per_unit": Param("int", _count, 8)},
+    "orthogonality": {"support_tol": Param("float", _positive, maps.SUPPORT_TOL)},
+}
 
 
 @dataclass
@@ -568,17 +585,17 @@ class ExperimentConfig:
     sweep_family: measure.RefinementFamily
 
 
-def _sweep_family(sweep_kind: str, l_values: list,
-                  ppu: int) -> measure.RefinementFamily:
+def _sweep_family(kind: str, l_values: list,
+                  points_per_unit: int) -> measure.RefinementFamily:
     """The grids a sweep runs on, checked as the sweep checks them; both
     kinds run on the grids of ``lab.weighted_delta_family``."""
-    if sweep_kind not in ("weighted_delta", "bounded_control"):
-        raise ConfigError("kind", f"unknown sweep kind {sweep_kind!r}")
-    if ppu * max(l_values) + 1 > _SIZE_MAX:  # the points of the widest grid
-        raise ConfigError("l_values", f"{ppu} points per unit up to L = "
+    if kind not in ("weighted_delta", "bounded_control"):
+        raise ConfigError("kind", f"unknown sweep kind {kind!r}")
+    if points_per_unit * max(l_values) + 1 > _SIZE_MAX:  # the widest grid's points
+        raise ConfigError("l_values", f"{points_per_unit} points per unit up to L = "
                           f"{max(l_values)!r} are more than an array holds")
     try:
-        family = lab.weighted_delta_family(l_values, ppu)
+        family = lab.weighted_delta_family(l_values, points_per_unit)
     except ScheduleError as exc:
         raise ConfigError("l_values", str(exc)) from None
     if len(family) < lab.MIN_SWEEP_STEPS:
@@ -596,8 +613,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(name, "must be a JSON object")
         return value
 
-    _declared(raw, ("space", "model", "omega", "theta", "symbol", "suites", "seed",
-                    "tolerance", "output_dir", "quartet", "sweep", "orthogonality"))
+    _read_params(raw, {}, *SECTIONS, *OPTIONS, "suites", "seed", "tolerance",
+                 "output_dir")
     suites = raw.get("suites")
     if not isinstance(suites, list) or not suites:
         raise ConfigError("suites", "must be a nonempty list")
@@ -606,7 +623,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError("suites", f"unknown suite {s!r}")
     suites = tuple(s for s in SUITE_ORDER if s in suites)
 
-    seed = _need(raw, "seed", _whole(0, math.inf), None)
+    seed = _need(raw, "seed", _SEED.read, None)
     if seed is None and any(SUITE_ORDER[s].randomized for s in suites):
         raise ConfigError("seed", "required when a randomized suite is selected")
 
@@ -620,28 +637,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 "theta": section("theta", {"family": "same"}),
                 "symbol": section("symbol", {"family": "constant", "value": 1.0})}
 
-    quartet = section("quartet", {})
-    with _within("quartet"):
-        _declared(quartet, ("n", "symbols"))
-        quartet_ns = _need(
-            quartet, "n",
-            lambda v: _nonempty_list(_count)(v if isinstance(v, list) else [v]),
-            [4, 8, 16],
-        )
-        quartet_symbols = _need(quartet, "symbols", _count, 5)
-    sweep = section("sweep", {})
-    with _within("sweep"):
-        _declared(sweep, ("kind", "l_values", "points_per_unit"))
-        sweep_kind = _need(sweep, "kind", _text, "weighted_delta")
-        sweep_family = _sweep_family(
-            sweep_kind,
-            _need(sweep, "l_values", _nonempty_list(_positive), [2.0, 4.0, 8.0, 16.0]),
-            _need(sweep, "points_per_unit", _count, 8),
-        )
-    orthogonality = section("orthogonality", {})
-    with _within("orthogonality"):
-        _declared(orthogonality, ("support_tol",))
-        support_tol = _need(orthogonality, "support_tol", _positive, maps.SUPPORT_TOL)
+    def option(name):
+        cfg = section(name, {})
+        with _within(name):
+            return _read_params(cfg, OPTIONS[name])
+
+    quartet = option("quartet")
+    if quartet["symbols"] * max(quartet["n"]) > _SIZE_MAX:  # the symbols of one n
+        raise ConfigError("quartet.symbols", f"{quartet['symbols']} symbols on up to "
+                          f"n = {max(quartet['n'])} points are more than an array holds")
+    sweep = option("sweep")
+    with _within("sweep"):  # the schedule is checked as soon as it is read
+        sweep_family = _sweep_family(**sweep)
+    orthogonality = option("orthogonality")
 
     return ExperimentConfig(
         sections=sections,
@@ -649,10 +657,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         tolerance=_need(raw, "tolerance", _positive, multiplier.RESIDUAL_TOL),
         seed=seed,
         output_dir=_need(raw, "output_dir", _text, "reports"),
-        support_tol=support_tol,
-        quartet_ns=quartet_ns,
-        quartet_symbols=quartet_symbols,
-        sweep_kind=sweep_kind,
+        support_tol=orthogonality["support_tol"],
+        quartet_ns=quartet["n"],
+        quartet_symbols=quartet["symbols"],
+        sweep_kind=sweep["kind"],
         sweep_family=sweep_family,
     )
 

@@ -500,19 +500,23 @@ def _witness_analysis(omega: DistributionMap, family: np.ndarray,
     return analysis, values, values > support_tol, total
 
 
-def _check_family(omega: DistributionMap, family) -> None:
-    """A witness family is a finite 2-d array with one row per basis element."""
+def _check_family(omega: DistributionMap, family) -> bool:
+    """The witness-family contract: a finite 2-d array with one row per basis
+    element.  Returns whether the family has a column; a family with none
+    has nothing to certify."""
     if np.ndim(family) != 2 or np.shape(family)[0] != omega.dim:
         raise ShapeMismatchError(
             f"witness family must be {omega.dim} x F, got shape {np.shape(family)}")
     if not np.all(np.isfinite(family)):
         raise InvalidValueError("witness family must have finite entries")
+    return family.shape[1] > 0
 
 
-def _orthogonality(omega: DistributionMap, family: np.ndarray,
-                   support_tol: float,
+def _orthogonality(omega: DistributionMap, family, support_tol: float,
                    alpha: np.ndarray | None = None) -> WitnessReport:
-    """Support records of a non-empty family, with the envelope bound if alpha."""
+    """Support records of a family, with the envelope bound if alpha."""
+    if not _check_family(omega, family):
+        return _EMPTY_FAMILY
     values, on, total = _witness_analysis(omega, family, support_tol)[1:]
     violations = [None] * family.shape[1]
     if alpha is not None:
@@ -544,9 +548,6 @@ def check_pseudo_orthogonal(omega: DistributionMap, family: np.ndarray,
     total in D.  This certifies a supplied witness; it does not search for
     one.
     """
-    _check_family(omega, family)
-    if family.shape[1] == 0:
-        return _EMPTY_FAMILY
     return _orthogonality(omega, family, support_tol)
 
 
@@ -565,11 +566,8 @@ def check_hyper_orthogonal(omega: DistributionMap, alpha,
         raise ShapeMismatchError("alpha must be sampled on the point set")
     if not np.all((alpha_values > 0.0) & (alpha_values < np.inf)):  # NaN fails too
         raise PreconditionError("alpha must be finite and strictly positive")
-    family = family_builder(alpha_values)
-    _check_family(omega, family)
-    if family.shape[1] == 0:
-        return _EMPTY_FAMILY
-    return _orthogonality(omega, family, support_tol, alpha_values)
+    return _orthogonality(omega, family_builder(alpha_values), support_tol,
+                          alpha_values)
 
 
 # -- builtin witness families --------------------------------------------------

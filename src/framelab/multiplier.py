@@ -202,6 +202,30 @@ def _probe_block(n: int) -> np.ndarray:
     return _read_only(2.0 * np.random.default_rng(7).integers(0, 2, (n, _PROBES)) - 1.0)
 
 
+def _scaled_back(compute: Callable[[np.ndarray], np.ndarray], values: np.ndarray,
+                 what: str) -> np.ndarray:
+    """``compute(values)``, a result of degree one in ``values`` (symbol
+    values, or a matrix whose norm is taken), with overflow met by a
+    power-of-two scale.
+
+    The result is computed once as it stands.  Where it overflows (a square
+    of a value above about 1.3e154, say), it is computed again from the
+    values scaled by the power of two that takes their largest part below 1,
+    and scaled back.  A power-of-two scale is exact, so a result that does
+    not overflow keeps its bits; one that overflows even so cannot be
+    represented, and is an InvalidValueError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = compute(values)
+        if not np.all(np.isfinite(result)):
+            peak = max(np.max(np.abs(values.real)), np.max(np.abs(values.imag)))
+            scale = math.ldexp(1.0, -math.frexp(peak)[1])
+            result = compute(values * scale) / scale
+    if not np.all(np.isfinite(result)):
+        raise InvalidValueError(f"{what} overflows: it cannot be represented")
+    return result
+
+
 def _synthesize(theta: DistributionMap, y: np.ndarray) -> np.ndarray:
     """E_theta^H y, as conj(E_theta^T conj(y)): no copy of E_theta^H."""
     return np.conj(_apply(theta, np.conj(y), transpose=True))
@@ -319,26 +343,28 @@ def compose(op1: MultiplierOperator, op2: MultiplierOperator) -> CompositionRepo
     a dual pair of maps with a square table (the symbolic-calculus regime);
     otherwise the residual measures how far the pair is from dual.
     """
-    if op1.omega is not op2.omega and not np.array_equal(op1.omega.table,
-                                                         op2.omega.table):
-        raise GridMismatchError("composition requires operators on the same maps")
-    if op1.theta is not op2.theta and not np.array_equal(op1.theta.table,
-                                                         op2.theta.table):
-        raise GridMismatchError("composition requires operators on the same maps")
+    for map1, map2 in ((op1.omega, op2.omega), (op1.theta, op2.theta)):
+        if map1 is not map2 and not np.array_equal(map1.table, map2.table):
+            raise GridMismatchError("composition requires operators on the same maps")
     m12 = product_symbol(op1.space, op1.symbol, op2.symbol)
     omega, theta = op1.omega, op1.theta
     w = op1.space.weights[:, None]
     m1, m2 = op1.symbol.values[:, None], op2.symbol.values[:, None]
-    bx = _apply(omega, _probe_block(op1.dim))
-    m2x = _synthesize(theta, w * m2 * bx)
-    m1m2x = _synthesize(theta, w * m1 * _apply(omega, m2x))
-    direct = m1m2x - _synthesize(theta, w * m12.values[:, None] * bx)
-    z = m2 * bx
-    defect = _synthesize(theta, w * m1 * (_apply(omega, _synthesize(theta, w * z)) - z))
-    gap = float(np.linalg.norm(direct - defect))
-    scale = float(np.linalg.norm(m1m2x))
+    # M1 M2 X applies each table twice: with entries near 1e154 it overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bx = _apply(omega, _probe_block(op1.dim))
+        m2x = _synthesize(theta, w * m2 * bx)
+        m1m2x = _synthesize(theta, w * m1 * _apply(omega, m2x))
+        direct = m1m2x - _synthesize(theta, w * m12.values[:, None] * bx)
+        z = m2 * bx
+        defect = _synthesize(theta, w * m1 * (_apply(omega, _synthesize(theta, w * z)) - z))
+        gap = float(np.linalg.norm(direct - defect))
+        scale = float(np.linalg.norm(m1m2x))
+        residual = float(np.linalg.norm(direct)) / math.sqrt(_PROBES)
+    if not all(map(math.isfinite, (residual, gap, scale))):
+        raise InvalidValueError("composition overflows: its residual cannot be represented")
     return CompositionReport(
-        residual=float(np.linalg.norm(direct)) / math.sqrt(_PROBES),
+        residual=residual,
         factored_gap=gap / scale if scale else gap,
         asserted=is_dual_pair(op1.omega, op1.theta),
     )
@@ -418,7 +444,8 @@ def invert(op: MultiplierOperator) -> InverseReport:
     if injective and m.nonvanishing and is_dual_pair(op.omega, op.theta):
         built = build(reciprocal_symbol(op.space, m), op.omega, op.theta,
                       validate=False).dense
-        reciprocal_residual = float(np.linalg.norm(op.inverse - built))
+        reciprocal_residual = float(_scaled_back(np.linalg.norm, op.inverse - built,
+                                                 "reciprocal-symbol residual"))
     return InverseReport(
         sigma_min=sigma_min,
         sigma_max=sigma_max,
@@ -490,29 +517,37 @@ def density_certificate(omega: DistributionMap, theta: DistributionMap,
     a total family this is the finite shadow of a densely defined
     multiplier for locally square-integrable symbols.  Each ||M f|| comes
     from the factorization, as a column norm of E_theta^H (w * m * analysis)
-    over the family's one analysis matrix; no operator is built.
+    over the family's one analysis matrix; no operator is built.  Norms that
+    overflow are taken from the symbol scaled by a power of two
+    (``_scaled_back``).
     """
-    _check_family(omega, family)
-    if family.shape[1] == 0:
+    if not _check_family(omega, family):
         return _EMPTY_FAMILY
     _check_factors(m, omega, theta)
-    b_theta = diagnose(theta).upper
+    sqrt_b = math.sqrt(diagnose(theta).upper)
     analysis, values, on, total = _witness_analysis(omega, family, support_tol)
     c_f = np.max(values, axis=0, where=on, initial=0.0)
     del values  # freed before the J x F product below, which sets this suite's peak
-    m_l2 = np.sqrt((omega.space.weights * np.abs(m.values) ** 2) @ on)
-    bound = c_f * math.sqrt(b_theta) * m_l2
-    # ||E_theta^H X|| = ||E_theta^T conj(X)|| per column: no copy of E_theta^H.
-    analysis *= (omega.space.weights * m.values)[:, None]
-    np.conj(analysis, out=analysis)
-    mf = _apply(theta, analysis, transpose=True)
+    blocks = [analysis]  # the first call consumes it; a rescaled call forms it again
     del analysis
-    # np.linalg.norm(mf, axis=0) bit for bit, from the sums of
-    # (mf.conj() * mf).real, with the product formed in the conjugate's place.
-    squares = np.conj(mf)
-    np.multiply(squares, mf, out=squares)
-    del mf
-    norm_mf = np.sqrt(np.add.reduce(squares.real, axis=0))
+
+    def norms(m_values):
+        m_l2 = np.sqrt((omega.space.weights * np.abs(m_values) ** 2) @ on)
+        block = blocks.pop() if blocks else _apply(omega, family)
+        # ||E_theta^H X|| = ||E_theta^T conj(X)|| per column: no copy of E_theta^H.
+        block *= (omega.space.weights * m_values)[:, None]
+        np.conj(block, out=block)
+        mf = _apply(theta, block, transpose=True)
+        del block
+        # np.linalg.norm(mf, axis=0) bit for bit, from the sums of
+        # (mf.conj() * mf).real, with the product formed in the conjugate's place.
+        squares = np.conj(mf)
+        np.multiply(squares, mf, out=squares)
+        del mf
+        return np.array([m_l2, c_f * sqrt_b * m_l2,
+                         np.sqrt(np.add.reduce(squares.real, axis=0))])
+
+    m_l2, bound, norm_mf = _scaled_back(norms, m.values, "density certificate norm")
     columns = (on.sum(axis=0), c_f, m_l2, bound, norm_mf, norm_mf <= bound + tol)
     records = tuple(DensityRecord(i, *row) for i, row in
                     enumerate(zip(*(column.tolist() for column in columns))))
@@ -527,20 +562,26 @@ def closability_residual(omega: DistributionMap, theta: DistributionMap, m: Symb
 
     A total family of such g with no gap certifies a densely defined
     adjoint, the finite shadow of closability; the caller judges both.  An
-    empty family has nothing to pair and gives 0.0.
+    empty family has nothing to pair and gives 0.0.  A residual that
+    overflows is taken from the symbol scaled by a power of two
+    (``_scaled_back``).
     """
-    _check_family(omega, family)
-    if family.shape[1] == 0:
+    if not _check_family(omega, family):
         return 0.0
     _check_factors(m, omega, theta)
-    # Column g of `weighted` is w * m * conj(E_theta g), the family's analysis
-    # by theta: <M f, g> = weighted^T E_omega f and conj(M' g) = E_omega^T weighted.
-    weighted = _apply(theta, family)
-    np.conj(weighted, out=weighted)
-    weighted *= (omega.space.weights * m.values)[:, None]
     f = _complex_normals(np.random.default_rng(CLOSABILITY_SEED), CLOSABILITY_TRIALS,
                          omega.dim).T
     f /= np.linalg.norm(f, axis=0)
-    lhs = weighted.T @ _apply(omega, f)  # <M f, g>, one row per g
-    rhs = _apply(omega, weighted, transpose=True).T @ f  # <f, M' g>
-    return float(np.max(np.abs(lhs - rhs)))
+    omega_f = _apply(omega, f)
+
+    def gap(m_values):
+        # Column g of `weighted` is w * m * conj(E_theta g), the family's analysis
+        # by theta: <M f, g> = weighted^T E_omega f and conj(M' g) = E_omega^T weighted.
+        weighted = _apply(theta, family)
+        np.conj(weighted, out=weighted)
+        weighted *= (omega.space.weights * m_values)[:, None]
+        lhs = weighted.T @ omega_f  # <M f, g>, one row per g
+        rhs = _apply(omega, weighted, transpose=True).T @ f  # <f, M' g>
+        return np.max(np.abs(lhs - rhs))
+
+    return float(_scaled_back(gap, m.values, "closability residual"))

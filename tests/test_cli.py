@@ -1465,6 +1465,17 @@ def test_no_size_ends_in_a_traceback(tmp_path, capsys, payload, code, message):
     assert out.exists() == (code == EXIT_ASSERTION)
 
 
+def test_quartet_draws_that_no_array_holds_are_a_config_error(tmp_path, capsys):
+    # each size alone is below the limit; their product, the symbol draws of
+    # one n, is not, and numpy refused it with a ValueError traceback
+    config = write_config(tmp_path, "cfg.json", {
+        "suites": ["quartet"], "seed": 1, "quartet": {"n": [4, 10**15], "symbols": 10**15}})
+    assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: invalid config: quartet.symbols: 1000000000000000 symbols on up to "
+        "n = 1000000000000000 points are more than an array holds\n")
+
+
 def test_seeds_are_not_sizes(tmp_path):
     config = write_config(tmp_path, "cfg.json", {
         **CONTEXT, "space": {"family": "counting", "n": 4},
@@ -1766,6 +1777,75 @@ def test_a_frame_whose_lower_bound_underflows_has_one_dual_error(
     else:
         assert load_report(out, "dual")["failures"] == [f"dual: {UNDERFLOW}"]
         assert load_report(out, "diagnose")["data"]["omega"]["lower"] < 2.3e-308
+
+
+_GRID8 = {"space": {"family": "periodic_unit_grid", "n": 8}, "suites": ["density"]}
+
+
+# Density configs whose symbol squares overflow, and the failures that remain
+# once the norms are scaled: the closability residual (about 4e143) is judged
+# against an absolute 1e-10, and on the third config the bound itself is past
+# the largest float.
+@pytest.mark.parametrize("config, failures", [
+    ({**_GRID8, "model": {"family": "raw_samples"}, "omega": {"family": "delta"},
+      "symbol": {"family": "constant", "value": 1e160}},
+     ["closability: pairing mismatch"]),
+    ({**_GRID8, "model": {"family": "trigonometric", "max_degree": 2},
+      "omega": {"family": "exponential"}, "theta": {"family": "same"},
+      "symbol": {"family": "step", "high": 1e160}},
+     ["density certificate: bound violated", "closability: pairing mismatch"]),
+    ({"space": {"family": "fourier_grid", "n": 4}, "model": {"family": "raw_samples"},
+      "omega": {"family": "weighted_delta", "weight": [1, 2, 3, 4]},
+      "symbol": {"family": "constant", "value": [-1e308, 1e308]}, "suites": ["density"]},
+     ["density: density certificate norm overflows: it cannot be represented"]),
+], ids=["constant", "step", "weighted"])
+def test_a_density_symbol_whose_squares_overflow_gives_finite_norms_and_no_warning(
+        tmp_path, capsys, config, failures):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(write_config(tmp_path, "cfg.json", config), out_dir=out) == EXIT_ASSERTION
+    assert "Warning" not in capsys.readouterr().err
+    report = load_report(out, "density")
+    assert report["failures"] == failures
+    records = report["data"].get("records", [])
+    assert bool(records) == ("error" not in report["data"])
+    assert all(isinstance(r[key], float) and math.isfinite(r[key]) for r in records
+               for key in ("symbol_l2_on_support", "bound", "norm_mf"))
+    if "closability" in report["data"]:
+        assert math.isfinite(report["data"]["closability"]["residual"])
+
+
+def test_a_reciprocal_residual_whose_squares_overflow_is_finite_without_a_warning(
+        tmp_path, capsys):
+    # 1/m = 1e300, so the residual's squares overflowed and it read "inf"
+    config = write_config(tmp_path, "cfg.json", {
+        "space": {"family": "periodic_unit_grid", "n": 3}, "model": {"family": "raw_samples"},
+        "omega": {"family": "delta"}, "theta": {"family": "canonical_dual"},
+        "symbol": {"family": "constant", "value": 1e-300}, "suites": ["invert"]})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(config, out_dir=out) == EXIT_ASSERTION
+    assert "Warning" not in capsys.readouterr().err
+    residual = load_report(out, "invert")["data"]["reciprocal_residual"]
+    assert isinstance(residual, float) and 1e280 < residual < 1e290
+
+
+def test_a_composition_that_overflows_is_a_suite_error_without_a_warning(
+        tmp_path, capsys):
+    # M1 M2 X applies a table with an entry near 1e154 twice on each side
+    config = write_config(tmp_path, "cfg.json", {
+        "space": {"family": "fourier_grid", "n": 4}, "model": {"family": "raw_samples"},
+        "omega": {"family": "weighted_delta", "weight": [1, 1e154, 3, 4]},
+        "theta": {"family": "same"}, "suites": ["calculus"], "seed": 1})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(config, out_dir=out) == EXIT_ASSERTION
+    assert "Warning" not in capsys.readouterr().err
+    assert load_report(out, "calculus")["failures"] == [
+        "calculus: composition overflows: its residual cannot be represented"]
 
 
 @pytest.mark.parametrize("suite", list(SUITE_ORDER))

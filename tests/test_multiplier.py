@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import inspect
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -37,6 +38,7 @@ from framelab import (
     make_symbol,
     norm_bound,
     operator_norm,
+    periodic_unit_grid,
     product_symbol,
     reconstruction_pair,
     split_symbol,
@@ -706,6 +708,61 @@ class TestDensityCertificate:
         )
         assert not report.passed
         assert not report.total
+
+
+class TestSymbolsWhoseSquaresOverflow:
+    """A symbol above about 1.3e154 has squares that overflow; the density
+    and closability norms are then taken from the symbol scaled by a power
+    of two, which is exact."""
+
+    SCALE = 2.0 ** 40  # takes 1e150 past the square root of the largest float
+
+    def delta_setup(self, rng=None):
+        space = periodic_unit_grid(8)
+        model = make_model(space, RawSamples())
+        delta = delta_frame(model, space)
+        return space, delta, delta, bump_family(model)
+
+    def dense_setup(self, rng):
+        omega, theta = riesz_dual_pair(6, rng)
+        return omega.space, omega, theta, bump_family(omega.model)
+
+    @pytest.mark.parametrize("setup", ["delta_setup", "dense_setup"])
+    def test_norms_scale_with_the_symbol_bit_for_bit(self, rng, setup):
+        space, omega, theta, family = getattr(self, setup)(rng)
+        values = 1e150 * random_bounded_symbol(space, rng).values
+        small, large = make_symbol(space, values), make_symbol(space, values * self.SCALE)
+        before = density_certificate(omega, theta, small, family)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            after = density_certificate(omega, theta, large, family)
+            residual = closability_residual(omega, theta, large, family)
+        for a, b in zip(before.records, after.records):
+            assert b.symbol_l2_on_support == a.symbol_l2_on_support * self.SCALE
+            assert b.bound == a.bound * self.SCALE
+            assert b.norm_mf == a.norm_mf * self.SCALE
+            assert b.passed == a.passed
+        assert residual == closability_residual(omega, theta, small, family) * self.SCALE
+
+    def test_a_symbol_whose_squares_stay_finite_reads_as_before(self):
+        space, omega, theta, family = self.delta_setup()
+        report = density_certificate(omega, theta, make_symbol(space, np.full(8, 1e150)),
+                                     family)
+        assert {(r.bound, r.norm_mf) for r in report.records} == {
+            (3.5355339059327365e+149, 3.5355339059327365e+149)}
+
+    def test_a_bound_past_the_largest_float_is_an_invalid_value_error(self):
+        space = fourier_grid(4)
+        model = make_model(space, RawSamples())
+        omega = weighted_delta_frame(model, space, [1, 2, 3, 4])
+        symbol = make_symbol(space, np.full(4, complex(-1e308, 1e308)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidValueError, match="cannot be represented"):
+                density_certificate(omega, omega, symbol, bump_family(model))
+            # the residual itself is finite, far above any tolerance
+            assert 1e290 < closability_residual(omega, omega, symbol,
+                                                bump_family(model)) < 1e300
 
 
 class TestClosabilityResidual:
