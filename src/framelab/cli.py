@@ -344,7 +344,6 @@ def _translated_window(mdl, space, analysis, window) -> maps.DistributionMap:
 
 def _discrete(mdl, space, analysis, vectors) -> maps.DistributionMap:
     if space is None:  # omega: the table implies the space and the model
-        space = measure.counting(len(vectors))
         mdl = model.make_model(measure.counting(vectors.shape[1]), model.RawSamples())
     return maps.discrete_sequence_map(mdl, vectors, space)
 
@@ -669,11 +668,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 @dataclass
 class Context:
-    space: measure.SampledMeasureSpace
-    model: model.ModelSpace
-    omega: maps.DistributionMap
+    omega: maps.DistributionMap  # its space and model are the run's
     theta: maps.DistributionMap
     symbol: multiplier.Symbol
+    witnesses: Callable[..., np.ndarray]  # envelope or none -> omega's witnesses
 
     @functools.cached_property
     def operator(self) -> multiplier.MultiplierOperator:
@@ -707,8 +705,11 @@ def build_context(config: ExperimentConfig) -> Context | None:
     theta = build("theta", mdl, space, omega)
     if "symbol" in sections:
         values = build("symbol", space)
-    return Context(space=space, model=mdl, omega=omega, theta=theta,
-                   symbol=multiplier.make_symbol(space, values))
+    witnesses = (functools.partial(maps.band_limited_family, mdl, space)
+                 if config.sections["omega"]["family"] == "exponential"
+                 else functools.partial(maps.scaled_bump_family, mdl))
+    return Context(omega=omega, theta=theta, symbol=multiplier.make_symbol(space, values),
+                   witnesses=witnesses)
 
 
 def _suite_seed(root_seed: int | None, suite: str) -> int:
@@ -734,7 +735,7 @@ def _gate(failures: list, label: str, value: float, limit: float) -> None:
 
 def _suite_diagnose(config: ExperimentConfig, ctx: Context, seed: int, out: Path,
                     data: dict, failures: list) -> None:
-    data["model"] = ctx.model.summary()
+    data["model"] = ctx.omega.model.summary()
     data["omega"] = maps.diagnose(ctx.omega)
     data["theta"] = maps.diagnose(ctx.theta)
 
@@ -746,7 +747,7 @@ def _suite_dual(config: ExperimentConfig, ctx: Context, seed: int, out: Path,
     # ||(E_dual^H W E_omega - I) X||_F / sqrt(8 K) on the fixed K x 8 probe block X.
     x = multiplier._probe_block(dual.dim)
     defect = multiplier._synthesize(
-        dual, ctx.space.weights[:, None] * maps._apply(ctx.omega, x)) - x
+        dual, ctx.omega.space.weights[:, None] * maps._apply(ctx.omega, x)) - x
     probe = float(np.linalg.norm(defect)) / math.sqrt(x.size)
     data["duality_probe_residual"] = probe
     _gate(failures, "duality probe residual", probe, config.tolerance)
@@ -782,8 +783,8 @@ def _calculus_trial(ctx: Context, rng: np.random.Generator) -> multiplier.Compos
     """Compose the multipliers of two random symbols, from their factors."""
     ops = []
     for _ in range(2):
-        m = multiplier.make_symbol(ctx.space,
-                                   _modulus_phase(rng, len(ctx.space), 0.5, 2.0))
+        m = multiplier.make_symbol(ctx.omega.space,
+                                   _modulus_phase(rng, ctx.omega.n_points, 0.5, 2.0))
         ops.append(multiplier.build(m, ctx.omega, ctx.theta, validate=False))
     return multiplier.compose(*ops)
 
@@ -830,33 +831,22 @@ def _suite_reconstruct(config: ExperimentConfig, ctx: Context, seed: int, out: P
               config.tolerance)
 
 
-def _witness_family(config: ExperimentConfig, ctx: Context, alpha_values=None):
-    if config.sections["omega"].get("family") == "exponential":
-        return maps.band_limited_family(ctx.model, ctx.space, alpha_values)
-    if alpha_values is None:
-        return maps.bump_family(ctx.model)
-    return maps.scaled_bump_family(ctx.model, alpha_values)
-
-
 def _suite_orthogonality(config: ExperimentConfig, ctx: Context, seed: int,
                          out: Path, data: dict, failures: list) -> None:
     data["pseudo"] = pseudo = maps.check_pseudo_orthogonal(
-        ctx.omega, _witness_family(config, ctx), support_tol=config.support_tol
-    )
+        ctx.omega, ctx.witnesses(), support_tol=config.support_tol)
     if not pseudo.passed:
         failures.append(f"pseudo-orthogonality: {pseudo.reason}")
-    alpha = 1.0 / (1.0 + ctx.space.points ** 2)
+    alpha = 1.0 / (1.0 + ctx.omega.space.points ** 2)
     data["hyper"] = hyper = maps.check_hyper_orthogonal(
-        ctx.omega, alpha, lambda a: _witness_family(config, ctx, a),
-        support_tol=config.support_tol,
-    )
+        ctx.omega, alpha, ctx.witnesses, support_tol=config.support_tol)
     if not hyper.passed:
         failures.append(f"hyper-orthogonality: {hyper.reason}")
 
 
 def _suite_density(config: ExperimentConfig, ctx: Context, seed: int, out: Path,
                    data: dict, failures: list) -> None:
-    family = _witness_family(config, ctx)
+    family = ctx.witnesses()
     report = multiplier.density_certificate(
         ctx.omega, ctx.theta, ctx.symbol, family,
         support_tol=config.support_tol, tol=config.tolerance,
@@ -928,9 +918,8 @@ def _suite_oracle(config: ExperimentConfig, ctx: Context, seed: int, out: Path,
     data["pairing_residual"] = residual = lab.brute_force_pairing(
         ctx.operator, trials=100, seed=seed)
     _gate(failures, "brute-force pairing residual", residual, config.tolerance)
-    if config.sections["omega"].get("family") == "discrete":
-        comparison = lab.discrete_reduction_oracle(np.conj(ctx.omega.table))
-        data["discrete_reduction"] = comparison
+    if _implies_space(config.sections["omega"]):
+        data["discrete_reduction"] = comparison = lab.discrete_reduction_oracle(ctx.omega)
         if not comparison.agree:
             failures.append("discrete reduction paths disagree")
     if maps.diagnose(ctx.omega).classification in maps.FRAME_CLASSES:

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import InconsistencyError, ScheduleError, UnsupportedSpaceError
 from .maps import (
     DistributionMap,
+    _check_counting,
     _check_pair,
     delta_frame,
     diagnose,
@@ -124,7 +125,7 @@ class ReductionComparison:
     agree: bool
 
 
-def discrete_reduction_oracle(vectors: Sequence,
+def discrete_reduction_oracle(vectors: Sequence | DistributionMap,
                               tol: float = REDUCTION_TOL) -> ReductionComparison:
     """Compare classical discrete frame bounds with the table-path diagnostics.
 
@@ -133,20 +134,24 @@ def discrete_reduction_oracle(vectors: Sequence,
     map, whose bounds are the squared extreme singular values of its table.
     The two are different decompositions of one operator, so they agree to
     rounding, a relative deviation of at most a few 1e-15, under ``tol``.
+    ``vectors`` is a J x K table of rows phi_j, or a map on counting measure
+    (PreconditionError otherwise), whose own cached diagnostics are read.
     """
-    vecs = np.asarray(vectors, dtype=complex)
-    j, k = vecs.shape
+    omega = vectors
+    if not isinstance(omega, DistributionMap):  # a table: its counting-measure map
+        model = make_model(counting(np.shape(vectors)[-1]), RawSamples())
+        omega = discrete_sequence_map(model, vectors)
+    _check_counting(omega.space)
+    j, k = omega.table.shape
     gram = np.zeros((k, k), dtype=complex)
-    for row in vecs:  # explicit accumulation, no matmul shortcut
+    for row in omega.vectors():  # explicit accumulation, no matmul shortcut
         gram += np.outer(row, np.conj(row))
     eigs = np.linalg.eigvalsh(gram)
     classical_upper = float(max(eigs[-1], 0.0))
     classical_lower = float(max(eigs[0], 0.0)) if j >= k else 0.0
     classical_total = j >= k and classical_lower > (RANK_RTOL ** 2) * classical_upper
 
-    space = counting(j)
-    model = make_model(counting(k), RawSamples())
-    diag = diagnose(discrete_sequence_map(model, vecs, space))
+    diag = diagnose(omega)
 
     scale = max(1.0, classical_upper)
     deviation = max(

@@ -246,6 +246,11 @@ def translated_window_frame(model: ModelSpace, space: SampledMeasureSpace,
     return DistributionMap(table=_read_only(table), space=space, model=model, note=note)
 
 
+def _check_counting(space: SampledMeasureSpace):
+    if not np.all(np.abs(space.weights - 1.0) <= COUNTING_TOL):
+        raise PreconditionError("discrete sequences live on counting measure")
+
+
 def discrete_sequence_map(model: ModelSpace, vectors: Sequence,
                           space: SampledMeasureSpace | None = None) -> DistributionMap:
     """Bridge from a finite vector family in H to a map on counting measure."""
@@ -258,8 +263,7 @@ def discrete_sequence_map(model: ModelSpace, vectors: Sequence,
         space = counting(len(vecs))
     if len(space) != len(vecs):
         raise ShapeMismatchError("space size must match the number of vectors")
-    if not np.all(np.abs(space.weights - 1.0) <= COUNTING_TOL):
-        raise PreconditionError("discrete sequences live on counting measure")
+    _check_counting(space)
     # <e_k, phi_j> = conj(<phi_j, e_k>) = conj(phi_j[k])
     return DistributionMap(table=_read_only(np.conj(vecs)), space=space, model=model)
 
@@ -312,7 +316,12 @@ def diagnose(omega: DistributionMap) -> FrameDiagnostics:
     sigma = omega.spectrum
     sigma_max, sigma_min = float(sigma[0]), float(sigma[-1])
 
-    upper = sigma_max ** 2
+    try:
+        upper = sigma_max ** 2
+    except OverflowError:  # sigma_max^2 may reach K times a column's squared norm
+        raise InvalidValueError(
+            f"upper frame bound B = sigma_max^2 overflows: sigma_max = {sigma_max:.3e}"
+        ) from None
     lower = sigma_min ** 2 if j >= k else 0.0
 
     total = j >= k and _full_rank(sigma)
@@ -593,13 +602,14 @@ def bump_family(model: ModelSpace, heights=None) -> np.ndarray:
     return np.multiply(family, model.space.weights * heights, out=family)
 
 
-def scaled_bump_family(model: ModelSpace, alpha_values) -> np.ndarray:
-    """Spikes dominated by an envelope: each height is alpha at its point.
+def scaled_bump_family(model: ModelSpace, alpha_values=None) -> np.ndarray:
+    """Spikes dominated by an envelope: each height is alpha at its point, or 1.
 
     Spikes live on the model grid, so only its first ``ambient_dim`` envelope
     values are read.
     """
-    return bump_family(model, np.asarray(alpha_values, dtype=float)[:model.ambient_dim])
+    return bump_family(model, None if alpha_values is None
+                       else np.asarray(alpha_values, dtype=float)[:model.ambient_dim])
 
 
 def band_limited_family(model: ModelSpace, space: SampledMeasureSpace,

@@ -285,9 +285,17 @@ def norm_bound(op: MultiplierOperator) -> float:
     Balazs, "Basic definition and properties of Bessel multipliers", JMAA
     325 (2007).
     """
-    b_omega = diagnose(op.omega).upper
-    b_theta = diagnose(op.theta).upper
-    return math.sqrt(b_omega * b_theta) * op.symbol.ess_sup
+    return _root_product(diagnose(op.omega).upper,
+                         diagnose(op.theta).upper) * op.symbol.ess_sup
+
+
+def _root_product(a: float, b: float) -> float:
+    """sqrt(a * b) of two bounds, or sqrt(a) * sqrt(b) where a * b leaves the
+    normal floats (it overflows, or underflows toward zero)."""
+    product = a * b
+    if np.finfo(float).tiny <= product < math.inf:
+        return math.sqrt(product)
+    return math.sqrt(a) * math.sqrt(b)
 
 
 def adjoint(op: MultiplierOperator) -> MultiplierOperator:
@@ -313,9 +321,9 @@ def is_dual_pair(omega: DistributionMap, theta: DistributionMap) -> bool:
     verdicts = omega._dual_pair_verdicts
     if theta not in verdicts:
         mixed = _weighted_product(theta, omega.space.weights, omega)
-        verdicts[theta] = bool(
-            np.linalg.norm(mixed - np.eye(omega.dim)) <= BOUND_TOL * math.sqrt(omega.dim)
-        )
+        with np.errstate(over="ignore"):  # an infinite defect is not dual
+            defect = np.linalg.norm(mixed - np.eye(omega.dim))
+        verdicts[theta] = bool(defect <= BOUND_TOL * math.sqrt(omega.dim))
     return verdicts[theta]
 
 
@@ -437,7 +445,7 @@ def invert(op: MultiplierOperator) -> InverseReport:
     bound_satisfied = None
     if (d_omega.classification in riesz and d_theta.classification in riesz
             and m.min_modulus > 0):
-        lower_bound = math.sqrt(d_theta.lower * d_omega.lower) * m.min_modulus
+        lower_bound = _root_product(d_theta.lower, d_omega.lower) * m.min_modulus
         bound_satisfied = sigma_min >= lower_bound - BOUND_TOL
 
     reciprocal_residual = None

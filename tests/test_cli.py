@@ -679,7 +679,8 @@ class TestRun:
             "reason": "pairing mismatch"}
 
         bump_family = maps.bump_family
-        monkeypatch.setattr(maps, "bump_family", lambda mdl: bump_family(mdl)[:, :3])
+        monkeypatch.setattr(maps, "bump_family",
+                            lambda mdl, heights=None: bump_family(mdl, heights)[:, :3])
         assert run(config, out_dir=out) == EXIT_ASSERTION
         report = load_report(out, "density")
         assert report["failures"] == ["density certificate: witness family is not total",
@@ -1846,6 +1847,54 @@ def test_a_composition_that_overflows_is_a_suite_error_without_a_warning(
     assert "Warning" not in capsys.readouterr().err
     assert load_report(out, "calculus")["failures"] == [
         "calculus: composition overflows: its residual cannot be represented"]
+
+
+def test_the_oracle_reads_omegas_cached_spectrum(tmp_path, monkeypatch):
+    # a 3 x 5 table is no frame, so no suite asks for its canonical dual
+    config = write_config(tmp_path, "cfg.json", {
+        "omega": {"family": "discrete",
+                  "vectors": np.random.default_rng(0).standard_normal((3, 5)).tolist()},
+        "theta": {"family": "same"}, "suites": ["diagnose", "oracle"], "seed": 1})
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    assert run(config, out_dir=tmp_path / "out") == EXIT_OK
+    assert len(calls) == 1  # omega's spectrum, read again by the discrete reduction
+    assert load_report(tmp_path / "out", "oracle")["data"]["discrete_reduction"]["agree"]
+
+
+BIG = {"theta": {"family": "same"}, "suites": ["multiplier", "invert"], "seed": 1}
+
+
+@pytest.mark.parametrize("config, code, message", [
+    ({"omega": {"family": "discrete", "vectors": [[1e154, 1e154], [1, -1]]},
+      "theta": {"family": "canonical_dual"}, "suites": ["diagnose"]}, EXIT_VALIDATION,
+     "error: cannot build experiment: upper frame bound B = sigma_max^2 overflows"),
+    ({"omega": {"family": "discrete", "vectors": [[1e154, 1e154]]},
+      "theta": {"family": "same"}, "suites": ["diagnose"]}, EXIT_ASSERTION,
+     "FAIL [diagnose] diagnose: upper frame bound B = sigma_max^2 overflows"),
+    ({**BIG, "omega": {"family": "discrete", "vectors": [[1e150, 0], [0, 2e150]]}},
+     EXIT_OK, "ok: 2 suite(s) passed"),
+    ({**BIG, "omega": {"family": "discrete", "vectors": [[1e-150, 0], [0, 2e-150]]}},
+     EXIT_OK, "ok: 2 suite(s) passed"),
+], ids=["B-overflows-building-the-dual", "B-overflows-in-diagnose", "bounds-1e300",
+        "bounds-1e-300"])
+def test_frame_bounds_at_the_ends_of_float64(tmp_path, capsys, config, code, message):
+    # sigma_max^2 overflowed in a traceback; sqrt(B_omega B_theta) and
+    # sqrt(A_theta A_omega) read inf or 0.0; the dual-pair defect warned
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(write_config(tmp_path, "cfg.json", config), out_dir=out) == code
+    assert message in "".join(capsys.readouterr())
+    if code != EXIT_OK:
+        return
+    data = load_report(out, "multiplier")["data"]
+    assert data["operator_norm"] <= data["norm_bound"] < math.inf
+    inverse = load_report(out, "invert")["data"]
+    assert 0.0 < inverse["lower_bound"] < math.inf
+    assert inverse["bound_satisfied"] is True
 
 
 @pytest.mark.parametrize("suite", list(SUITE_ORDER))

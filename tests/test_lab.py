@@ -10,6 +10,7 @@ from framelab import cli, lab
 from framelab import (
     GrowthVerdict,
     InconsistencyError,
+    PreconditionError,
     RawSamples,
     ScheduleError,
     UnsupportedSpaceError,
@@ -19,6 +20,7 @@ from framelab import (
     counting,
     delta_frame,
     discrete_reduction_oracle,
+    discrete_sequence_map,
     duality_residual,
     exponential_frame,
     fourier_grid,
@@ -154,6 +156,17 @@ class TestDiscreteReductionOracle:
             j = int(rng.integers(k, 10))
             vecs = rng.standard_normal((j, k)) + 1j * rng.standard_normal((j, k))
             assert discrete_reduction_oracle(vecs).agree
+
+    def test_a_map_is_compared_as_its_table(self, rng):
+        vecs = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
+        omega = discrete_sequence_map(make_model(counting(4), RawSamples()), vecs)
+        assert discrete_reduction_oracle(omega) == discrete_reduction_oracle(
+            omega.vectors())
+
+    def test_a_map_off_counting_measure_is_refused(self):
+        space = fourier_grid(4)  # weights 1/2
+        with pytest.raises(PreconditionError, match="counting measure"):
+            discrete_reduction_oracle(delta_frame(make_model(space, RawSamples()), space))
 
 
 class TestFourierQuartet:
