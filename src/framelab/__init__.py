@@ -73,7 +73,6 @@ from .multiplier import (
     Symbol,
     adjoint,
     build,
-    closability_residual,
     compose,
     conj_symbol,
     density_certificate,

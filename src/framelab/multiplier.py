@@ -39,11 +39,7 @@ RESIDUAL_TOL = 1e-10  # largest residual allowed for an exact identity
 ROUNDING_TOL = 1e-12  # largest residual of a matrix that only rounding separates
 BOUND_TOL = 1e-8  # slack of a frame or Riesz bound and of the dual-pair test
 SPLIT_FLOOR = 1.0  # split_symbol keeps |m2| at or above it
-SPLIT_BOUND = 3.0  # split_symbol keeps |m1| at or below it
-SPLIT_TOL = 1e-14  # largest |m1 + m2 - m| a split may leave
 _PROBES = 8  # columns of the +-1 probe block of the symbol calculus
-CLOSABILITY_TRIALS = 20  # random unit f that closability_residual pairs
-CLOSABILITY_SEED = 0  # seed of those f
 
 
 # -- symbols -------------------------------------------------------------------
@@ -100,8 +96,8 @@ def product_symbol(space: SampledMeasureSpace, m1: Symbol, m2: Symbol) -> Symbol
 def split_symbol(m: Symbol) -> tuple[np.ndarray, np.ndarray]:
     """Split m = m1 + m2 with m1 bounded and |m2| >= 1 everywhere.
 
-    Where |m| > 1 take (0, m); elsewhere take (m + 2, -2), so |m1| <= 3:
-    SPLIT_FLOOR and SPLIT_BOUND name the two limits.
+    Where |m| > SPLIT_FLOOR take (0, m); elsewhere take (m + 2, -2), so
+    |m1| <= 3.
     """
     big = np.abs(m.values) > SPLIT_FLOOR
     m1 = np.where(big, 0.0, m.values + 2.0)
@@ -501,7 +497,7 @@ def reconstruction_pair(op: MultiplierOperator, side: Side,
                              lambda f: f, *_unit_pairs(seed, trials, op.dim))
 
 
-# -- density and closability --------------------------------------------------------
+# -- density -------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DensityRecord:
@@ -560,36 +556,3 @@ def density_certificate(omega: DistributionMap, theta: DistributionMap,
     records = tuple(DensityRecord(i, *row) for i, row in
                     enumerate(zip(*(column.tolist() for column in columns))))
     return _witness_verdict(total, records, "bound violated")
-
-
-def closability_residual(omega: DistributionMap, theta: DistributionMap, m: Symbol,
-                         family: np.ndarray) -> float:
-    """Worst gap of <M f, g> = <f, M' g>, M' the conjugate-symbol swap, over
-    CLOSABILITY_TRIALS random unit f (seed CLOSABILITY_SEED) and the columns
-    g of a K x F family.
-
-    A total family of such g with no gap certifies a densely defined
-    adjoint, the finite shadow of closability; the caller judges both.  An
-    empty family has nothing to pair and gives 0.0.  A residual that
-    overflows is taken from the symbol scaled by a power of two
-    (``_scaled_back``).
-    """
-    if not _check_family(omega, family):
-        return 0.0
-    _check_factors(m, omega, theta)
-    f = _complex_normals(np.random.default_rng(CLOSABILITY_SEED), CLOSABILITY_TRIALS,
-                         omega.dim).T
-    f /= np.linalg.norm(f, axis=0)
-    omega_f = _apply(omega, f)
-
-    def gap(m_values):
-        # Column g of `weighted` is w * m * conj(E_theta g), the family's analysis
-        # by theta: <M f, g> = weighted^T E_omega f and conj(M' g) = E_omega^T weighted.
-        weighted = _apply(theta, family)
-        np.conj(weighted, out=weighted)
-        weighted *= (omega.space.weights * m_values)[:, None]
-        lhs = weighted.T @ omega_f  # <M f, g>, one row per g
-        rhs = _apply(omega, weighted, transpose=True).T @ f  # <f, M' g>
-        return np.max(np.abs(lhs - rhs))
-
-    return float(_scaled_back(gap, m.values, "closability residual"))

@@ -23,7 +23,6 @@ from framelab import (
     canonical_dual,
     check_hyper_orthogonal,
     check_pseudo_orthogonal,
-    closability_residual,
     counting,
     delta_frame,
     density_certificate,
@@ -824,14 +823,13 @@ def raw_delta_setup(n=8):
     return omega, canonical_dual(omega), make_symbol(space, np.linspace(1.0, 2.0, n))
 
 
-def the_four_witness_checks(omega, theta, m):
+def the_witness_checks(omega, theta, m):
     """Each entry point that takes a K x F witness family, as family -> result."""
     return {
         "pseudo": lambda family: check_pseudo_orthogonal(omega, family),
         "hyper": lambda family: check_hyper_orthogonal(omega, np.ones(omega.n_points),
                                                        lambda a: family),
         "density": lambda family: density_certificate(omega, theta, m, family),
-        "closability": lambda family: closability_residual(omega, theta, m, family),
     }
 
 
@@ -842,7 +840,7 @@ def nan_family():
 
 
 class TestWitnessInputs:
-    @pytest.mark.parametrize("check", ["pseudo", "hyper", "density", "closability"])
+    @pytest.mark.parametrize("check", ["pseudo", "hyper", "density"])
     @pytest.mark.parametrize("family, error", [
         (np.eye(5, 8), ShapeMismatchError),
         (np.ones(8), ShapeMismatchError),
@@ -852,7 +850,7 @@ class TestWitnessInputs:
         (np.diag([1.0] * 7 + [np.inf]), InvalidValueError),
     ], ids=["5x8", "1-d", "5x0", "3-d", "nan", "inf"])
     def test_a_bad_family_is_a_typed_error(self, check, family, error):
-        checks = the_four_witness_checks(*raw_delta_setup())
+        checks = the_witness_checks(*raw_delta_setup())
         with pytest.raises(error):
             checks[check](family)
 
@@ -883,7 +881,5 @@ class TestWitnessInputs:
             scaled_bump_family(model, np.ones(7))
 
     def test_an_empty_family_of_the_right_height_is_still_empty(self):
-        checks = the_four_witness_checks(*raw_delta_setup())
-        for name in ("pseudo", "hyper", "density"):
-            assert checks[name](np.zeros((8, 0))).reason == "empty witness family"
-        assert checks["closability"](np.zeros((8, 0))) == 0.0
+        for check in the_witness_checks(*raw_delta_setup()).values():
+            assert check(np.zeros((8, 0))).reason == "empty witness family"
