@@ -67,35 +67,57 @@ def _needs_context(suites) -> bool:
     return any(SUITE_ORDER[s].needs_context for s in suites)
 
 
-# -- json helpers ---------------------------------------------------------------
+# -- json writer ----------------------------------------------------------------
 
-def _jsonify(value):
-    """Recursively convert reports to deterministic JSON-compatible data.
+@functools.cache
+def _encoder(inner: str):
+    """C-encoded JSON for a container of plain scalars, items on lines at ``inner``."""
+    return json.JSONEncoder(separators=(",\n" + inner, ": "), sort_keys=True,
+                            allow_nan=False).encode
 
-    A dataclass becomes the dict of its fields; properties are not fields.
+
+def _plain(value) -> bool:
+    kind = type(value)
+    return kind in (str, int, bool) or value is None or (kind is float and math.isfinite(value))
+
+
+def _dumps(value, pad: str = "") -> str:
+    """Deterministic JSON text of a report: a 2-space indent, sorted keys and
+    ASCII escapes, ``pad`` being the indent of the line ``value`` starts on.
+
+    A non-finite float is its repr string, a complex is ``[re, im]``, an enum
+    its value, an array its ``tolist()``, a dict key its ``str``, and a
+    dataclass the dict of its fields (properties are not fields).
     """
     if isinstance(value, (float, np.floating)):  # most leaves are floats
-        f = float(value)
-        return f if math.isfinite(f) else repr(f)
-    if value is None or type(value) in (str, bool, int):
-        return value
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, (np.complexfloating, complex)):
-        return [float(np.real(value)), float(np.imag(value))]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if is_dataclass(value):
-        return {name: _jsonify(v) for name, v in vars(value).items()}
-    return value
+        value = float(value)
+        if not math.isfinite(value):
+            value = repr(value)
+    elif isinstance(value, enum.Enum):
+        return _dumps(value.value, pad)
+    elif isinstance(value, (np.complexfloating, complex)):
+        value = [float(np.real(value)), float(np.imag(value))]
+    elif isinstance(value, (np.integer, np.bool_)):
+        value = value.item()
+    elif isinstance(value, np.ndarray):
+        return _dumps(value.tolist(), pad)
+    elif isinstance(value, dict):
+        value = {str(k): v for k, v in value.items()}
+    elif is_dataclass(value):
+        value = vars(value)
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return _encoder(pad)(value)
+    inner = pad + "  "
+    is_dict = isinstance(value, dict)
+    if all(map(_plain, value.values() if is_dict else value)):
+        text = _encoder(inner)(value)  # one C call writes every item
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+    sep = ",\n" + inner
+    if is_dict:
+        body = sep.join(f"{_encoder(inner)(k)}: {_dumps(value[k], inner)}"
+                        for k in sorted(value))
+        return f"{{\n{inner}{body}\n{pad}}}"
+    return f"[\n{inner}{sep.join(_dumps(v, inner) for v in value)}\n{pad}]"
 
 
 # -- typed readers ------------------------------------------------------------------
@@ -997,11 +1019,9 @@ def run(config_path, out_dir=None, tol=None, seed=None,
             "suite": suite,
             "passed": not failures,
             "failures": failures,
-            "data": _jsonify(data),
+            "data": data,
         }
-        (out / f"{suite}.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
+        (out / f"{suite}.json").write_text(_dumps(report) + "\n")
         all_failures.extend({"suite": suite, "detail": f} for f in failures)
 
     summary = {
@@ -1010,11 +1030,9 @@ def run(config_path, out_dir=None, tol=None, seed=None,
         "passed": not all_failures,
         "failures": all_failures,
     }
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    (out / "summary.json").write_text(_dumps(summary) + "\n")
     if json_output:
-        print(json.dumps(summary, indent=2, sort_keys=True))
+        print(_dumps(summary))
     else:
         for failure in all_failures:
             print(f"FAIL [{failure['suite']}] {failure['detail']}")
@@ -1032,7 +1050,7 @@ def list_families(as_json: bool = False) -> str:
         for group, entries in FAMILIES.items()
     }
     if as_json:
-        return json.dumps(catalog, indent=2, sort_keys=True)
+        return _dumps(catalog)
     lines = []
     for group, entries in catalog.items():
         lines.append(f"{group}:")

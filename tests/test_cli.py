@@ -29,8 +29,8 @@ from framelab.cli import (
     SUITE_ORDER,
     _complex,
     _csv_lines,
+    _dumps,
     _existing_path,
-    _jsonify,
     _read_family,
     _suite_density,
     _suite_dual,
@@ -1130,9 +1130,9 @@ def test_reports_leave_out_what_is_not_a_field():
     mdl = model.make_model(space, model.RawSamples())
     delta = maps.delta_frame(mdl, space)
     op = multiplier.build(multiplier.make_symbol(space, [1.0, 2.0]), delta, delta)
-    assert set(_jsonify(multiplier.compose(op, op))) == {"residual", "factored_gap",
-                                                         "asserted"}
-    assert "condition_number" not in _jsonify(maps.diagnose(delta))
+    assert set(json.loads(_dumps(multiplier.compose(op, op)))) == {
+        "residual", "factored_gap", "asserted"}
+    assert "condition_number" not in json.loads(_dumps(maps.diagnose(delta)))
 
 
 def test_table_csv_reads_a_written_table_bit_for_bit(tmp_path):
