@@ -20,7 +20,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -87,7 +87,7 @@ def _dumps(value, pad: str = "") -> str:
 
     A non-finite float is its repr string, a complex is ``[re, im]``, an enum
     its value, an array its ``tolist()``, a dict key its ``str``, and a
-    dataclass the dict of its fields (properties are not fields).
+    record (a NamedTuple) the dict of its fields (properties are not fields).
     """
     if isinstance(value, (float, np.floating)):  # most leaves are floats
         value = float(value)
@@ -103,8 +103,8 @@ def _dumps(value, pad: str = "") -> str:
         return _dumps(value.tolist(), pad)
     elif isinstance(value, dict):
         value = {str(k): v for k, v in value.items()}
-    elif is_dataclass(value):
-        value = vars(value)
+    elif isinstance(value, tuple) and hasattr(value, "_asdict"):  # a record
+        value = value._asdict()
     if not isinstance(value, (dict, list, tuple)) or not value:
         return _encoder(pad)(value)
     inner = pad + "  "
@@ -592,8 +592,7 @@ OPTIONS = {
 }
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     sections: dict  # SECTIONS name -> JSON object; None if absent and not needed
     suites: tuple
     tolerance: float
@@ -834,7 +833,7 @@ def _suite_calculus(config: ExperimentConfig, ctx: Context, seed: int, out: Path
 def _suite_invert(config: ExperimentConfig, ctx: Context, seed: int, out: Path,
                   data: dict, failures: list) -> None:
     report = multiplier.invert(ctx.operator)
-    data.update(vars(report))
+    data.update(report._asdict())
     if report.bound_satisfied is False:
         failures.append("inverse bound violated")
     if report.reciprocal_residual is not None:
@@ -872,7 +871,7 @@ def _suite_density(config: ExperimentConfig, ctx: Context, seed: int, out: Path,
         ctx.omega, ctx.theta, ctx.symbol, ctx.witnesses(),
         support_tol=config.support_tol, tol=config.tolerance,
     )
-    data.update(vars(report))
+    data.update(report._asdict())
     if not report.passed:
         failures.append(f"density certificate: {report.reason}")
 
@@ -894,7 +893,7 @@ def _suite_sweep(config: ExperimentConfig, ctx: None, seed: int, out: Path,
         result = lab.unboundedness_sweep(config.sweep_family, bounded)
         if result.verdict is not lab.GrowthVerdict.BOUNDED:
             failures.append("expected a bounded verdict")
-    data.update(vars(result))
+    data.update(result._asdict())
     (out / "sweep.csv").write_text(result.to_csv())
 
 

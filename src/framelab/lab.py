@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,8 +110,7 @@ def duality_residual(omega: DistributionMap, theta: DistributionMap,
 
 # -- discrete reduction oracle ----------------------------------------------------
 
-@dataclass(frozen=True)
-class ReductionComparison:
+class ReductionComparison(NamedTuple):
     """Classical discrete frame bounds against the table-path diagnostics."""
 
     classical_lower: float
@@ -212,8 +210,7 @@ def _direct_convolution(space: SampledMeasureSpace, a: np.ndarray,
     return out
 
 
-@dataclass(frozen=True)
-class QuartetReport:
+class QuartetReport(NamedTuple):
     """Residuals of the four delta/exponential multipliers against oracles.
 
     Members are keyed by their (analysis, synthesis) pair: ``dd`` is
@@ -340,8 +337,7 @@ class GrowthVerdict(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Operator norms along a symmetric-grid schedule with a growth verdict."""
 
     schedule: tuple

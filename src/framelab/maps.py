@@ -14,7 +14,7 @@ import enum
 import functools
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -270,8 +270,7 @@ def discrete_sequence_map(model: ModelSpace, vectors: Sequence,
 
 # -- diagnostics --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FrameDiagnostics:
+class FrameDiagnostics(NamedTuple):
     """Two-sided bounds and classification of a map.
 
     ``lower`` and ``upper`` are the squared extreme singular values of the
@@ -401,8 +400,7 @@ def _compute_dual(omega: DistributionMap) -> DistributionMap:
                            model=omega.model)
 
 
-@dataclass(frozen=True)
-class TransitionReport:
+class TransitionReport(NamedTuple):
     """Change-of-frame operator from a Gel'fand basis to a target map."""
 
     matrix: np.ndarray
@@ -452,8 +450,7 @@ def riesz_transition(omega: DistributionMap, zeta: DistributionMap) -> Transitio
 
 # -- proper-support orthogonality checks --------------------------------------
 
-@dataclass(frozen=True)
-class SupportRecord:
+class SupportRecord(NamedTuple):
     """Analysis-support facts for one witness function."""
 
     index: int
@@ -466,8 +463,7 @@ class SupportRecord:
     passed: bool  # strict subset and no bound violation
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Verdict on a witness family: the orthogonality checks and the
     density certificate each return one, with their own records."""
 

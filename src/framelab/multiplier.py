@@ -18,7 +18,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -323,8 +323,7 @@ def is_dual_pair(omega: DistributionMap, theta: DistributionMap) -> bool:
     return verdicts[theta]
 
 
-@dataclass(frozen=True)
-class CompositionReport:
+class CompositionReport(NamedTuple):
     """Product of two multipliers against the multiplier of the product symbol."""
 
     residual: float
@@ -392,8 +391,7 @@ def duality_defect(omega: DistributionMap, theta: DistributionMap) -> float:
 
 # -- invertibility ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InverseReport:
+class InverseReport(NamedTuple):
     """Spectral invertibility facts plus the bounds that apply."""
 
     sigma_min: float
@@ -499,8 +497,7 @@ def reconstruction_pair(op: MultiplierOperator, side: Side,
 
 # -- density -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DensityRecord:
+class DensityRecord(NamedTuple):
     index: int
     support_size: int
     sup_on_support: float

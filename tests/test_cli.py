@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import filecmp
 import json
 import math
@@ -856,8 +855,8 @@ class TestRun:
     def test_a_factored_gap_above_rounding_fails_calculus_on_any_pair(
             self, tmp_path, monkeypatch):
         compose = multiplier.compose
-        monkeypatch.setattr(multiplier, "compose", lambda *ops: dataclasses.replace(
-            compose(*ops), factored_gap=1e-6))
+        monkeypatch.setattr(multiplier, "compose", lambda *ops: compose(*ops)._replace(
+            factored_gap=1e-6))
         out = tmp_path / "out"
         assert run(overcomplete_config(tmp_path, 12, 4, ["calculus"]),
                    out_dir=out) == EXIT_ASSERTION
@@ -1648,7 +1647,7 @@ def test_a_quartet_failure_names_its_grid_and_members(tmp_path, capsys):
 def test_disagreeing_discrete_reduction_paths_fail_the_oracle(tmp_path, monkeypatch):
     oracle = lab.discrete_reduction_oracle
     monkeypatch.setattr(lab, "discrete_reduction_oracle", lambda vectors: (
-        dataclasses.replace(oracle(vectors), agree=False)))
+        oracle(vectors)._replace(agree=False)))
     config = write_config(tmp_path, "cfg.json", {
         "omega": {"family": "discrete", "vectors": [[1, 0], [0, 1], [1, 1]]},
         "suites": ["oracle"], "seed": 1,

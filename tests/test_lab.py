@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import inspect
 import tracemalloc
 
@@ -384,8 +383,7 @@ class TestUnboundednessSweep:
         assert result.fitted_growth == pytest.approx(1.0, abs=1e-6)
 
     def test_norm_floor_misses_name_each_low_step(self, monkeypatch):
-        low = dataclasses.replace(weighted_delta_sweep((2.0, 4.0, 8.0)),
-                                  norms=(2.0, 3.5, 8.0))
+        low = weighted_delta_sweep((2.0, 4.0, 8.0))._replace(norms=(2.0, 3.5, 8.0))
         assert lab.norm_floor_misses(low) == ["norm 3.500e+00 below 0.9*L at L=4.0"]
         monkeypatch.setattr(lab, "unboundedness_sweep", lambda *args: low)
         assert weighted_delta_sweep((2.0, 4.0, 8.0), check=False) is low
@@ -393,8 +391,7 @@ class TestUnboundednessSweep:
             weighted_delta_sweep((2.0, 4.0, 8.0))
 
     def test_a_nan_norm_misses_the_floor(self):
-        nan = dataclasses.replace(weighted_delta_sweep((2.0, 4.0, 8.0)),
-                                  norms=(2.0, float("nan"), 8.0))
+        nan = weighted_delta_sweep((2.0, 4.0, 8.0))._replace(norms=(2.0, float("nan"), 8.0))
         assert lab.norm_floor_misses(nan) == ["norm nan below 0.9*L at L=4.0"]
 
     def test_bounded_control(self):

@@ -2,9 +2,13 @@
 
 A public helper that no module calls is either a paper statement that no
 report carries or dead code; the allowlist names the exceptions and why.
+Every class is a result record (a NamedTuple), an enum, an exception, or
+one of the frozen dataclasses that validate, cache or are built by callers.
 """
 
 import ast
+import dataclasses
+import enum
 import importlib
 import inspect
 from pathlib import Path
@@ -19,6 +23,14 @@ ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
 ALLOWLIST = {
     "riesz_transition": "ROADMAP item 4: its cli wiring is still open",
     "l2_inner": "the reference inner product that the tests compare against",
+}
+
+# Classes that validate in __post_init__, cache through cached_property, or
+# are inputs that callers build; a field-less RawSamples tuple would be falsy.
+DATACLASSES = {
+    "measure.SampledMeasureSpace", "measure.RefinementFamily", "model.Trigonometric",
+    "model.GaussianBumps", "model.RawSamples", "model.ModelSpace", "maps.DistributionMap",
+    "multiplier.Symbol", "multiplier.MultiplierOperator", "cli.Context",
 }
 
 
@@ -68,7 +80,24 @@ def test_allowlist_names_exported_functions():
         assert inspect.isfunction(getattr(framelab, name, None)), name
 
 
+def submodules():
+    return [importlib.import_module(f"framelab.{path.stem}")
+            for path in SRC.glob("*.py") if path.stem != "__init__"]
+
+
 def test_framelab_init_is_the_one_list_of_public_names():
-    modules = [framelab] + [importlib.import_module(f"framelab.{path.stem}")
-                            for path in SRC.glob("*.py") if path.stem != "__init__"]
+    modules = [framelab] + submodules()
     assert [m.__name__ for m in modules if "__all__" in vars(m)] == []
+
+
+def test_every_result_is_a_record_and_only_validating_classes_are_dataclasses():
+    classes = {f"{module.__name__.removeprefix('framelab.')}.{name}": obj
+               for module in submodules() for name, obj in vars(module).items()
+               if inspect.isclass(obj) and obj.__module__ == module.__name__}
+    assert {name for name, cls in classes.items()
+            if dataclasses.is_dataclass(cls)} == DATACLASSES
+    others = {name: cls for name, cls in classes.items() if name not in DATACLASSES
+              and not issubclass(cls, (enum.Enum, BaseException))}
+    assert "maps.FrameDiagnostics" in others and "cli.ExperimentConfig" in others
+    assert [name for name, cls in others.items()
+            if not (issubclass(cls, tuple) and hasattr(cls, "_fields"))] == []

@@ -9,7 +9,6 @@ import enum
 import json
 import math
 import shutil
-from dataclasses import is_dataclass
 
 import numpy as np
 import pytest
@@ -21,7 +20,8 @@ from framelab.cli import EXIT_OK, _dumps, main, run
 def reference(value):
     """Recursively convert reports to deterministic JSON-compatible data.
 
-    A dataclass becomes the dict of its fields; properties are not fields.
+    A record (a NamedTuple) becomes the dict of its fields; properties are
+    not fields.
     """
     if isinstance(value, (float, np.floating)):  # most leaves are floats
         f = float(value)
@@ -40,10 +40,10 @@ def reference(value):
         return [reference(v) for v in value.tolist()]
     if isinstance(value, dict):
         return {str(k): reference(v) for k, v in value.items()}
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):
+        return {name: reference(v) for name, v in value._asdict().items()}
     if isinstance(value, (list, tuple)):
         return [reference(v) for v in value]
-    if is_dataclass(value):
-        return {name: reference(v) for name, v in vars(value).items()}
     return value
 
 
@@ -110,6 +110,21 @@ def _diagnostics():
     return maps.diagnose(delta)
 
 
+SUPPORT = maps.SupportRecord(index=np.int64(4), support_size=2, support_measure=0.5,
+                             sup_on_support=np.float64(1.0), max_off_support=-0.0,
+                             strict_subset=np.bool_(True),
+                             bound_violation=(np.int64(3), 2.5, np.float32(1.0)),
+                             passed=False)
+RECORDS = [
+    _diagnostics(),
+    maps.FrameDiagnostics(*_diagnostics()[:-1]),  # at its default note
+    SUPPORT,
+    maps.WitnessReport(passed=False, total=True, reason="bound violated", records=(
+        SUPPORT, SUPPORT._replace(index=5, bound_violation=None, passed=True))),
+    lab.SweepResult(schedule=((17, 2.0), (33, np.float64(4.0)), (65, 8.0)),
+                    norms=(2.0, np.float64(4.5), math.inf), fitted_growth=1.0,
+                    verdict=lab.GrowthVerdict.UNBOUNDED, threshold=0.5),
+]
 STRINGS = ["", 'a "quoted" word', "back\\slash", "two\nlines\r\t", "\x00\x1f\x7f",
            "café ω 中 \U0001f600", "\ud800"]
 SCALARS = [None, True, False, 0, -3, 2**70, 0.0, -0.0, 5e-324, 1e308, -1e308,
@@ -119,13 +134,7 @@ SCALARS = [None, True, False, 0, -3, 2**70, 0.0, -0.0, 5e-324, 1e308, -1e308,
            np.complex128(1e308 + 5e-324j), Color.RED, Color.QUOTED, Level.HIGH,
            maps.Classification.FRAME, lab.GrowthVerdict.BOUNDED, multiplier.Side.LEFT,
            np.arange(3), np.array([[1.5, math.nan], [math.inf, -0.0]]),
-           np.array([1 + 2j, -0.0j]), np.zeros((2, 0)), _diagnostics(),
-           maps.SupportRecord(index=np.int64(4), support_size=2, support_measure=0.5,
-                              sup_on_support=np.float64(1.0), max_off_support=-0.0,
-                              strict_subset=np.bool_(True),
-                              bound_violation=(np.int64(3), 2.5, np.float32(1.0)),
-                              passed=False),
-           *STRINGS]
+           np.array([1 + 2j, -0.0j]), np.zeros((2, 0)), *RECORDS, *STRINGS]
 KEYS = [*STRINGS, 0, 1, -5, True, False, "1", "True", "k"]
 
 
@@ -155,10 +164,22 @@ def test_a_seeded_corpus_is_written_as_the_standard_library_writes_it(seed):
         assert _dumps(value) == standard(value), value
 
 
-@pytest.mark.parametrize("value", SCALARS + [[], {}, (), [[]], {"a": {}}, [{}, ()]])
+@pytest.mark.parametrize("value", SCALARS + [[], {}, (), [[]], {"a": {}}, [{}, ()],
+                                   (1, "a", SUPPORT, ())])
 def test_each_leaf_and_empty_container_alone_and_nested(value):
     for nested in (value, [value], {"k": [value, {"j": value}]}):
         assert _dumps(nested) == standard(nested)
+
+
+def test_a_record_is_an_object_and_a_plain_tuple_a_list():
+    diagnostics, default_note, support, witness, sweep = (
+        json.loads(_dumps(record)) for record in RECORDS)
+    assert default_note == diagnostics == {**diagnostics, "note": ""}
+    assert support["bound_violation"] == [3, 2.5, 1.0]
+    assert [r["index"] for r in witness["records"]] == [4, 5]
+    assert sweep["schedule"] == [[17, 2.0], [33, 4.0], [65, 8.0]]
+    assert (sweep["verdict"], sweep["norms"][-1]) == ("unbounded", "inf")
+    assert json.loads(_dumps((1, SUPPORT, ()))) == [1, support, []]
 
 
 def test_a_zero_dimensional_array_is_written_as_its_scalar():

@@ -10,7 +10,6 @@ relatively across BLAS builds; they get an absolute floor of 64 ulps of
 these unit-scale tables.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -144,15 +143,14 @@ def assert_same_report(new, old):
     assert (new.passed, new.total, new.reason) == (old.passed, old.total, old.reason)
     assert len(new.records) == len(old.records)
     for a, b in zip(new.records, old.records):
-        for field in dataclasses.fields(b):
-            x, y = getattr(a, field.name), getattr(b, field.name)
+        for field, x, y in zip(b._fields, a, b):
             if isinstance(y, float):
-                assert x == pytest.approx(y, rel=REL, abs=NOISE), field.name
-            elif field.name == "bound_violation" and y is not None:
+                assert x == pytest.approx(y, rel=REL, abs=NOISE), field
+            elif field == "bound_violation" and y is not None:
                 assert x[0] == y[0]
                 assert x[1:] == pytest.approx(y[1:], rel=REL)
             else:
-                assert type(x) is type(y) and x == y, field.name
+                assert type(x) is type(y) and x == y, field
 
 
 # -- the cases -------------------------------------------------------------------
