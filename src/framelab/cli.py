@@ -3,7 +3,8 @@
 Reads a single JSON document describing a space, a model, two frame
 families, a symbol and a set of verification suites; runs the suites in
 dependency order; writes one deterministic JSON report per suite plus
-optional CSV sweep data.  Exit codes: 0 all assertions passed, 2 config
+optional CSV sweep data.  Exit codes: 0 all assertions passed, 1 the
+command's stdout was closed before its output was written, 2 config
 unreadable or unparsable, 3 validation error (values, data or output
 paths), 4 at least one suite assertion failed.
 """
@@ -15,9 +16,11 @@ import contextlib
 import csv
 import enum
 import functools
+import gc
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -31,6 +34,7 @@ from .errors import ConfigError, FrameLabError, ScheduleError
 
 SCHEMA_VERSION = "1"
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_ASSERTION = 4
@@ -1090,5 +1094,26 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
+def command() -> int:
+    """The ``framelab`` command: ``main`` on the process arguments.
+
+    Once stdout is flushed the surviving objects are frozen, so the
+    interpreter's shutdown collection does not traverse them; ``main`` and
+    ``run`` called in process keep normal collection.  A reader that closes
+    stdout before all of it is written ends the command with exit 1 and no
+    traceback; a run's reports are complete on disk by then.
+    """
+    try:
+        code = main()
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The shutdown flush now writes what is left to devnull, not the pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_STDOUT
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(command())

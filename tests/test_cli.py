@@ -1,8 +1,13 @@
+import ast
 import csv
 import filecmp
+import gc
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -13,6 +18,7 @@ import pytest
 from framelab import (
     InconsistencyError,
     SingularOperatorError,
+    cli,
     lab,
     maps,
     measure,
@@ -21,6 +27,7 @@ from framelab import (
 )
 from framelab.cli import (
     EXIT_ASSERTION,
+    EXIT_CLOSED_STDOUT,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
@@ -1050,6 +1057,76 @@ class TestMain:
         assert summary["ambient_dim"] == 16
         assert summary["dim"] == 16
         assert summary["d_basis_condition"] == pytest.approx(1.0, abs=1e-10)
+
+
+CONTEXT_16 = {
+    "space": {"family": "periodic_unit_grid", "n": 16},
+    "model": {"family": "raw_samples"},
+    "omega": {"family": "delta"},
+    "theta": {"family": "canonical_dual"},
+    "suites": ["diagnose", "dual", "multiplier", "calculus", "invert",
+               "reconstruct", "orthogonality", "density", "oracle"],
+    "seed": 1,
+}
+
+
+def framelab_child(*args, stdout=subprocess.PIPE) -> subprocess.Popen:
+    """Start ``python -m framelab.cli`` on ``args`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.Popen([sys.executable, "-m", "framelab.cli", *args],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+class TestCommand:
+    """The command as a child process, against ``run`` in process."""
+
+    def test_child_writes_the_in_process_reports_and_stdout(self, tmp_path, capsys):
+        config = write_config(tmp_path, "cfg.json", CONTEXT_16)
+        runs = {tmp_path / "text": [], tmp_path / "json": ["--json"]}
+        children = {out: framelab_child("run", str(config), "--out", str(out), *flags)
+                    for out, flags in runs.items()}  # their cold starts overlap
+        for out, child in children.items():
+            stdout, stderr = child.communicate()
+            reports = {path.name: path.read_bytes() for path in out.iterdir()}
+            assert len(reports) == 10
+            code = run(config, out_dir=out, json_output=bool(runs[out]))
+            assert (child.returncode, stdout, stderr) == (
+                code, capsys.readouterr().out.encode(), b"")
+            assert {path.name: path.read_bytes() for path in out.iterdir()} == reports
+
+    def test_child_validation_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, "cfg.json", {
+            **CONTEXT_16, "space": {"family": "periodic_unit_grid", "n": 16.7}})
+        assert run(config, out_dir=tmp_path / "out") == EXIT_VALIDATION
+        stderr = capsys.readouterr().err.encode()
+        child = framelab_child("run", str(config), "--out", str(tmp_path / "out"))
+        assert (*child.communicate(), child.returncode) == (b"", stderr, EXIT_VALIDATION)
+        assert not (tmp_path / "out").exists()
+
+    def test_closed_stdout_is_exit_1_without_a_traceback(self):
+        # the reader is gone before the child writes, as after `| head -c 1`
+        reader, writer = os.pipe()
+        os.close(reader)
+        child = framelab_child("list-families", "--json", stdout=writer)
+        os.close(writer)
+        assert (child.communicate()[1], child.returncode) == (b"", EXIT_CLOSED_STDOUT)
+
+    def test_in_process_callers_keep_the_collector(self, tmp_path, capsys):
+        config = write_config(tmp_path, "cfg.json", PARSEVAL_CONFIG)
+        frozen = gc.get_freeze_count()
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert main(["list-families"]) == EXIT_OK
+        assert gc.get_freeze_count() == frozen
+        assert gc.isenabled()
+
+    def test_console_script_runs_what_the_module_runs(self):
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        target = re.search(r'^framelab = "framelab\.cli:(\w+)"$', pyproject, re.M)
+        tree = ast.parse(Path(cli.__file__).read_text())
+        [block] = [node for node in tree.body if isinstance(node, ast.If)
+                   and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert [ast.unparse(node) for node in block.body] == [
+            f"sys.exit({target.group(1)}())"]
 
 
 def key_paths(value, prefix):
