@@ -71,10 +71,8 @@ from .multiplier import (
     MultiplierOperator,
     Side,
     Symbol,
-    adjoint,
     build,
     compose,
-    conj_symbol,
     density_certificate,
     duality_defect,
     invert,

@@ -796,10 +796,6 @@ def _suite_multiplier(config: ExperimentConfig, ctx: Context, seed: int, out: Pa
     data["norm_bound"] = bound = multiplier.norm_bound(op)
     if not norm <= bound + multiplier.RESIDUAL_TOL * max(1.0, bound):
         failures.append(f"norm {norm:.6e} above bound {bound:.6e}")
-    difference = op.dense.conj().T
-    np.subtract(multiplier.adjoint(op).dense, difference, out=difference)
-    data["adjoint_residual"] = adj_residual = float(np.max(np.abs(difference)))
-    _gate(failures, "adjoint residual", adj_residual, multiplier.ROUNDING_TOL)
     if op.dim <= 16:
         data["dense"] = op.dense
 
@@ -816,21 +812,17 @@ def _calculus_trial(ctx: Context, rng: np.random.Generator) -> multiplier.Compos
 
 def _suite_calculus(config: ExperimentConfig, ctx: Context, seed: int, out: Path,
                     data: dict, failures: list) -> None:
-    """The residual is asserted on dual pairs; the factored gap on every pair."""
+    """The residual is asserted on dual pairs; elsewhere it is reported, with
+    the duality defect that keeps the calculus from being exact."""
     rng = np.random.default_rng(seed)
     residuals = data["residuals"] = []
-    gaps = data["factored_gaps"] = []
     for _ in range(10):
         report = _calculus_trial(ctx, rng)
         residuals.append(report.residual)
-        gaps.append(report.factored_gap)
         if report.asserted and not report.residual <= config.tolerance:
             failures.append(f"calculus residual {report.residual:.3e} on dual pair")
-        _gate(failures, "calculus factored gap", report.factored_gap,
-              multiplier.ROUNDING_TOL)
     data["dual_pair"] = report.asserted
     data["worst_residual"] = max(residuals)
-    data["worst_factored_gap"] = max(gaps)
     data["duality_defect"] = multiplier.duality_defect(ctx.omega, ctx.theta)
 
 
@@ -1104,7 +1096,10 @@ def command() -> int:
     traceback; a run's reports are complete on disk by then.
     """
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as stop:  # argparse's --help and usage errors, flushed below too
+            code = stop.code
         if sys.stdout is not None:  # None when the process started with fd 1 closed
             sys.stdout.flush()
     except BrokenPipeError:

@@ -7,7 +7,7 @@ functions through the pairing
 
 so its dense K x K coefficient matrix factors exactly as
 ``E_theta^H diag(w * m) E_omega``.  Everything else here (norm and inverse
-bounds, adjoints, composition calculus, reconstruction pairs, dense-domain
+bounds, composition calculus, reconstruction pairs, dense-domain
 certificates) is derived from that factorization and cross-checked against
 it at the tolerances named below.
 """
@@ -36,7 +36,6 @@ from .measure import SampledMeasureSpace, _read_only, ess_sup
 from .model import RANK_RTOL, _full_rank, _singular_values
 
 RESIDUAL_TOL = 1e-10  # largest residual allowed for an exact identity
-ROUNDING_TOL = 1e-12  # largest residual of a matrix that only rounding separates
 BOUND_TOL = 1e-8  # slack of a frame or Riesz bound and of the dual-pair test
 SPLIT_FLOOR = 1.0  # split_symbol keeps |m2| at or above it
 _PROBES = 8  # columns of the +-1 probe block of the symbol calculus
@@ -79,10 +78,6 @@ def make_symbol(space: SampledMeasureSpace, values) -> Symbol:
     )
 
 
-def conj_symbol(space: SampledMeasureSpace, m: Symbol) -> Symbol:
-    return make_symbol(space, np.conj(m.values))
-
-
 def reciprocal_symbol(space: SampledMeasureSpace, m: Symbol) -> Symbol:
     if not m.nonvanishing:
         raise SingularOperatorError("cannot invert a vanishing symbol")
@@ -114,7 +109,7 @@ class MultiplierOperator:
     ``dense``, the K x K coefficient matrix, is formed on first read and is
     read-only; its singular values, injectivity and inverse are each
     computed at most once, on first use.  An operator that is only composed
-    or adjoined never forms it.
+    never forms it.
     """
 
     omega: DistributionMap
@@ -294,13 +289,6 @@ def _root_product(a: float, b: float) -> float:
     return math.sqrt(a) * math.sqrt(b)
 
 
-def adjoint(op: MultiplierOperator) -> MultiplierOperator:
-    """Multiplier with conjugated symbol and swapped maps; dense is the
-    conjugate transpose of the original."""
-    return build(conj_symbol(op.space, op.symbol), op.theta, op.omega,
-                 validate=False)
-
-
 # -- composition calculus --------------------------------------------------------
 
 def is_dual_pair(omega: DistributionMap, theta: DistributionMap) -> bool:
@@ -327,7 +315,6 @@ class CompositionReport(NamedTuple):
     """Product of two multipliers against the multiplier of the product symbol."""
 
     residual: float
-    factored_gap: float
     asserted: bool
 
 
@@ -337,10 +324,7 @@ def compose(op1: MultiplierOperator, op2: MultiplierOperator) -> CompositionRepo
     With A = E_theta^H, B = E_omega and w the weights, each multiplier acts
     from its factors, M_m X = A (w m * B X), so no K x K matrix is formed.
     ``residual`` is ||(M1 M2 - M12) X||_F / sqrt(_PROBES), an estimate of the
-    Frobenius residual.  The defect factors exactly as
-    A diag(w m1) (G - I) diag(m2) B with G = B A diag(w); ``factored_gap``
-    is the distance between the direct difference and that factored defect,
-    relative to ||M1 M2 X||_F, which only rounding makes nonzero on any pair.
+    Frobenius residual.
 
     The identity is asserted, by the caller, only when both operators share
     a dual pair of maps with a square table (the symbolic-calculus regime);
@@ -357,20 +341,13 @@ def compose(op1: MultiplierOperator, op2: MultiplierOperator) -> CompositionRepo
     with np.errstate(over="ignore", invalid="ignore"):
         bx = _apply(omega, _probe_block(op1.dim))
         m2x = _synthesize(theta, w * m2 * bx)
-        m1m2x = _synthesize(theta, w * m1 * _apply(omega, m2x))
-        direct = m1m2x - _synthesize(theta, w * m12.values[:, None] * bx)
-        z = m2 * bx
-        defect = _synthesize(theta, w * m1 * (_apply(omega, _synthesize(theta, w * z)) - z))
-        gap = float(np.linalg.norm(direct - defect))
-        scale = float(np.linalg.norm(m1m2x))
+        direct = (_synthesize(theta, w * m1 * _apply(omega, m2x))
+                  - _synthesize(theta, w * m12.values[:, None] * bx))
         residual = float(np.linalg.norm(direct)) / math.sqrt(_PROBES)
-    if not all(map(math.isfinite, (residual, gap, scale))):
+    if not math.isfinite(residual):
         raise InvalidValueError("composition overflows: its residual cannot be represented")
-    return CompositionReport(
-        residual=residual,
-        factored_gap=gap / scale if scale else gap,
-        asserted=is_dual_pair(op1.omega, op1.theta),
-    )
+    return CompositionReport(residual=residual,
+                             asserted=is_dual_pair(op1.omega, op1.theta))
 
 
 def duality_defect(omega: DistributionMap, theta: DistributionMap) -> float:

@@ -19,7 +19,6 @@ from framelab import (
     ShapeMismatchError,
     Side,
     SingularOperatorError,
-    adjoint,
     build,
     bump_family,
     canonical_dual,
@@ -45,7 +44,7 @@ from framelab import (
     weighted_delta_frame,
 )
 from framelab import multiplier
-from framelab.multiplier import RESIDUAL_TOL, ROUNDING_TOL
+from framelab.multiplier import RESIDUAL_TOL
 from conftest import (
     TABLE_SHAPES,
     TRIAL_COUNTS,
@@ -54,7 +53,6 @@ from conftest import (
     random_bounded_symbol,
     random_map,
     random_overcomplete_map,
-    random_unitary,
     riesz_dual_pair,
     with_dense,
 )
@@ -202,7 +200,6 @@ class TestBuild:
         other = build(random_bounded_symbol(omega.space, rng), omega, theta,
                       validate=False)
         compose(op, other)
-        adjoint(op)
         assert "dense" not in vars(op) and "dense" not in vars(other)
         wm = omega.space.weights * m.values
         reference = np.conj(theta.table).T @ (wm[:, None] * omega.table)
@@ -233,34 +230,6 @@ class TestOperatorNorm:
             op = build(random_bounded_symbol(space, rng), omega, theta,
                        validate=False)
             assert operator_norm(op) <= norm_bound(op) + 1e-10
-
-
-class TestAdjoint:
-    def test_real_diagonal_is_self_adjoint(self):
-        op = diag_operator((2, 3, 5))
-        assert np.allclose(adjoint(op).dense, op.dense)
-
-    def test_symbol_is_conjugated(self):
-        op = diag_operator((1j, -1j))
-        adj = adjoint(op)
-        assert np.allclose(adj.symbol.values, [-1j, 1j])
-        assert np.max(np.abs(adj.dense - op.dense.conj().T)) < 1e-12
-
-    def test_pairing_identity_on_random_pairs(self, rng):
-        omega, theta = riesz_dual_pair(5, rng)
-        op = build(random_bounded_symbol(omega.space, rng), omega, theta)
-        adj = adjoint(op)
-        for _ in range(100):
-            f = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            g = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            f, g = f / np.linalg.norm(f), g / np.linalg.norm(g)
-            assert abs(np.vdot(g, op.dense @ f)
-                       - np.conj(np.vdot(f, adj.dense @ g))) < 1e-12
-
-    def test_involution(self, rng):
-        omega, theta = riesz_dual_pair(4, rng)
-        op = build(random_bounded_symbol(omega.space, rng), omega, theta)
-        assert np.max(np.abs(adjoint(adjoint(op)).dense - op.dense)) < 1e-12
 
 
 class TestCompose:
@@ -339,19 +308,6 @@ class TestCompose:
             dense = np.linalg.norm(op1.dense @ op2.dense - product.dense)
             report = compose(op1, op2)
             assert 0.5 * dense <= report.residual <= 2.0 * dense
-            assert report.factored_gap <= ROUNDING_TOL
-
-    @pytest.mark.parametrize("kappa", [1e3, 1e5])
-    def test_factored_gap_is_rounding_on_ill_conditioned_pairs(self, rng, kappa):
-        k = 24
-        table = (random_unitary(k, rng) @ np.diag(np.geomspace(1, kappa, k))
-                 @ random_unitary(k, rng))
-        omega = DistributionMap(table=table, space=counting(k),
-                                model=make_model(counting(k), RawSamples()))
-        theta = canonical_dual(omega)
-        ops = [build(random_bounded_symbol(omega.space, rng), omega, theta,
-                     validate=False) for _ in range(2)]
-        assert compose(*ops).factored_gap <= ROUNDING_TOL
 
     def test_probe_block_is_fixed_signs_and_read_only(self):
         block = multiplier._probe_block(6)
@@ -383,16 +339,6 @@ class TestCompose:
         assert ref() is None
         assert len(omega._dual_pair_verdicts) == 0
 
-    def test_adjoint_of_product_is_reversed_product_of_adjoints(self, rng):
-        omega, theta = riesz_dual_pair(5, rng)
-        op1 = build(random_bounded_symbol(omega.space, rng), omega, theta,
-                    validate=False)
-        op2 = build(random_bounded_symbol(omega.space, rng), omega, theta,
-                    validate=False)
-        product = op1.dense @ op2.dense
-        reversed_product = adjoint(op2).dense @ adjoint(op1).dense
-        assert np.linalg.norm(product.conj().T - reversed_product) < 1e-10
-
 
 class TestDualityDefect:
     def test_overcomplete_canonical_pair_is_sqrt_of_the_excess(self, rng):
@@ -407,7 +353,7 @@ class TestDualityDefect:
         space, model, delta = on_basis_setup(5)
         assert duality_defect(delta, canonical_dual(delta)) == 0.0
         omega, theta = riesz_dual_pair(8, rng)
-        assert duality_defect(omega, theta) <= ROUNDING_TOL
+        assert duality_defect(omega, theta) <= 1e-12
 
 
 def _mismatched_maps(kind):
@@ -448,14 +394,6 @@ class TestBoundednessShadow:
             norm = operator_norm(op)
             assert norm >= math.sqrt(a) * m.ess_sup - 1e-10
             assert norm <= norm_bound(op) + 1e-10
-
-    def test_adjoint_of_inverse_is_inverse_of_adjoint(self, rng):
-        omega, theta = riesz_dual_pair(5, rng)
-        m = random_bounded_symbol(omega.space, rng, lo=0.5, hi=2.0)
-        op = build(m, omega, theta, validate=False)
-        lhs = np.linalg.inv(op.dense).conj().T
-        rhs = np.linalg.inv(adjoint(op).dense)
-        assert np.linalg.norm(lhs - rhs) < 1e-10
 
 
 class TestInvert:
