@@ -69,6 +69,12 @@ def diag_operator(values=(2, 3, 5)):
     return build(make_symbol(space, values), delta, delta)
 
 
+def swapped_multiplier(op):
+    """M_{conj m, theta, omega}: the pairing of op read from the other side."""
+    return build(make_symbol(op.space, np.conj(op.symbol.values)), op.theta,
+                 op.omega, validate=False)
+
+
 class TestSymbol:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
     def test_non_finite_values_rejected(self, bad):
@@ -232,6 +238,36 @@ class TestOperatorNorm:
             assert operator_norm(op) <= norm_bound(op) + 1e-10
 
 
+class TestAdjoint:
+    # the adjoint of M_{m, omega, theta} is M_{conj m, theta, omega}
+    def test_real_diagonal_is_self_adjoint(self):
+        op = diag_operator((2, 3, 5))
+        assert np.allclose(swapped_multiplier(op).dense, op.dense)
+
+    def test_symbol_is_conjugated(self):
+        op = diag_operator((1j, -1j))
+        adj = swapped_multiplier(op)
+        assert np.allclose(adj.symbol.values, [-1j, 1j])
+        assert np.max(np.abs(adj.dense - op.dense.conj().T)) < 1e-12
+
+    def test_pairing_identity_on_random_pairs(self, rng):
+        omega, theta = riesz_dual_pair(5, rng)
+        op = build(random_bounded_symbol(omega.space, rng), omega, theta)
+        adj = swapped_multiplier(op)
+        for _ in range(100):
+            f = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+            g = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+            f, g = f / np.linalg.norm(f), g / np.linalg.norm(g)
+            assert abs(np.vdot(g, op.dense @ f)
+                       - np.conj(np.vdot(f, adj.dense @ g))) < 1e-12
+
+    def test_involution(self, rng):
+        omega, theta = riesz_dual_pair(4, rng)
+        op = build(random_bounded_symbol(omega.space, rng), omega, theta)
+        assert np.max(np.abs(swapped_multiplier(swapped_multiplier(op)).dense
+                             - op.dense)) < 1e-12
+
+
 class TestCompose:
     def test_diagonal_calculus(self):
         space, model, delta = on_basis_setup(2)
@@ -339,6 +375,17 @@ class TestCompose:
         assert ref() is None
         assert len(omega._dual_pair_verdicts) == 0
 
+    def test_adjoint_of_product_is_reversed_product_of_adjoints(self, rng):
+        omega, theta = riesz_dual_pair(5, rng)
+        op1 = build(random_bounded_symbol(omega.space, rng), omega, theta,
+                    validate=False)
+        op2 = build(random_bounded_symbol(omega.space, rng), omega, theta,
+                    validate=False)
+        product = op1.dense @ op2.dense
+        reversed_product = (swapped_multiplier(op2).dense
+                            @ swapped_multiplier(op1).dense)
+        assert np.linalg.norm(product.conj().T - reversed_product) < 1e-10
+
 
 class TestDualityDefect:
     def test_overcomplete_canonical_pair_is_sqrt_of_the_excess(self, rng):
@@ -394,6 +441,14 @@ class TestBoundednessShadow:
             norm = operator_norm(op)
             assert norm >= math.sqrt(a) * m.ess_sup - 1e-10
             assert norm <= norm_bound(op) + 1e-10
+
+    def test_adjoint_of_inverse_is_inverse_of_adjoint(self, rng):
+        omega, theta = riesz_dual_pair(5, rng)
+        m = random_bounded_symbol(omega.space, rng, lo=0.5, hi=2.0)
+        op = build(m, omega, theta, validate=False)
+        lhs = np.linalg.inv(op.dense).conj().T
+        rhs = np.linalg.inv(swapped_multiplier(op).dense)
+        assert np.linalg.norm(lhs - rhs) < 1e-10
 
 
 class TestInvert:
